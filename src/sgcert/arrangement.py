@@ -391,10 +391,25 @@ def write_arrangement(path, arr) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list:
+    """The lines of a text file; a missing or unreadable file is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [ln.rstrip("\n") for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _parse_int(text, lineno) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}", lineno) from None
+
+
 class _LineReader:
     def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
-            self.lines = [ln.rstrip("\n") for ln in fh]
+        self.lines = _read_lines(path)
         self.pos = 0
 
     def next(self) -> str:
@@ -426,14 +441,14 @@ def read_arrangement(path):
     field_kind = _expect(reader, "field", None)[1]
     if field_kind not in ("real", "complex"):
         raise ParseError(f"unknown field {field_kind!r}", reader.lineno)
-    ambient = int(_expect(reader, "ambient", None)[1])
-    count = int(_expect(reader, "n", None)[1])
+    ambient = _parse_int(_expect(reader, "ambient", None)[1], reader.lineno)
+    count = _parse_int(_expect(reader, "n", None)[1], reader.lineno)
     spaces = []
     for idx in range(count):
         parts = _expect(reader, "space", None, "dim", None)
-        if int(parts[1]) != idx:
+        if _parse_int(parts[1], reader.lineno) != idx:
             raise ParseError(f"expected space {idx}, got {parts[1]}", reader.lineno)
-        dim = int(parts[3])
+        dim = _parse_int(parts[3], reader.lineno)
         rows_re, rows_im = [], []
         for _ in range(dim):
             ln = reader.next()

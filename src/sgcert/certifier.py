@@ -363,7 +363,7 @@ def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
 def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
                    trials: int = 2048, seed: int = 0,
                    tol: Tolerance = DEFAULT_TOL, entry_check: bool = True,
-                   harvest_retries: int = 8, workers: int = 1) -> Certificate:
+                   harvest_retries: int = 8) -> Certificate:
     """One application of the dichotomy: a bound or a collapse witness.
 
     Pipeline: (entry) if the dimension is already at most
@@ -402,7 +402,7 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     if entry_check and Fraction(d) <= threshold:
         return entry_certificate()
 
-    sample = sample_admissible(arr, trials, seed, tol, workers)
+    sample = sample_admissible(arr, trials, seed, tol)
     p_hat = sample.p_hat
     sigma = np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / trials)
     pick_floor = float(beta_frac * d / (4 * k_bound * n))
@@ -460,7 +460,6 @@ class CertifyBudget:
     max_rounds: int = None
     wall_clock: float = None
     harvest_retries: int = 8
-    workers: int = 1
 
 
 @dataclass
@@ -538,8 +537,7 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
         cert = decompose_step(cur_arr, cur_sys, float(beta_frac),
                               trials=budget.trials, seed=budget.seed + t,
                               tol=tol, entry_check=entry_check,
-                              harvest_retries=budget.harvest_retries,
-                              workers=budget.workers)
+                              harvest_retries=budget.harvest_retries)
         if cert.kind == "bound":
             rounds.append(RoundRecord(t, cur_arr.n, float(delta_t), d_t,
                                       cert.params.get("branch", "bound"), 0))

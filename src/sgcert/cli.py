@@ -7,6 +7,7 @@ invariant or certificate failure, 2 usage/parse error, 3 budget exceeded.
 
 import argparse
 import sys
+from contextlib import nullcontext
 from itertools import combinations
 
 import numpy as np
@@ -55,14 +56,17 @@ def _tol_from(args) -> Tolerance:
 
 
 def _out_stream(path):
-    return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
+    """A context manager for the report stream; ``-`` writes to stdout unclosed."""
+    if path in (None, "-"):
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _emit(stream, lines):
     stream.write("\n".join(lines) + "\n")
 
 
-def _load_real(path, tol):
+def _load_real(path):
     arr = read_arrangement(path)
     if isinstance(arr, ComplexArrangement):
         raise SgcertError(f"{path} holds a complex arrangement; run 'reduce' first")
@@ -89,7 +93,7 @@ def cmd_gen(args) -> int:
 
 def cmd_triples(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = _load_real(args.input)
     with _out_stream(args.out) as stream:
         specials = find_special_spaces(arr, arr.max_dim(), tol)
         lines = []
@@ -108,7 +112,7 @@ def cmd_triples(args) -> int:
 
 def cmd_system(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = _load_real(args.input)
     sys_obj = build_sg_system(arr, arr.max_dim(), tol)
     write_system(args.out, sys_obj)
     print(f"wrote {args.out}: w {sys_obj.w} alpha {sys_obj.alpha} delta {_fmt(sys_obj.delta)}")
@@ -117,8 +121,8 @@ def cmd_system(args) -> int:
 
 def cmd_scale(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
-    sample = sample_admissible(arr, args.trials, args.seed, tol, args.workers)
+    arr = _load_real(args.input)
+    sample = sample_admissible(arr, args.trials, args.seed, tol)
     total_dim = arr.dimension(tol)
     non_basis = sum(
         1 for h in sample.sets
@@ -147,7 +151,7 @@ _BRANCH_NAMES = {"entry": "bound", "separated": "bound",
 
 def cmd_certify(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = _load_real(args.input)
     if args.system:
         sys_obj = read_system(args.system)
     else:
@@ -159,7 +163,7 @@ def cmd_certify(args) -> int:
         return _EXIT_FAIL
     budget = CertifyBudget(trials=args.trials, seed=args.seed,
                            max_rounds=args.max_rounds,
-                           wall_clock=args.wall_clock, workers=args.workers)
+                           wall_clock=args.wall_clock)
     result = certify(arr, sys_obj, tol, budget=budget, beta=args.beta)
     with _out_stream(args.out) as stream:
         lines = []
@@ -255,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iter", type=int, default=10000)
     p.add_argument("--tcap", type=float, default=60.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_scale)
 
@@ -267,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rounds", type=int, default=None)
     p.add_argument("--wall-clock", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_certify)
 

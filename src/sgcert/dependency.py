@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, pairwise_zero_intersection
+from .arrangement import Arrangement, Subspace, _read_lines, pairwise_zero_intersection
 from .errors import (
     InconsistentSystemError,
     ParseError,
@@ -427,8 +427,7 @@ def write_system(path, sys: TripleSystem) -> None:
 
 
 def read_system(path) -> TripleSystem:
-    with open(path, encoding="utf-8") as fh:
-        raw = [ln.strip() for ln in fh]
+    raw = [ln.strip() for ln in _read_lines(path)]
     lines = [(no + 1, ln) for no, ln in enumerate(raw) if ln]
     if not lines or lines[0][1] != "system v1":
         raise ParseError("expected 'system v1' header", lines[0][0] if lines else 1)

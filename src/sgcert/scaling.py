@@ -6,15 +6,14 @@ basis indicators, find an invertible map M with
     || sum_i p_i Proj_{M(V_i)} - I ||  <=  eps.
 
 The functional f(t, R_1..R_n) = <gamma, t> - ln det(sum_s e^{t_s} x_s x_s^T)
-is maximized by interleaving three moves that never decrease f: an exact
-orthogonalization inside tied-t classes (which leaves f unchanged), a
-damped Newton / gradient ascent step on t, and Givens-rotation ascent
-steps acting on each space's orthogonal factor.  At a joint stationary
-point the map M = X^{-1/2} satisfies the conclusion; divergence of t is
-reported as an obstruction diagnostic instead of a map.
+is maximized by alternating two moves that never decrease f: a
+closed-form normalisation that resets every weighted space's t and R to
+the maximizer of f's tangent lower bound (operator / Sinkhorn scaling),
+and a damped Newton step on t.  At a stationary point the map
+M = X^{-1/2} satisfies the conclusion; divergence of t is reported as an
+obstruction diagnostic instead of a map.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,7 @@ def _greedy_run(dim_groups, rng, ambient):
 
 
 def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
-                      tol: Tolerance = DEFAULT_TOL, workers: int = 1) -> AdmissibleSample:
+                      tol: Tolerance = DEFAULT_TOL) -> AdmissibleSample:
     """Run the greedy admissible-set sampler ``trials`` times.
 
     Each run starts empty and repeatedly picks, uniformly at random, a
@@ -103,7 +102,7 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
     space remains.  Every emitted set is verified against the exact
     admissibility equation dim(sum) = sum(dim).  Zero-dimensional spaces
     are never picked.  Per-trial seeds derive from (seed, trial), so runs
-    are independent and reproducible under any worker count.
+    are independent and reproducible.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -115,15 +114,8 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
         dim_groups[v.dim][0].append(i)
         dim_groups[v.dim][1].append(v.basis)
     dim_groups = {k: (idx, np.stack(mats)) for k, (idx, mats) in dim_groups.items()}
-
-    def run(t):
-        return _greedy_run(dim_groups, np.random.default_rng((seed, t)), arr.ambient)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sets = list(pool.map(run, range(trials)))
-    else:
-        sets = [run(t) for t in range(trials)]
+    sets = [_greedy_run(dim_groups, np.random.default_rng((seed, t)), arr.ambient)
+            for t in range(trials)]
 
     counts = np.zeros(arr.n)
     for h in sets:
@@ -380,59 +372,43 @@ def _ascent_t_step(state: ScalingState, tol: Tolerance, step_cap: float = 4.0) -
     return False
 
 
-def _givens_sweep(state: ScalingState, tie_tol: float, tol: Tolerance,
-                  grad_target: float) -> float:
-    """Ascent rotations on cross-class pairs; returns max |angle derivative|.
+def _normalize(state: ScalingState, tol: Tolerance) -> None:
+    """Closed-form minorize-maximize step on every space of positive weight.
 
-    The derivative of f along a rotation of the pair (j, j') inside space i
-    is 2 (e^{t_j} - e^{t_j'}) <M x_j, M x_j'>; each rotation with a
-    derivative above ``grad_target`` gets a backtracking line search.
+    With A_i = R_i diag(e^{t_i}) R_i^T, f = sum_i p_i ln det A_i - ln det X
+    and X = sum_i B_i^T A_i B_i.  As -ln det is convex, its tangent at the
+    current X bounds f from below; that bound is maximized space by space
+    by A_i = p_i (B_i X^{-1} B_i^T)^{-1}, so f never decreases.  With
+    g, V the eigendecomposition of the Gram matrix of B_i M this reads
+    R_i = V, t_i = ln p_i - ln g.  Zero-weight spaces are left to the t
+    step.  A numerically singular update is undone.
     """
-    worst = 0.0
-    for i, basis in enumerate(state.bases):
-        k = basis.shape[0]
-        if k < 2:
-            continue
-        sl = state.slots(i)
-        for j in range(k):
-            for jp in range(j + 1, k):
-                tj = state.t[sl.start + j]
-                tjp = state.t[sl.start + jp]
-                if abs(tj - tjp) <= tie_tol:
-                    continue  # handled exactly by r_step
-                mxj = state.M @ state.x_rows[sl.start + j]
-                mxjp = state.M @ state.x_rows[sl.start + jp]
-                deriv = 2.0 * (np.exp(tj) - np.exp(tjp)) * float(mxj @ mxjp)
-                worst = max(worst, abs(deriv))
-                if abs(deriv) <= grad_target:
-                    continue
-                f0 = state.f
-                r0 = state.R[i].copy()
-                theta = np.sign(deriv) * 0.5
-                improved = False
-                for _ in range(40):
-                    rot = np.eye(k)
-                    cj, sj = np.cos(theta), np.sin(theta)
-                    rot[j, j] = rot[jp, jp] = cj
-                    rot[j, jp] = sj
-                    rot[jp, j] = -sj
-                    state.R[i] = r0 @ rot
-                    _refresh(state, tol)
-                    if state.f >= f0 + 1e-4 * abs(theta * deriv):
-                        improved = True
-                        break
-                    theta /= 2.0
-                if not improved:
-                    state.R[i] = r0
-                    _refresh(state, tol)
-    return worst
+    t0, r0 = state.t.copy(), list(state.R)
+    try:
+        for i, basis in enumerate(state.bases):
+            if state.p[i] <= 0.0:
+                continue
+            bm = basis @ state.M
+            g, v = np.linalg.eigh(bm @ bm.T)
+            if g[0] <= 0.0:
+                raise DegenerateStateError("space collapsed under the scaling map")
+            state.R[i] = v
+            state.t[state.slots(i)] = np.log(state.p[i]) - np.log(g)
+        _refresh(state, tol)
+    except DegenerateStateError:
+        state.t, state.R = t0, r0
+        _refresh(state, tol)
 
 
 def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
-             max_iter: int = 10000, tie_tol: float = 1e-9,
-             t_cap: float = 60.0, tol: Tolerance = DEFAULT_TOL,
-             grad_target: float = None) -> ScalingMap:
+             max_iter: int = 10000, t_cap: float = 60.0,
+             tol: Tolerance = DEFAULT_TOL) -> ScalingMap:
     """Drive f to a near-stationary point and assemble M = X^{-1/2}.
+
+    Each iteration takes the closed-form normalisation step (new t and R
+    for every weighted space), then a damped Newton step on t.  The Newton
+    step is what converges when p lies on a proper face of the basis hull,
+    and what drives the t of zero-weight spaces down.
 
     Succeeds when every partial |eps_(i,j)| is at most eps_target / m and
     the measured projector gap is at most eps_target; then M is returned
@@ -449,12 +425,9 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
             "arrangement does not span its ambient space; apply spanning_model first"
         )
     state = make_state(arr, p, tol=tol)
-    m = state.m
-    target = eps_target / m if grad_target is None else grad_target
+    target = eps_target / state.m
     history = [state.f]
     for it in range(max_iter):
-        r_step(state, tie_tol, tol)
-        gap = None
         if np.abs(state.grad).max() <= target:
             gap = projector_gap(arr, p, state.M, tol)
             if gap <= eps_target:
@@ -480,11 +453,11 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
                                   slots=slots,
                                   t_inf_norm=float(np.abs(state.t).max())),
                               iterations=it, f_history=history, state=state)
+        _normalize(state, tol)
         moved = _ascent_t_step(state, tol)
-        _givens_sweep(state, tie_tol, tol, target / 2.0)
         history.append(state.f)
         if not moved and np.abs(state.grad).max() > target:
-            # flat along t but not converged: rotations alone must make
+            # flat along t but not converged: normalisation alone must make
             # progress; if f stalls completely we are numerically stuck
             if len(history) > 3 and abs(history[-1] - history[-3]) < 1e-15 * max(1.0, abs(history[-1])):
                 break

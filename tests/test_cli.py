@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sgcert.arrangement import (
     generate_complex_planted,
@@ -164,3 +165,61 @@ def test_gen_deterministic(tmp_path):
         assert run("gen", "--kind", "random-planted", "--n", 7, "--k", 2,
                    "--l", 9, "--triples", 2, "--seed", 42, "--out", path) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_stdout_report_survives_two_calls(tmp_path, capsys):
+    arr_path = tmp_path / "t.arr"
+    assert run("gen", "--kind", "random-planted", "--n", 5, "--k", 1,
+               "--l", 4, "--triples", 1, "--seed", 3, "--out", arr_path) == 0
+    capsys.readouterr()
+    assert run("triples", arr_path, "--out", "-") == 0
+    first = capsys.readouterr().out
+    assert run("triples", arr_path, "--out", "-") == 0
+    assert capsys.readouterr().out == first
+    assert "total special" in first
+
+
+_GOOD_ARR = "arrangement v1\nfield real\nambient 2\nn 2\nspace 0 dim 1\n1 0\nspace 1 dim 1\n0 1\n"
+
+
+@pytest.mark.parametrize("text, system, code, prefix", [
+    (_GOOD_ARR, None, 0, None),
+    (_GOOD_ARR.replace("0 1\n", "1 1\n"), None, 1, "error:"),
+    (None, None, 2, "parse error:"),                                   # missing file
+    (_GOOD_ARR.replace("ambient 2", "ambient abc"), None, 2, "parse error:"),
+    (_GOOD_ARR.replace("dim 1", "dim one", 1), None, 2, "parse error:"),
+    (_GOOD_ARR, "system v1\nn two alpha 6 delta 0\n", 2, "parse error:"),
+    (_GOOD_ARR, "missing", 2, "parse error:"),                         # missing system
+    (b"\xff\xfe\x00garbage", None, 2, "parse error:"),                 # not UTF-8
+])
+def test_verify_exit_codes_one_line(tmp_path, capsys, text, system, code, prefix):
+    arr_path = tmp_path / "in.arr"
+    if isinstance(text, bytes):
+        arr_path.write_bytes(text)
+    elif text is not None:
+        arr_path.write_text(text)
+    argv = ["verify", arr_path]
+    if system is not None:
+        sys_path = tmp_path / "in.sys"
+        if system != "missing":
+            sys_path.write_text(system)
+        argv += ["--system", sys_path]
+    assert run(*argv) == code
+    err = capsys.readouterr().err.splitlines()
+    if prefix is None:
+        assert err == []
+    else:
+        assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_certify_exit_codes_one_line(tmp_path, capsys):
+    assert run("certify", tmp_path / "absent.arr", "--out", "-") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error:")
+    arr_path = tmp_path / "b.arr"
+    assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
+               "--n", 8, "--seed", 6, "--out", arr_path) == 0
+    assert run("certify", arr_path, "--trials", 64, "--max-rounds", 0,
+               "--out", "-") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded:")

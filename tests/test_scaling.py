@@ -73,11 +73,12 @@ def test_sampler_grouped_block():
     assert all(len(h) == 2 for h in sample.sets)
 
 
-def test_sampler_workers_reproducible():
+def test_sampler_same_seed_deterministic():
     arr = random_spanning(5, 2, 6, seed=4)
-    a = sample_admissible(arr, trials=64, seed=9, workers=1)
-    b = sample_admissible(arr, trials=64, seed=9, workers=4)
+    a = sample_admissible(arr, trials=64, seed=9)
+    b = sample_admissible(arr, trials=64, seed=9)
     assert a.sets == b.sets
+    assert np.array_equal(a.p_hat, b.p_hat)
 
 
 def test_hull_vector_single_and_disjoint():
@@ -246,6 +247,30 @@ def test_optimize_obstruction_on_bad_weights():
     assert result.obstruction is not None
     assert result.obstruction.t_inf_norm > 10
     assert any(i == 1 and d == -1 for i, _, d in result.obstruction.slots)
+
+
+def test_optimize_obstruction_off_hull_positive_weights():
+    # three lines in R^2 with total weight 3/2 < 2: p lies off the basis
+    # hull although every weight is positive, so all of t drifts to -inf
+    arr = lines(2, [[1.0, 0.3], [-0.2, 1.0], [0.8, -0.7]])
+    result = optimize(arr, np.full(3, 0.5), max_iter=3000)
+    assert result.obstruction is not None
+    assert result.obstruction.t_inf_norm > 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_optimize_face_of_basis_hull(seed):
+    # four generic planes in R^4: p = (1, 1/3, 1/3, 1/3) is the average of
+    # the basis sets {0, 1}, {0, 2}, {0, 3}, so it lies on the face where
+    # every basis set contains V0, and scaling still succeeds
+    rng = np.random.default_rng(seed)
+    arr = Arrangement(4, [Subspace(4, orthonormalize(rng.standard_normal((2, 4))))
+                          for _ in range(4)])
+    p = np.array([1.0, 1 / 3, 1 / 3, 1 / 3])
+    result = optimize(arr, p)
+    assert result.obstruction is None
+    assert result.achieved_eps <= 1e-6
+    assert projector_gap(arr, p, result.M) <= 1e-6
 
 
 def test_optimize_radial_isotropic_k1():
