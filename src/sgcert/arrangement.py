@@ -179,10 +179,7 @@ def tau_separated(v: Subspace, w: Subspace, tau: float) -> bool:
         raise PreconditionError("subspaces have different ambient dimensions")
     if not (0.0 < tau <= 1.0):
         raise PreconditionError(f"tau must be in (0, 1], got {tau}")
-    if v.dim == 0 or w.dim == 0:
-        return True
-    cos = spectral_norm(v.basis @ w.basis.T)
-    return cos <= 1.0 - tau
+    return principal_cosine(v, w) <= 1.0 - tau
 
 
 def principal_cosine(v: Subspace, w: Subspace) -> float:

@@ -47,6 +47,10 @@ from .linalg import (
 from .scaling import admissible_hull_vector, spanning_model, optimize, sample_admissible
 
 
+# the harvest branch takes its prefix from at most this many sampled runs
+_HARVEST_RETRIES = 8
+
+
 def _frac_ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -170,12 +174,8 @@ def separated_certificate(arr: Arrangement, sys: TripleSystem, tau: float,
     annihilator row per basis vector from the first ceil(delta n) sets
     through its space, verifies D A = 0 and the diagonal and off-diagonal
     budgets, and cross-checks the measured rank of A against the bound.
+    Expects a system that already passed :func:`validate_system`.
     """
-    report = validate_system(arr, sys, tol)
-    if not report.ok:
-        raise PreconditionError(
-            "system does not validate: " + "; ".join(report.violations[:3])
-        )
     for j, s in enumerate(sys.sets):
         if len(s) == 3:
             for a in range(3):
@@ -348,7 +348,7 @@ def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
         )
     scaled_arr = Arrangement(scaled[0].ambient, list(scaled))
     filtered = TripleSystem(n, surviving, alpha=sys.alpha, delta=float(lemma_delta))
-    sub_arr, sub_sys, idx_map = prune_low_degree(scaled_arr, filtered, lemma_delta)
+    sub_arr, sub_sys, idx_map = prune_low_degree(scaled_arr, filtered, lemma_delta, tol)
     inner = separated_certificate(sub_arr, sub_sys, 0.5, tol)
     z_rows = np.vstack([arr.spaces[i].basis[0] for i in idx_map])
     cert = Certificate(kind="collapse", indices=list(idx_map), z_vectors=z_rows,
@@ -362,8 +362,7 @@ def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
 
 def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
                    trials: int = 2048, seed: int = 0,
-                   tol: Tolerance = DEFAULT_TOL, entry_check: bool = True,
-                   harvest_retries: int = 8) -> Certificate:
+                   tol: Tolerance = DEFAULT_TOL, entry_check: bool = True) -> Certificate:
     """One application of the dichotomy: a bound or a collapse witness.
 
     Pipeline: (entry) if the dimension is already at most
@@ -374,15 +373,11 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     scale via the augmented model, drop badly separated sets, prune, and
     pull the separated certificate back as a witness.  With
     entry_check=False the entry bound is used only as a last resort after
-    the collapse branches fail.
+    the collapse branches fail.  Expects a validated system; a collapse
+    witness is verified before it is returned.
     """
     if not (0.0 < beta < 1.0):
         raise PreconditionError(f"beta must be in (0, 1), got {beta}")
-    report = validate_system(arr, sys, tol)
-    if not report.ok:
-        raise PreconditionError(
-            "system does not validate: " + "; ".join(report.violations[:3])
-        )
     delta = as_fraction(sys.delta)
     if delta <= 0:
         raise PreconditionError("decomposition needs delta > 0")
@@ -415,7 +410,7 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
         t_pref = _frac_ceil(beta_frac * d / (2 * k_bound))
         q_needed = _frac_ceil(delta * n / (20 * alpha))
         z_cap = _frac_floor(beta_frac * d)
-        for run in sample.sets[:harvest_retries]:
+        for run in sample.sets[:_HARVEST_RETRIES]:
             if len(run) < t_pref:
                 continue
             indices, vectors = _harvest_from_run(arr, run, t_pref, tol)
@@ -459,7 +454,6 @@ class CertifyBudget:
     seed: int = 0
     max_rounds: int = None
     wall_clock: float = None
-    harvest_retries: int = 8
 
 
 @dataclass
@@ -494,7 +488,8 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     (checked in rational arithmetic).  The final bound converts the
     terminating round's threshold back through the per-round (1 - beta)
     dimension-loss factor; the recursion is hard-capped at
-    ceil(20 alpha k / delta) rounds.
+    ceil(20 alpha k / delta) rounds.  Only the input system is validated here;
+    map_and_clean validates each later round's system as it makes it.
     """
     budget = budget or CertifyBudget()
     report = validate_system(arr, sys, tol)
@@ -536,8 +531,7 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
         d_t = cur_arr.dimension(tol)
         cert = decompose_step(cur_arr, cur_sys, float(beta_frac),
                               trials=budget.trials, seed=budget.seed + t,
-                              tol=tol, entry_check=entry_check,
-                              harvest_retries=budget.harvest_retries)
+                              tol=tol, entry_check=entry_check)
         if cert.kind == "bound":
             rounds.append(RoundRecord(t, cur_arr.n, float(delta_t), d_t,
                                       cert.params.get("branch", "bound"), 0))
@@ -550,7 +544,6 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
                 )
             return CertifyResult(final_bound=final_bound, measured=measured0,
                                  rounds=rounds, beta=float(beta_frac))
-        verify_certificate(cert, cur_arr, cur_sys, float(beta_frac), tol)
         kernel = orthonormalize(cert.z_vectors, tol)
         loss = kernel.shape[0]
         proj = np.eye(cur_arr.ambient) - projector(kernel, tol)

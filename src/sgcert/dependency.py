@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, _read_lines, pairwise_zero_intersection
+from .arrangement import Arrangement, Subspace, _read_lines
 from .errors import (
     InconsistentSystemError,
     ParseError,
@@ -109,6 +109,29 @@ def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
     return False
 
 
+def _pair_spans(arr: Arrangement, tol: Tolerance):
+    """Yield (a, b, span, inside) for every pair a < b, zero spaces included.
+
+    ``span`` is an orthonormal basis of V_a + V_b; ``inside[i]`` is True when
+    every basis row of space i is within residual_tol of it (always, for a
+    zero space).  Raises naming the first pair that intersects nontrivially.
+    """
+    dims, bases = arr.dims(), [v.basis for v in arr.spaces]
+    stacked = arr.stacked_basis()
+    owner = np.repeat(np.arange(arr.n), dims)
+    for a in range(arr.n):
+        for b in range(a + 1, arr.n):
+            span = orthonormalize(np.vstack([bases[a], bases[b]]), tol)
+            if span.shape[0] < dims[a] + dims[b]:
+                raise PreconditionError(
+                    f"spaces {a} and {b} intersect nontrivially; special spaces are ill-defined"
+                )
+            row_err = np.linalg.norm(stacked - (stacked @ span.T) @ span, axis=1)
+            worst = np.zeros(arr.n)
+            np.maximum.at(worst, owner, row_err)
+            yield a, b, span, worst <= tol.residual_tol
+
+
 def find_special_spaces(arr: Arrangement, k: int,
                         tol: Tolerance = DEFAULT_TOL) -> list:
     """All pair spans containing >= 3 arrangement members, deduplicated.
@@ -117,39 +140,30 @@ def find_special_spaces(arr: Arrangement, k: int,
     unique span of full combined dimension; raises naming the first
     offending pair otherwise.  Zero-dimensional spaces are ignored.
     """
-    bad = pairwise_zero_intersection(arr, tol)
-    if bad:
-        i, j = bad[0]
-        raise PreconditionError(
-            f"spaces {i} and {j} intersect nontrivially; special spaces are ill-defined"
-        )
-    if any(v.dim > k for v in arr.spaces):
+    dims = arr.dims()
+    if any(d > k for d in dims):
         raise PreconditionError(f"arrangement is not {k}-bounded")
-    live = [i for i in range(arr.n) if arr.spaces[i].dim > 0]
-    stacked = np.vstack([arr.spaces[i].basis for i in live]) if live else None
-    bounds = np.cumsum([0] + [arr.spaces[i].dim for i in live])
-    seen = set()
-    out = []
-    for ai in range(len(live)):
-        a = live[ai]
-        for bi in range(ai + 1, len(live)):
-            b = live[bi]
-            span = orthonormalize(
-                np.vstack([arr.spaces[a].basis, arr.spaces[b].basis]), tol
-            )
-            resid = stacked - (stacked @ span.T) @ span
-            row_err = np.linalg.norm(resid, axis=1)
-            members = [
-                live[pos]
-                for pos in range(len(live))
-                if row_err[bounds[pos]: bounds[pos + 1]].max() <= tol.residual_tol
-            ]
-            if len(members) >= 3:
-                key = frozenset(members)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(SpecialSpace(span, tuple(sorted(members))))
-    return out
+    out = {}
+    for _, _, span, inside in _pair_spans(arr, tol):
+        members = tuple(int(i) for i in np.flatnonzero(inside) if dims[i] > 0)
+        if len(members) >= 3:
+            out.setdefault(members, SpecialSpace(span, members))
+    return list(out.values())
+
+
+def dependent_triples(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Sorted triples (a, b, c) with one member inside the sum of the other two.
+
+    The test of :func:`is_dependent_triple`, read off one pass over the pair
+    spans, so any dimensions (zero included) are handled; requires pairwise
+    zero intersections, like :func:`find_special_spaces`.
+    """
+    found = set()
+    for a, b, _, inside in _pair_spans(arr, tol):
+        for c in np.flatnonzero(inside):
+            if c != a and c != b:
+                found.add(tuple(sorted((a, b, int(c)))))
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +267,9 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
         v.append(f"system indexes {sys.n} spaces, arrangement has {arr.n}")
         return report
     n = arr.n
+    # out-of-range sets are reported below and left out of every count
+    counted = TripleSystem(n, [s for s in sys.sets if all(0 <= i < n for i in s)],
+                           alpha=sys.alpha, delta=sys.delta)
     for j, s in enumerate(sys.sets):
         if len(s) not in (2, 3) or len(set(s)) != len(s):
             v.append(f"set {j}: size must be 2 or 3 with distinct indices, got {s}")
@@ -269,13 +286,13 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
             if a.dim != b.dim or rank(np.vstack([a.basis, b.basis]), tol) != a.dim:
                 v.append(f"set {j}: spaces {s[0]} and {s[1]} are not equal")
     delta = as_fraction(sys.delta)
-    deg = sys.degrees()
+    deg = counted.degrees()
     for i in range(n):
         if Fraction(deg[i]) < delta * n:
             v.append(
                 f"index {i} lies in {deg[i]} sets, fewer than delta*n = {float(delta * n):g}"
             )
-    for (a, b), c in sys.pair_counts().items():
+    for (a, b), c in counted.pair_counts().items():
         if c > sys.alpha:
             v.append(f"pair ({a},{b}) appears in {c} sets, more than alpha = {sys.alpha}")
     w = sys.w
@@ -288,7 +305,8 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
     return report
 
 
-def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta) -> tuple:
+def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta,
+                     tol: Tolerance = DEFAULT_TOL) -> tuple:
     """Iteratively drop spaces in fewer than delta*n/2 sets (and their sets).
 
     Requires w >= delta * n^2 (with requirements 1, 2, 4 assumed to hold).
@@ -332,7 +350,7 @@ def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta) -> tuple:
         alpha=sys.alpha,
         delta=float(delta / 2),
     )
-    report = validate_system(sub_arr, sub_sys)
+    report = validate_system(sub_arr, sub_sys, tol)
     if not report.ok:
         raise InconsistentSystemError(
             "pruned system failed re-validation: " + "; ".join(report.violations[:3])
@@ -451,5 +469,7 @@ def read_system(path) -> TripleSystem:
             raise ParseError(f"bad set line: {exc}", no) from None
         if size not in (2, 3) or len(idx) != size:
             raise ParseError(f"set line declares size {size} but has {len(idx)} indices", no)
+        if any(i < 0 or i >= n for i in idx):
+            raise ParseError(f"set index out of range [0, {n}) in {ln!r}", no)
         sets.append(tuple(idx))
     return TripleSystem(n, sets, alpha=alpha, delta=delta)

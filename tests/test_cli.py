@@ -190,6 +190,8 @@ _GOOD_ARR = "arrangement v1\nfield real\nambient 2\nn 2\nspace 0 dim 1\n1 0\nspa
     (_GOOD_ARR.replace("dim 1", "dim one", 1), None, 2, "parse error:"),
     (_GOOD_ARR, "system v1\nn two alpha 6 delta 0\n", 2, "parse error:"),
     (_GOOD_ARR, "missing", 2, "parse error:"),                         # missing system
+    (_GOOD_ARR, "system v1\nn 2 alpha 6 delta 0\n2 0 9\n", 2, "parse error:"),
+    (_GOOD_ARR, "system v1\nn 2 alpha 6 delta 0\n2 -1 1\n", 2, "parse error:"),
     (b"\xff\xfe\x00garbage", None, 2, "parse error:"),                 # not UTF-8
 ])
 def test_verify_exit_codes_one_line(tmp_path, capsys, text, system, code, prefix):
@@ -223,3 +225,10 @@ def test_certify_exit_codes_one_line(tmp_path, capsys):
                "--out", "-") == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("budget exceeded:")
+    sys_path = tmp_path / "b.sys"
+    for sets, code, prefix in [("3 0 1 9", 2, "parse error:"),   # index out of range
+                               ("3 0 1 2", 1, "error:")]:        # does not validate
+        sys_path.write_text(f"system v1\nn 8 alpha 6 delta 0.5\n{sets}\n")
+        assert run("certify", arr_path, "--system", sys_path, "--out", "-") == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix)

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sgcert.arrangement import (
     Arrangement,
@@ -10,11 +12,13 @@ from sgcert.arrangement import (
     generate_grouped,
     generate_grid,
     generate_random_planted,
+    pairwise_zero_intersection,
 )
 from sgcert.dependency import (
     TripleSystem,
     build_sg_system,
     build_triple_family,
+    dependent_triples,
     find_special_spaces,
     is_dependent_triple,
     map_and_clean,
@@ -104,6 +108,61 @@ def test_find_special_spaces_requires_zero_intersections():
         find_special_spaces(arr, 2)
 
 
+def _special_spaces_oracle(arr):
+    """Special spaces by definition: each pair span and the nonzero spaces it contains."""
+    live = [i for i, v in enumerate(arr.spaces) if v.dim > 0]
+    out = {}
+    for a, b in combinations(live, 2):
+        span = Subspace.from_spanning(
+            np.vstack([arr.spaces[a].basis, arr.spaces[b].basis]), arr.ambient)
+        members = tuple(i for i in live if span.contains(arr.spaces[i]))
+        if len(members) >= 3:
+            out.setdefault(members, span.basis)
+    return out
+
+
+def _mixed_planted(seed, n, ambient):
+    """Spaces of dimension 0..3, one of them zero, with planted containments.
+
+    A space redrawn inside V_a + V_b gets dimension at most min(dim a, dim b),
+    so generically it meets neither parent.
+    """
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(0, 4, size=n)]
+    dims[int(rng.integers(n))] = 0
+    bases = [orthonormalize(rng.standard_normal((d, ambient))) for d in dims]
+    for c in range(2, n, 2):
+        a, b = rng.choice(c, size=2, replace=False)
+        pair = np.vstack([bases[a], bases[b]])
+        d = min(bases[a].shape[0], bases[b].shape[0])
+        bases[c] = orthonormalize(rng.standard_normal((d, pair.shape[0])) @ pair)
+    return Arrangement(ambient, [Subspace(ambient, q) for q in bases])
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), n=st.integers(3, 8),
+       slack=st.integers(0, 3), mixed=st.booleans())
+def test_pair_span_scan_matches_triple_oracle(seed, k, n, slack, mixed):
+    if mixed:
+        arr = _mixed_planted(seed, n, 6 + slack)
+    else:
+        arr = generate_random_planted(n=n, k=k, ambient=2 * k + slack,
+                                      triple_count=n // 3, seed=seed)
+    assume(not pairwise_zero_intersection(arr))
+    oracle = [t for t in combinations(range(arr.n), 3)
+              if is_dependent_triple(*(arr.spaces[i] for i in t))]
+    assert dependent_triples(arr) == oracle
+    specials = find_special_spaces(arr, arr.max_dim())
+    want = _special_spaces_oracle(arr)
+    assert [sp.member_indices for sp in specials] == list(want)
+    for sp in specials:
+        assert np.array_equal(sp.span_basis, want[sp.member_indices])
+    if not mixed:
+        # k-uniform: the dependent triples are the triples inside special spaces
+        inside = {t for sp in specials for t in combinations(sp.member_indices, 3)}
+        assert inside == set(oracle)
+
+
 def test_triple_family_r3():
     fam = build_triple_family(3)
     assert len(fam) == 6
@@ -169,6 +228,16 @@ def test_validate_system_flags_false_triple():
     sys = TripleSystem(5, [(0, 1, 2)], alpha=6, delta=0.0)
     report = validate_system(arr, sys)
     assert any("not a dependent triple" in v for v in report.violations)
+
+
+def test_validate_system_reports_out_of_range_index():
+    # out-of-range sets are reported, not counted: index 3 keeps degree 0
+    arr = coplanar_lines(4, seed=2)
+    for bad in [(0, 1, 9), (0, 1, -1)]:
+        sys = TripleSystem(4, [(0, 1, 2), bad], alpha=6, delta=0.25)
+        report = validate_system(arr, sys)
+        assert any("index out of range" in v for v in report.violations)
+        assert any(v.startswith("index 3 lies in 0 sets") for v in report.violations)
 
 
 def test_validate_system_flags_low_degree():
