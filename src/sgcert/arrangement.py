@@ -153,18 +153,29 @@ def k_bounded_check(arr: Arrangement, k: int) -> bool:
 def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
     """All pairs (i, j), i < j, whose subspaces intersect nontrivially.
 
-    An empty list certifies that every pair meets only at the origin.
+    An empty list certifies that every pair meets only at the origin.  Each
+    row i takes one stacked singular-value computation per dimension of the
+    spaces j > i, decided by the rule of :func:`rank`: the pair meets when
+    fewer than dim_i + dim_j singular values reach rank_tol times the largest.
     """
+    dims = np.array(arr.dims(), dtype=int)
+    by_dim = {d: np.flatnonzero(dims == d) for d in np.unique(dims) if d > 0}
+    stacks = {d: np.stack([arr.spaces[j].basis for j in js]) for d, js in by_dim.items()}
     bad = []
-    for i in range(arr.n):
-        vi = arr.spaces[i]
-        for j in range(i + 1, arr.n):
-            vj = arr.spaces[j]
-            if vi.dim == 0 or vj.dim == 0:
+    for i in np.flatnonzero(dims):
+        base = arr.spaces[i].basis
+        row = []
+        for d, js in by_dim.items():
+            later = js > i
+            if not later.any():
                 continue
-            stacked = np.vstack([vi.basis, vj.basis])
-            if rank(stacked, tol) < vi.dim + vj.dim:
-                bad.append((i, j))
+            pairs = np.concatenate(
+                [np.broadcast_to(base, (int(later.sum()),) + base.shape), stacks[d][later]],
+                axis=1)
+            s = np.linalg.svd(pairs, compute_uv=False)
+            ranks = np.where(s[:, 0] == 0.0, 0, (s >= tol.rank_tol * s[:, :1]).sum(axis=1))
+            row.extend(js[later][ranks < dims[i] + d])
+        bad.extend((int(i), int(j)) for j in sorted(row))
     return bad
 
 

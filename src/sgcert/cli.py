@@ -25,9 +25,8 @@ from .arrangement import (
 )
 from .certifier import CertifyBudget, certify
 from .dependency import (
+    _special_and_dependent,
     build_sg_system,
-    dependent_triples,
-    find_special_spaces,
     read_system,
     validate_system,
     write_system,
@@ -91,12 +90,11 @@ def cmd_triples(args) -> int:
     tol = _tol_from(args)
     arr = _load_real(args.input)
     with _out_stream(args.out) as stream:
-        specials = find_special_spaces(arr, arr.max_dim(), tol)
+        specials, triples = _special_and_dependent(arr, tol)
         lines = []
         for sp in specials:
             members = " ".join(str(i) for i in sp.member_indices)
             lines.append(f"special size {sp.size} dim {sp.span_basis.shape[0]} members {members}")
-        triples = dependent_triples(arr, tol)
         lines.extend(f"triple {i} {j} {l}" for i, j, l in triples)
         lines.append(f"total special {len(specials)} triples {len(triples)}")
         _emit(stream, lines)
@@ -273,9 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per import: building it leaves a few hundred objects in
+# reference cycles, garbage for the cyclic collector on every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -132,6 +132,33 @@ def _pair_spans(arr: Arrangement, tol: Tolerance):
             yield a, b, span, worst <= tol.residual_tol
 
 
+def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
+    """Special spaces and dependent triples, read off one pass over the pair spans.
+
+    A special space is a pair span holding >= 3 nonzero members; a dependent
+    triple {a, b, c} has c inside span(a, b) (zero spaces included).  The
+    triples come back as sorted tuples in lexicographic order, or as None
+    when ``triples`` is false.
+    """
+    specials, pairs, thirds = {}, [], []
+    nonzero = np.array(arr.dims()) > 0
+    for a, b, span, inside in _pair_spans(arr, tol):
+        members = tuple(int(i) for i in np.flatnonzero(inside & nonzero))
+        if len(members) >= 3:
+            specials.setdefault(members, SpecialSpace(span, members))
+        if triples:
+            inside[[a, b]] = False
+            pairs.append((a, b))
+            thirds.append(np.flatnonzero(inside))
+    if not triples:
+        return list(specials.values()), None
+    sizes = [c.size for c in thirds]
+    rows = np.column_stack([np.repeat(np.array(pairs, dtype=int).reshape(-1, 2), sizes, axis=0),
+                            np.concatenate(thirds or [np.zeros(0, dtype=int)])])
+    rows = np.unique(np.sort(rows, axis=1), axis=0)
+    return list(specials.values()), [tuple(t) for t in rows.tolist()]
+
+
 def find_special_spaces(arr: Arrangement, k: int,
                         tol: Tolerance = DEFAULT_TOL) -> list:
     """All pair spans containing >= 3 arrangement members, deduplicated.
@@ -140,15 +167,9 @@ def find_special_spaces(arr: Arrangement, k: int,
     unique span of full combined dimension; raises naming the first
     offending pair otherwise.  Zero-dimensional spaces are ignored.
     """
-    dims = arr.dims()
-    if any(d > k for d in dims):
+    if any(d > k for d in arr.dims()):
         raise PreconditionError(f"arrangement is not {k}-bounded")
-    out = {}
-    for _, _, span, inside in _pair_spans(arr, tol):
-        members = tuple(int(i) for i in np.flatnonzero(inside) if dims[i] > 0)
-        if len(members) >= 3:
-            out.setdefault(members, SpecialSpace(span, members))
-    return list(out.values())
+    return _special_and_dependent(arr, tol, triples=False)[0]
 
 
 def dependent_triples(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -158,12 +179,7 @@ def dependent_triples(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
     spans, so any dimensions (zero included) are handled; requires pairwise
     zero intersections, like :func:`find_special_spaces`.
     """
-    found = set()
-    for a, b, _, inside in _pair_spans(arr, tol):
-        for c in np.flatnonzero(inside):
-            if c != a and c != b:
-                found.add(tuple(sorted((a, b, int(c)))))
-    return sorted(found)
+    return _special_and_dependent(arr, tol)[1]
 
 
 # ---------------------------------------------------------------------------

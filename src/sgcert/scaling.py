@@ -15,6 +15,7 @@ obstruction diagnostic instead of a map.
 """
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -39,6 +40,10 @@ from .linalg import (
 # the exact integer rank equation.
 _ELIGIBLE_MIN_SV = 1e-7
 
+# Trials the greedy sampler advances together; bounds its transient memory
+# to one (block, n_k, k, l) residual array per dimension group.
+_TRIAL_BLOCK = 32
+
 
 # ---------------------------------------------------------------------------
 # sampling admissible sets
@@ -62,35 +67,86 @@ class HullCertificate:
     terms: list  # (sorted index tuple, weight), weights sum to 1
 
 
-def _greedy_run(dim_groups, rng, ambient):
-    """One greedy-to-maximality run; returns picks in order."""
-    residuals = {k: mats.copy() for k, (idx, mats) in dim_groups.items()}
-    alive = {k: np.ones(len(idx), dtype=bool) for k, (idx, mats) in dim_groups.items()}
-    picks = []
-    span_rows = 0
-    while True:
-        eligible = []
-        for k, (idx, _) in dim_groups.items():
-            r3 = residuals[k]
+def _min_sv2(res: np.ndarray) -> np.ndarray:
+    """Smallest squared singular value of every residual block.
+
+    ``res`` is (B, n_k, k, l); the result is (B, n_k).  Squared row norms
+    for k = 1, the smaller eigenvalue of the 2x2 Gram matrix in closed form
+    for k = 2, batched ``eigvalsh`` above.
+    """
+    k = res.shape[2]
+    if k == 1:
+        return np.einsum("bnl,bnl->bn", res[:, :, 0], res[:, :, 0])
+    if k == 2:
+        r0, r1 = res[:, :, 0], res[:, :, 1]
+        a, c, d = (np.einsum("bnl,bnl->bn", x, y) for x, y in ((r0, r0), (r0, r1), (r1, r1)))
+        return (a + d) / 2.0 - np.hypot((a - d) / 2.0, c)
+    return np.linalg.eigvalsh(res @ res.transpose(0, 1, 3, 2))[..., 0]
+
+
+def _greedy_block(dim_groups, rngs, ambient, tol):
+    """Greedy-to-maximality runs for one block of trials, advanced together.
+
+    Every step computes the eligible spaces of all running trials, retires
+    the trials with none left (or whose span fills the ambient space),
+    draws one pick per remaining trial from its own generator over the
+    eligible (group, position) pairs in group order, and projects every
+    residual off the picked spaces.  Returns each trial's picks in order.
+    """
+    b = len(rngs)
+    idx = {k: np.asarray(ix) for k, (ix, _) in dim_groups.items()}
+    res = {k: np.repeat(mats[None], b, axis=0) for k, (_, mats) in dim_groups.items()}
+    alive = {k: np.ones((b, len(ix)), dtype=bool) for k, ix in idx.items()}
+    live = np.arange(b)
+    span_rows = np.zeros(b, dtype=int)
+    history = np.zeros((b, ambient), dtype=int)  # every pick adds a span row
+    out = [None] * b
+    for step in count():
+        in_group = {}
+        for k in res:
+            # ineligibility is permanent: the span only grows
+            alive[k] &= _min_sv2(res[k]) > _ELIGIBLE_MIN_SV**2
+            in_group[k] = alive[k].sum(axis=1)
+        done = (sum(in_group.values()) == 0) | (span_rows >= ambient)
+        for trial in live[done]:
+            out[trial] = tuple(history[trial, :step].tolist())
+        if done.all():
+            return out
+        if done.any():
+            rows = ~done
+            live, span_rows = live[rows], span_rows[rows]
+            in_group = {k: c[rows] for k, c in in_group.items()}
+            alive = {k: a[rows] for k, a in alive.items()}
+            res = {k: r[rows] for k, r in res.items()}
+        counts = sum(in_group.values())
+        draw = np.array([rngs[t].integers(int(c)) for t, c in zip(live, counts)])
+        q = np.zeros((live.size, max(res), ambient))
+        for k in res:
+            sel = np.flatnonzero((draw >= 0) & (draw < in_group[k]))
+            nth = draw[sel]
+            draw -= in_group[k]
+            if not sel.size:
+                continue
+            pos = (np.cumsum(alive[k][sel], axis=1) <= nth[:, None]).sum(axis=1)
+            alive[k][sel, pos] = False
+            history[live[sel], step] = idx[k][pos]
+            picked = res[k][sel, pos]
             if k == 1:
-                minsv2 = np.einsum("ijl,ijl->i", r3, r3)
+                q[sel, :1] = picked / np.linalg.norm(picked, axis=2, keepdims=True)
+                span_rows[sel] += 1
             else:
-                gram = r3 @ r3.transpose(0, 2, 1)
-                minsv2 = np.linalg.eigvalsh(gram)[:, 0]
-            ok = alive[k] & (minsv2 > _ELIGIBLE_MIN_SV**2)
-            alive[k] = ok  # ineligibility is permanent: the span only grows
-            eligible.extend((k, pos) for pos in np.flatnonzero(ok))
-        if not eligible or span_rows >= ambient:
-            break
-        k, pos = eligible[rng.integers(len(eligible))]
-        picks.append(dim_groups[k][0][pos])
-        q = orthonormalize(residuals[k][pos])
-        for kk in residuals:
-            r3 = residuals[kk]
-            r3 -= (r3 @ q.T) @ q
-        alive[k][pos] = False
-        span_rows += q.shape[0]
-    return tuple(picks)
+                _, sv, vt = np.linalg.svd(picked, full_matrices=False)
+                kept = sv >= tol.rank_tol * sv[:, :1]  # the rank rule of orthonormalize
+                q[sel, :k] = vt * kept[:, :, None]
+                span_rows[sel] += kept.sum(axis=1)
+        qt = np.ascontiguousarray(q.transpose(0, 2, 1))
+        for k, r in res.items():
+            flat = r.reshape(live.size, -1, ambient)
+            r -= ((flat @ qt) @ q).reshape(r.shape)
+            # spaces no running trial can pick again leave the block
+            cols = alive[k].any(axis=0)
+            if not cols.all():
+                idx[k], alive[k], res[k] = idx[k][cols], alive[k][:, cols], r[:, cols]
 
 
 def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
@@ -99,10 +155,12 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
 
     Each run starts empty and repeatedly picks, uniformly at random, a
     space meeting the current span only at the origin, until no eligible
-    space remains.  Every emitted set is verified against the exact
-    admissibility equation dim(sum) = sum(dim).  Zero-dimensional spaces
-    are never picked.  Per-trial seeds derive from (seed, trial), so runs
-    are independent and reproducible.
+    space remains.  Zero-dimensional spaces are never picked.  Runs take
+    their draws from per-trial generators seeded by (seed, trial), so they
+    are independent and reproducible; blocks of trials advance together,
+    one pick per step, which leaves every run's picks exactly as if it ran
+    alone.  Each distinct emitted set is verified once against the exact
+    admissibility equation dim(sum) = sum(dim).
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -114,17 +172,25 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
         dim_groups[v.dim][0].append(i)
         dim_groups[v.dim][1].append(v.basis)
     dim_groups = {k: (idx, np.stack(mats)) for k, (idx, mats) in dim_groups.items()}
-    sets = [_greedy_run(dim_groups, np.random.default_rng((seed, t)), arr.ambient)
-            for t in range(trials)]
+    sets = []
+    for start in range(0, trials, _TRIAL_BLOCK):
+        rngs = [np.random.default_rng((seed, t))
+                for t in range(start, min(start + _TRIAL_BLOCK, trials))]
+        sets.extend(_greedy_block(dim_groups, rngs, arr.ambient, tol))
 
+    bases, dims = [v.basis for v in arr.spaces], arr.dims()
     counts = np.zeros(arr.n)
-    for h in sets:
+    first = {}  # hash of a sorted set -> index of its first occurrence
+    for t, h in enumerate(sets):
         if not h:
             continue
-        stacked = np.vstack([arr.spaces[i].basis for i in h])
-        if rank(stacked, tol) != sum(arr.spaces[i].dim for i in h):
-            raise SgcertError(f"sampled set {h} failed the admissibility equation")
         counts[list(h)] += 1.0
+        key = tuple(sorted(h))
+        j = first.setdefault(hash(key), t)
+        if j != t and tuple(sorted(sets[j])) == key:
+            continue
+        if rank(np.concatenate([bases[i] for i in key]), tol) != sum(dims[i] for i in key):
+            raise SgcertError(f"sampled set {h} failed the admissibility equation")
     return AdmissibleSample(sets=sets, p_hat=counts / trials, trials=trials, seed=seed)
 
 

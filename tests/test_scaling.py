@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from sgcert.arrangement import Arrangement, Subspace, generate_grouped
-from sgcert.errors import PreconditionError
-from sgcert.linalg import orthonormalize, spectral_norm
+import sgcert.scaling
+from sgcert.errors import PreconditionError, SgcertError
+from sgcert.linalg import orthonormalize, rank, spectral_norm
 from sgcert.scaling import (
+    _ELIGIBLE_MIN_SV,
     AdmissibleSample,
     admissible_hull_vector,
     spanning_model,
@@ -79,6 +81,113 @@ def test_sampler_same_seed_deterministic():
     b = sample_admissible(arr, trials=64, seed=9)
     assert a.sets == b.sets
     assert np.array_equal(a.p_hat, b.p_hat)
+
+
+def _greedy_run(dim_groups, rng, ambient):
+    """Reference: one greedy-to-maximality run on its own, picks in order."""
+    residuals = {k: mats.copy() for k, (idx, mats) in dim_groups.items()}
+    alive = {k: np.ones(len(idx), dtype=bool) for k, (idx, mats) in dim_groups.items()}
+    picks = []
+    span_rows = 0
+    while True:
+        eligible = []
+        for k, (idx, _) in dim_groups.items():
+            r3 = residuals[k]
+            if k == 1:
+                minsv2 = np.einsum("ijl,ijl->i", r3, r3)
+            else:
+                gram = r3 @ r3.transpose(0, 2, 1)
+                minsv2 = np.linalg.eigvalsh(gram)[:, 0]
+            ok = alive[k] & (minsv2 > _ELIGIBLE_MIN_SV**2)
+            alive[k] = ok
+            eligible.extend((k, pos) for pos in np.flatnonzero(ok))
+        if not eligible or span_rows >= ambient:
+            break
+        k, pos = eligible[rng.integers(len(eligible))]
+        picks.append(dim_groups[k][0][pos])
+        q = orthonormalize(residuals[k][pos])
+        for kk in residuals:
+            r3 = residuals[kk]
+            r3 -= (r3 @ q.T) @ q
+        alive[k][pos] = False
+        span_rows += q.shape[0]
+    return tuple(picks)
+
+
+def reference_sample(arr, trials, seed):
+    """Per-trial reference sampler: (sets, p_hat), one run at a time."""
+    dim_groups = {}
+    for i, v in enumerate(arr.spaces):
+        if v.dim:
+            idx, mats = dim_groups.setdefault(v.dim, ([], []))
+            idx.append(i)
+            mats.append(v.basis)
+    dim_groups = {k: (idx, np.stack(mats)) for k, (idx, mats) in dim_groups.items()}
+    sets = [_greedy_run(dim_groups, np.random.default_rng((seed, t)), arr.ambient)
+            for t in range(trials)]
+    counts = np.zeros(arr.n)
+    for h in sets:
+        counts[list(h)] += 1.0
+    return sets, counts / trials
+
+
+def mixed_with_zero(seed):
+    """Spaces of dimensions 1, 2 and 3 in R^9, a zero space and two repeats."""
+    rng = np.random.default_rng(seed)
+    spaces = [Subspace(9, np.zeros((0, 9)))]
+    for d in (1, 2, 3, 1, 2, 3, 2, 1):
+        spaces.append(Subspace(9, orthonormalize(rng.standard_normal((d, 9)))))
+    return Arrangement(9, spaces + [spaces[2], spaces[3]])
+
+
+SAMPLER_CASES = {
+    "zero-spaces-only": lambda: Arrangement(3, [Subspace(3, np.zeros((0, 3)))] * 2),
+    "mixed-with-zero": lambda: mixed_with_zero(0),
+    "duplicate-lines": lambda: lines(3, [[1.0, 0.0, 0.0]] * 4 + [[0.0, 1.0, 0.0],
+                                         [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+    # a plane and three lines inside it, plus one line, in R^6: spans R^3 only
+    "not-spanning": lambda: Arrangement(6, [
+        Subspace(6, np.eye(6)[[0, 1]]),
+        Subspace.from_spanning(np.array([[1.0, 1.0, 0, 0, 0, 0]]), 6),
+        Subspace.from_spanning(np.array([[1.0, -2.0, 0, 0, 0, 0]]), 6),
+        Subspace.from_spanning(np.array([[0.0, 1.0, 0, 0, 0, 0]]), 6),
+        Subspace.from_spanning(np.array([[0.3, 0.0, 1.0, 0, 0, 0]]), 6),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+@pytest.mark.parametrize("trials", [1, 32, 33])
+@pytest.mark.parametrize("seed", [0, 5, 17])
+@pytest.mark.parametrize("block", [3, None])
+def test_sampler_matches_per_trial_reference(case, trials, seed, block, monkeypatch):
+    # small blocks retire trials and drop dead spaces at many more steps
+    if block is not None:
+        monkeypatch.setattr(sgcert.scaling, "_TRIAL_BLOCK", block)
+    arr = SAMPLER_CASES[case]()
+    sets, p_hat = reference_sample(arr, trials, seed)
+    sample = sample_admissible(arr, trials=trials, seed=seed)
+    assert sample.sets == sets
+    assert np.array_equal(sample.p_hat, p_hat)
+
+
+def test_sampler_reverifies_each_distinct_set_once(monkeypatch):
+    arr = mixed_with_zero(1)
+    calls = []
+
+    def counting_rank(m, tol):
+        calls.append(m.shape)
+        return rank(m, tol)
+
+    monkeypatch.setattr(sgcert.scaling, "rank", counting_rank)
+    sample = sample_admissible(arr, trials=200, seed=3)
+    distinct = {tuple(sorted(h)) for h in sample.sets if h}
+    assert len(distinct) < len(sample.sets)  # repeats occur, and are not re-checked
+    assert len(calls) == len(distinct)
+
+    monkeypatch.setattr(sgcert.scaling, "rank", lambda m, tol: rank(m, tol) - 1)
+    with pytest.raises(SgcertError, match="failed the admissibility equation"):
+        sample_admissible(arr, trials=4, seed=3)
 
 
 def test_hull_vector_single_and_disjoint():
