@@ -6,12 +6,21 @@ are realified here at the ingestion boundary; no complex arithmetic
 survives past this module.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import ParseError, PreconditionError, SgcertError
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, orthonormalize, rank, spectral_norm
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    chunk_slices,
+    orthonormalize,
+    rank,
+    spectral_norm,
+    stacked_ranks,
+)
 
 
 class InvariantViolation(SgcertError):
@@ -22,13 +31,15 @@ class InvariantViolation(SgcertError):
 class Subspace:
     """A subspace of R^ambient given by an orthonormal row basis.
 
-    A 0-row basis encodes the zero space.
+    A 0-row basis encodes the zero space.  The rows must be orthonormal
+    within ``tol.residual_tol`` (``tol`` is not stored).
     """
 
     ambient: int
     basis: np.ndarray
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         b = as_matrix(self.basis).reshape(-1, self.ambient) if np.asarray(self.basis).size else np.zeros((0, self.ambient))
         object.__setattr__(self, "basis", b)
         if b.shape[1] != self.ambient:
@@ -40,7 +51,7 @@ class Subspace:
         if b.shape[0]:
             gram = b @ b.T
             err = np.abs(gram - np.eye(b.shape[0])).max()
-            if err > DEFAULT_TOL.residual_tol:
+            if err > tol.residual_tol:
                 raise InvariantViolation(
                     f"basis rows are not orthonormal (Gram residual {err:.3e})"
                 )
@@ -108,8 +119,9 @@ class ComplexSubspace:
     ambient: int
     basis_re: np.ndarray
     basis_im: np.ndarray
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         re = as_matrix(self.basis_re).reshape(-1, self.ambient)
         im = as_matrix(self.basis_im).reshape(-1, self.ambient)
         object.__setattr__(self, "basis_re", re)
@@ -120,7 +132,7 @@ class ComplexSubspace:
         if k:
             # Rows independent over C iff the realification has rank 2k.
             realified = np.block([[re, im], [-im, re]])
-            if rank(realified) < 2 * k:
+            if rank(realified, tol) < 2 * k:
                 raise InvariantViolation("complex basis rows are linearly dependent over C")
 
     @property
@@ -150,6 +162,30 @@ def k_bounded_check(arr: Arrangement, k: int) -> bool:
     return all(v.dim <= k for v in arr.spaces)
 
 
+def _partner_stacks(arr: Arrangement, width: int, zero: bool = True):
+    """Yield (a, js, pairs): each space a stacked with its partners j > a.
+
+    ``pairs[q]`` is the basis of space a over that of space ``js[q]``; one
+    stack per row a and per dimension of the partners (ascending), cut so
+    that a float array of shape (len(js), rows of a pair, ``width``) stays
+    within CHUNK_BYTES.  Zero spaces take part unless ``zero`` is false.
+    """
+    dims = np.array(arr.dims(), dtype=int)
+    by_dim = {int(d): np.flatnonzero(dims == d) for d in np.unique(dims) if zero or d > 0}
+    stacks = {d: np.stack([arr.spaces[j].basis for j in js]) for d, js in by_dim.items()}
+    for a in range(arr.n):
+        if not (zero or dims[a]):
+            continue
+        base = arr.spaces[a].basis
+        for d, js in by_dim.items():
+            first = int(np.searchsorted(js, a, side="right"))
+            for part in chunk_slices(len(js) - first, 8 * max(dims[a] + d, 1) * width):
+                sel = slice(first + part.start, first + part.stop)
+                count = sel.stop - sel.start
+                yield a, js[sel], np.concatenate(
+                    [np.broadcast_to(base, (count,) + base.shape), stacks[d][sel]], axis=1)
+
+
 def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
     """All pairs (i, j), i < j, whose subspaces intersect nontrivially.
 
@@ -158,25 +194,11 @@ def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -
     spaces j > i, decided by the rule of :func:`rank`: the pair meets when
     fewer than dim_i + dim_j singular values reach rank_tol times the largest.
     """
-    dims = np.array(arr.dims(), dtype=int)
-    by_dim = {d: np.flatnonzero(dims == d) for d in np.unique(dims) if d > 0}
-    stacks = {d: np.stack([arr.spaces[j].basis for j in js]) for d, js in by_dim.items()}
     bad = []
-    for i in np.flatnonzero(dims):
-        base = arr.spaces[i].basis
-        row = []
-        for d, js in by_dim.items():
-            later = js > i
-            if not later.any():
-                continue
-            pairs = np.concatenate(
-                [np.broadcast_to(base, (int(later.sum()),) + base.shape), stacks[d][later]],
-                axis=1)
-            s = np.linalg.svd(pairs, compute_uv=False)
-            ranks = np.where(s[:, 0] == 0.0, 0, (s >= tol.rank_tol * s[:, :1]).sum(axis=1))
-            row.extend(js[later][ranks < dims[i] + d])
-        bad.extend((int(i), int(j)) for j in sorted(row))
-    return bad
+    for i, js, pairs in _partner_stacks(arr, arr.ambient, zero=False):
+        ranks = stacked_ranks(np.linalg.svd(pairs, compute_uv=False), tol)
+        bad.extend((i, int(j)) for j in js[ranks < pairs.shape[1]])
+    return sorted(bad)
 
 
 def tau_separated(v: Subspace, w: Subspace, tau: float) -> bool:
@@ -442,8 +464,11 @@ def _expect(reader: _LineReader, *words):
     return parts
 
 
-def read_arrangement(path):
-    """Parse an arrangement file; returns Arrangement or ComplexArrangement."""
+def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
+    """Parse an arrangement file; returns Arrangement or ComplexArrangement.
+
+    Basis rows must be orthonormal within ``tol.residual_tol``.
+    """
     reader = _LineReader(path)
     _expect(reader, "arrangement", "v1")
     field_kind = _expect(reader, "field", None)[1]
@@ -476,9 +501,9 @@ def read_arrangement(path):
         if field_kind == "complex":
             spaces.append(ComplexSubspace(ambient,
                                           np.array(rows_re).reshape(dim, ambient),
-                                          np.array(rows_im).reshape(dim, ambient)))
+                                          np.array(rows_im).reshape(dim, ambient), tol))
         else:
-            spaces.append(Subspace(ambient, np.array(rows_re).reshape(dim, ambient)))
+            spaces.append(Subspace(ambient, np.array(rows_re).reshape(dim, ambient), tol))
     if field_kind == "complex":
         return ComplexArrangement(ambient, spaces)
     return Arrangement(ambient, spaces)

@@ -9,8 +9,6 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-import numpy as np
-
 from .arrangement import (
     ComplexArrangement,
     InvariantViolation,
@@ -61,8 +59,8 @@ def _emit(stream, lines):
     stream.write("\n".join(lines) + "\n")
 
 
-def _load_real(path):
-    arr = read_arrangement(path)
+def _load_real(path, tol: Tolerance):
+    arr = read_arrangement(path, tol)
     if isinstance(arr, ComplexArrangement):
         raise SgcertError(f"{path} holds a complex arrangement; run 'reduce' first")
     return arr
@@ -88,7 +86,7 @@ def cmd_gen(args) -> int:
 
 def cmd_triples(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input)
+    arr = _load_real(args.input, tol)
     with _out_stream(args.out) as stream:
         specials, triples = _special_and_dependent(arr, tol)
         lines = []
@@ -103,7 +101,7 @@ def cmd_triples(args) -> int:
 
 def cmd_system(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input)
+    arr = _load_real(args.input, tol)
     sys_obj = build_sg_system(arr, arr.max_dim(), tol)
     write_system(args.out, sys_obj)
     print(f"wrote {args.out}: w {sys_obj.w} alpha {sys_obj.alpha} delta {_fmt(sys_obj.delta)}")
@@ -112,7 +110,7 @@ def cmd_system(args) -> int:
 
 def cmd_scale(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input)
+    arr = _load_real(args.input, tol)
     sample = sample_admissible(arr, args.trials, args.seed, tol)
     total_dim = arr.dimension(tol)
     non_basis = sum(
@@ -142,7 +140,7 @@ _BRANCH_NAMES = {"entry": "bound", "separated": "bound",
 
 def cmd_certify(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input)
+    arr = _load_real(args.input, tol)
     if args.system:
         sys_obj = read_system(args.system)
     else:
@@ -166,7 +164,7 @@ def cmd_certify(args) -> int:
 
 def cmd_reduce(args) -> int:
     tol = _tol_from(args)
-    arr = read_arrangement(args.input)
+    arr = read_arrangement(args.input, tol)
     if not isinstance(arr, ComplexArrangement):
         raise SgcertError(f"{args.input} is already a real arrangement")
     real = complex_to_real(arr.spaces, tol)
@@ -178,16 +176,11 @@ def cmd_reduce(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tol_from(args)
-    arr = read_arrangement(args.input)
+    arr = read_arrangement(args.input, tol)
     failures = []
     if isinstance(arr, ComplexArrangement):
         print(f"complex arrangement: n {arr.n} ambient {arr.ambient}")
     else:
-        for i, v in enumerate(arr.spaces):
-            gram = v.basis @ v.basis.T
-            err = np.abs(gram - np.eye(v.dim)).max() if v.dim else 0.0
-            if err > tol.residual_tol:
-                failures.append(f"space {i}: basis rows not orthonormal (residual {err:.3e})")
         bad_pairs = pairwise_zero_intersection(arr, tol)
         if bad_pairs:
             print(f"note: {len(bad_pairs)} pairs intersect nontrivially "

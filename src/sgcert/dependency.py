@@ -12,14 +12,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, _read_lines
+from .arrangement import Arrangement, Subspace, _partner_stacks, _read_lines
 from .errors import (
     InconsistentSystemError,
     ParseError,
     PreconditionError,
     SgcertError,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, orthonormalize, rank
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    chunk_slices,
+    rank,
+    stacked_ranks,
+)
 
 
 def as_fraction(x) -> Fraction:
@@ -110,53 +117,89 @@ def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
 
 
 def _pair_spans(arr: Arrangement, tol: Tolerance):
-    """Yield (a, b, span, inside) for every pair a < b, zero spaces included.
+    """Yield (a, bs, spans, inside) for each space a and chunk of partners b > a.
 
-    ``span`` is an orthonormal basis of V_a + V_b; ``inside[i]`` is True when
-    every basis row of space i is within residual_tol of it (always, for a
-    zero space).  Raises naming the first pair that intersects nontrivially.
+    ``spans[q]`` is an orthonormal basis of V_a + V_bs[q], from one stacked
+    SVD under the rank rule of :func:`orthonormalize`; ``inside[q, i]`` is
+    True when every basis row of space i is within residual_tol of it
+    (always, for a zero space).  Zero spaces take part.  Raises naming the
+    lexicographically first pair that intersects nontrivially.
     """
-    dims, bases = arr.dims(), [v.basis for v in arr.spaces]
-    stacked = arr.stacked_basis()
+    rows = arr.stacked_basis()
+    norms2 = np.einsum("ij,ij->i", rows, rows)
+    # ||x||^2 - ||S x||^2 is the squared residual up to rounding; with this
+    # slack it only discards rows that are clearly outside
+    slack = 4 * tol.residual_tol**2 + 1e-12 * norms2
+    dims = np.array(arr.dims(), dtype=int)
     owner = np.repeat(np.arange(arr.n), dims)
-    for a in range(arr.n):
-        for b in range(a + 1, arr.n):
-            span = orthonormalize(np.vstack([bases[a], bases[b]]), tol)
-            if span.shape[0] < dims[a] + dims[b]:
-                raise PreconditionError(
-                    f"spaces {a} and {b} intersect nontrivially; special spaces are ill-defined"
-                )
-            row_err = np.linalg.norm(stacked - (stacked @ span.T) @ span, axis=1)
-            worst = np.zeros(arr.n)
-            np.maximum.at(worst, owner, row_err)
-            yield a, b, span, worst <= tol.residual_tol
+    first_bad = None
+    for a, bs, pairs in _partner_stacks(arr, max(arr.ambient, rows.shape[0])):
+        if first_bad is not None and a > first_bad[0]:
+            break
+        m, r = pairs.shape[:2]
+        if r:
+            _, s, spans = np.linalg.svd(pairs, full_matrices=False)
+            short = stacked_ranks(s, tol) < r
+            if short.any():
+                bad = (a, int(bs[short][0]))
+                first_bad = min(first_bad or bad, bad)
+        else:
+            spans = pairs
+        if first_bad is not None:
+            continue
+        coef = (spans.reshape(m * r, arr.ambient) @ rows.T).reshape(m, r, len(rows))
+        q, x = np.nonzero(norms2 - np.einsum("qrn,qrn->qn", coef, coef) <= slack)
+        keep = np.zeros(q.size, dtype=bool)
+        for part in chunk_slices(q.size, 8 * r * arr.ambient):
+            qp, xp = q[part], x[part]
+            resid = rows[xp] - np.einsum("cr,crl->cl", coef[qp, :, xp], spans[qp])
+            keep[part] = np.linalg.norm(resid, axis=1) <= tol.residual_tol
+        # a space is inside when all of its rows are (a zero space has none)
+        inside = np.bincount(q[keep] * arr.n + owner[x[keep]],
+                             minlength=m * arr.n).reshape(m, arr.n) == dims
+        yield a, bs, spans, inside
+    if first_bad is not None:
+        raise PreconditionError(
+            f"spaces {first_bad[0]} and {first_bad[1]} intersect nontrivially; "
+            "special spaces are ill-defined"
+        )
 
 
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
     """Special spaces and dependent triples, read off one pass over the pair spans.
 
-    A special space is a pair span holding >= 3 nonzero members; a dependent
-    triple {a, b, c} has c inside span(a, b) (zero spaces included).  The
-    triples come back as sorted tuples in lexicographic order, or as None
-    when ``triples`` is false.
+    A special space is a pair span holding >= 3 nonzero members, listed by
+    the lexicographically first pair that spans it; a dependent triple
+    {a, b, c} has c inside span(a, b) (zero spaces included).  The triples
+    come back as sorted tuples in lexicographic order, or as None when
+    ``triples`` is false.
     """
-    specials, pairs, thirds = {}, [], []
+    first, found = {}, []
     nonzero = np.array(arr.dims()) > 0
-    for a, b, span, inside in _pair_spans(arr, tol):
-        members = tuple(int(i) for i in np.flatnonzero(inside & nonzero))
-        if len(members) >= 3:
-            specials.setdefault(members, SpecialSpace(span, members))
+    for a, bs, spans, inside in _pair_spans(arr, tol):
+        members = inside & nonzero
+        big = np.flatnonzero(members.sum(axis=1) >= 3)
+        if big.size:
+            # pairs with the same members, found once: unique packed rows
+            packed = np.packbits(members[big], axis=1)
+            _, once = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
+            for q in big[once]:
+                key = tuple(np.flatnonzero(members[q]).tolist())
+                pair = (a, int(bs[q]))
+                if key not in first or pair < first[key][0]:
+                    first[key] = (pair, spans[q].copy())
         if triples:
-            inside[[a, b]] = False
-            pairs.append((a, b))
-            thirds.append(np.flatnonzero(inside))
+            inside[:, a] = False
+            inside[np.arange(len(bs)), bs] = False
+            q, c = np.nonzero(inside)
+            found.append(np.column_stack([np.full(q.size, a), bs[q], c]))
+    specials = [SpecialSpace(span, key)
+                for key, (_, span) in sorted(first.items(), key=lambda kv: kv[1][0])]
     if not triples:
-        return list(specials.values()), None
-    sizes = [c.size for c in thirds]
-    rows = np.column_stack([np.repeat(np.array(pairs, dtype=int).reshape(-1, 2), sizes, axis=0),
-                            np.concatenate(thirds or [np.zeros(0, dtype=int)])])
-    rows = np.unique(np.sort(rows, axis=1), axis=0)
-    return list(specials.values()), [tuple(t) for t in rows.tolist()]
+        return specials, None
+    rows = np.unique(np.sort(np.concatenate(found or [np.zeros((0, 3), dtype=int)]), axis=1),
+                     axis=0)
+    return specials, [tuple(t) for t in rows.tolist()]
 
 
 def find_special_spaces(arr: Arrangement, k: int,
@@ -268,6 +311,67 @@ def build_sg_system(arr: Arrangement, k: int,
     return sys
 
 
+def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Rank of the stacked bases of each row of ``sets`` (an (m, size) index array).
+
+    Sets are grouped by their dimension signature; each group's stacks are
+    gathered by row index from the arrangement's stacked basis and decided
+    by stacked singular values under the rule of :func:`rank`, in chunks of
+    about CHUNK_BYTES.
+    """
+    out = np.zeros(len(sets), dtype=int)
+    if not len(sets):
+        return out
+    dims = np.array(arr.dims(), dtype=int)
+    rows, starts = arr.stacked_basis(), np.cumsum(dims) - dims
+    code = sum(dims[sets[:, c]] * (dims.max() + 1) ** c for c in range(sets.shape[1]))
+    for key in np.flatnonzero(np.bincount(code)):
+        members = np.flatnonzero(code == key)
+        signature = dims[sets[members[0]]]
+        if not signature.any():
+            continue
+        for part in chunk_slices(members.size, 8 * int(signature.sum()) * arr.ambient):
+            idx = members[part]
+            index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
+                                    for c, d in enumerate(signature)], axis=1)
+            out[idx] = stacked_ranks(np.linalg.svd(rows[index], compute_uv=False), tol)
+    return out
+
+
+def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:
+    """Whether each set (2 or 3 distinct in-range indices) means what it says.
+
+    A 3-set must be a dependent triple (the test of
+    :func:`is_dependent_triple`: some pair's rank equals the triple's), a
+    2-set two equal spaces (equal dimension d and pair rank d).  Each 3-set
+    and each distinct pair is ranked once.
+    """
+    dims = np.array(arr.dims(), dtype=int)
+    threes = np.array([s for s in sets if len(s) == 3], dtype=int).reshape(-1, 3)
+    twos = np.array([s for s in sets if len(s) == 2], dtype=int).reshape(-1, 2)
+    n, triple_pairs = arr.n, ((0, 1), (0, 2), (1, 2))
+    # every distinct pair, as the key i * n + j, is ranked once (sorted by
+    # hand: np.unique imports numpy.ma, about 1 MB, on its first call)
+    keys = np.sort(np.concatenate([threes[:, i] * n + threes[:, j] for i, j in triple_pairs]
+                                  + [twos[:, 0] * n + twos[:, 1]]))
+    distinct = keys[np.diff(keys, prepend=-1) > 0]
+    ranks = _stacked_set_ranks(arr, np.column_stack(np.divmod(distinct, n)), tol)
+
+    def pair_rank(i, j):
+        return ranks[np.searchsorted(distinct, i * n + j)]
+
+    total = _stacked_set_ranks(arr, threes, tol)
+    dependent = np.zeros(len(threes), dtype=bool)
+    for i, j in triple_pairs:
+        dependent |= pair_rank(threes[:, i], threes[:, j]) == total
+    d = dims[twos]
+    equal = (d[:, 0] == d[:, 1]) & (pair_rank(twos[:, 0], twos[:, 1]) == d[:, 0])
+    holds = np.empty(len(sets), dtype=bool)
+    is_three = np.array([len(s) == 3 for s in sets], dtype=bool)
+    holds[is_three], holds[~is_three] = dependent, equal
+    return holds
+
+
 def validate_system(arr: Arrangement, sys: TripleSystem,
                     tol: Tolerance = DEFAULT_TOL) -> SystemReport:
     """Check every system requirement; violations are report content.
@@ -286,21 +390,20 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
     # out-of-range sets are reported below and left out of every count
     counted = TripleSystem(n, [s for s in sys.sets if all(0 <= i < n for i in s)],
                            alpha=sys.alpha, delta=sys.delta)
+    bad_sets, checked = {}, []
     for j, s in enumerate(sys.sets):
         if len(s) not in (2, 3) or len(set(s)) != len(s):
-            v.append(f"set {j}: size must be 2 or 3 with distinct indices, got {s}")
-            continue
-        if any(i < 0 or i >= n for i in s):
-            v.append(f"set {j}: index out of range in {s}")
-            continue
-        spaces = [arr.spaces[i] for i in s]
-        if len(s) == 3:
-            if not is_dependent_triple(*spaces, tol=tol):
-                v.append(f"set {j}: {s} is not a dependent triple")
+            bad_sets[j] = f"set {j}: size must be 2 or 3 with distinct indices, got {s}"
+        elif any(i < 0 or i >= n for i in s):
+            bad_sets[j] = f"set {j}: index out of range in {s}"
         else:
-            a, b = spaces
-            if a.dim != b.dim or rank(np.vstack([a.basis, b.basis]), tol) != a.dim:
-                v.append(f"set {j}: spaces {s[0]} and {s[1]} are not equal")
+            checked.append(j)
+    for j, holds in zip(checked, _semantics_hold(arr, [sys.sets[j] for j in checked], tol)):
+        if not holds:
+            s = sys.sets[j]
+            bad_sets[j] = (f"set {j}: {s} is not a dependent triple" if len(s) == 3
+                           else f"set {j}: spaces {s[0]} and {s[1]} are not equal")
+    v.extend(bad_sets[j] for j in sorted(bad_sets))
     delta = as_fraction(sys.delta)
     deg = counted.degrees()
     for i in range(n):

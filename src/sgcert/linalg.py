@@ -41,6 +41,31 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+# Byte budget of one stacked transient: stacks of small matrices, and their
+# products, are processed in chunks of about this size, so that the
+# transients of one step stay well under 1 MB.
+CHUNK_BYTES = 1 << 17
+
+
+def chunk_slices(count: int, item_bytes: int) -> list:
+    """Slices cutting ``count`` items of ``item_bytes`` each into chunks of
+    at most about CHUNK_BYTES (at least one item per chunk)."""
+    step = max(1, CHUNK_BYTES // max(1, item_bytes))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def stacked_ranks(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Ranks under the rule of :func:`rank` from stacked singular values.
+
+    ``s`` has shape (..., r), each row sorted descending as returned by
+    ``np.linalg.svd``; an all-zero row, or r = 0, has rank 0.
+    """
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int)
+    top = s[..., :1]
+    return np.where(top[..., 0] == 0.0, 0,
+                    np.count_nonzero(s >= tol.rank_tol * top, axis=-1))
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-d float array and reject non-finite entries."""

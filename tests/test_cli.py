@@ -232,3 +232,15 @@ def test_certify_exit_codes_one_line(tmp_path, capsys):
         assert run("certify", arr_path, "--system", sys_path, "--out", "-") == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_residual_tol_reaches_the_parser(tmp_path, capsys):
+    # space 1 has Gram residual about 2e-6: inside 1e-2, outside the default 1e-8
+    arr_path = tmp_path / "loose.arr"
+    arr_path.write_text(_GOOD_ARR.replace("0 1\n", "0 1.000001\n"))
+    assert run("--residual-tol", "1e-2", "verify", arr_path) == 0
+    captured = capsys.readouterr()
+    assert "verify: ok" in captured.out.splitlines() and captured.err == ""
+    assert run("verify", arr_path) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not orthonormal" in err[0]

@@ -16,6 +16,7 @@ from sgcert.arrangement import (
 )
 from sgcert.dependency import (
     TripleSystem,
+    _pair_spans,
     build_sg_system,
     build_triple_family,
     dependent_triples,
@@ -28,7 +29,7 @@ from sgcert.dependency import (
     write_system,
 )
 from sgcert.errors import InconsistentSystemError, PreconditionError
-from sgcert.linalg import orthonormalize, projector, rank
+from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, projector, rank
 
 
 def line(ambient, direction):
@@ -161,6 +162,109 @@ def test_pair_span_scan_matches_triple_oracle(seed, k, n, slack, mixed):
         # k-uniform: the dependent triples are the triples inside special spaces
         inside = {t for sp in specials for t in combinations(sp.member_indices, 3)}
         assert inside == set(oracle)
+
+
+_TOLS = [DEFAULT_TOL, Tolerance(residual_tol=1e-3)]
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+def test_pair_scan_names_first_pair_with_mixed_partner_dims(tol):
+    # row 0's partners have dimensions 0, 1 and 2; the dimension-1 partner 3
+    # is scanned before the dimension-2 partner 2, but (0, 2) comes first
+    e = np.eye(6)
+    arr = Arrangement(6, [Subspace(6, e[[0, 1]]), Subspace(6, np.zeros((0, 6))),
+                          Subspace(6, e[[1, 2]]), Subspace(6, e[[0]]), Subspace(6, e[[4]])])
+    assert pairwise_zero_intersection(arr, tol) == [(0, 2), (0, 3)]
+    for scan in (lambda: find_special_spaces(arr, 2, tol), lambda: dependent_triples(arr, tol)):
+        with pytest.raises(PreconditionError, match=r"^spaces 0 and 2 intersect"):
+            scan()
+    # row 0 clean: the same pattern in row 2
+    arr = Arrangement(6, [Subspace(6, e[[5]]), Subspace(6, np.zeros((0, 6))),
+                          Subspace(6, e[[1, 2]]), Subspace(6, e[[2, 3]]), Subspace(6, e[[1]])])
+    assert pairwise_zero_intersection(arr, tol) == [(2, 3), (2, 4)]
+    with pytest.raises(PreconditionError, match=r"^spaces 2 and 3 intersect"):
+        dependent_triples(arr, tol)
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
+def test_pair_scan_residual_threshold(tol, factor, inside):
+    """A plane displaced from span(V_0, V_1) by factor * residual_tol."""
+    rng = np.random.default_rng(11)
+    frame = orthonormalize(rng.standard_normal((6, 6)))
+    span, normal = frame[:4], frame[4]
+    a = Subspace(6, orthonormalize(rng.standard_normal((2, 4)) @ span))
+    b = Subspace(6, orthonormalize(rng.standard_normal((2, 4)) @ span))
+    u = orthonormalize(rng.standard_normal((2, 4)) @ span)
+    eps = factor * tol.residual_tol
+    c = Subspace(6, np.vstack([u[0], (u[1] + eps * normal) / np.hypot(1.0, eps)]))
+    far = Subspace(6, orthonormalize(rng.standard_normal((2, 6))))
+    arr = Arrangement(6, [a, b, c, far])
+    assert pairwise_zero_intersection(arr, tol) == []
+    assert Subspace(6, span).contains(c, tol) == inside
+    masks = {(i, int(j)): row for i, js, _, rows in _pair_spans(arr, tol)
+             for j, row in zip(js, rows)}
+    assert masks[0, 1].tolist() == [True, True, inside, False]
+    # every pair's mask agrees with Subspace.contains
+    for (i, j), row in masks.items():
+        pair = Subspace.from_spanning(np.vstack([arr.spaces[i].basis, arr.spaces[j].basis]), 6)
+        assert row.tolist() == [pair.contains(v, tol) for v in arr.spaces]
+    assert ((0, 1, 2) in dependent_triples(arr, tol)) == inside
+
+
+def _equal_copy(v, rng):
+    """The same space under another orthonormal basis."""
+    if v.dim == 0:
+        return v
+    q = orthonormalize(rng.standard_normal((v.dim, v.dim)))
+    return Subspace(v.ambient, q @ v.basis)
+
+
+def _set_violations_oracle(arr, sets):
+    """The per-set violations of validate_system, one set at a time."""
+    out = []
+    for j, s in enumerate(sets):
+        if len(s) not in (2, 3) or len(set(s)) != len(s):
+            out.append(f"set {j}: size must be 2 or 3 with distinct indices, got {s}")
+        elif any(i < 0 or i >= arr.n for i in s):
+            out.append(f"set {j}: index out of range in {s}")
+        elif len(s) == 3:
+            if not is_dependent_triple(*(arr.spaces[i] for i in s)):
+                out.append(f"set {j}: {s} is not a dependent triple")
+        else:
+            a, b = (arr.spaces[i] for i in s)
+            if a.dim != b.dim or rank(np.vstack([a.basis, b.basis])) != a.dim:
+                out.append(f"set {j}: spaces {s[0]} and {s[1]} are not equal")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7), data=st.data())
+def test_validate_system_matches_per_set_oracle(seed, n, data):
+    # mixed dimensions 0..3, one zero space, planted containments, and two
+    # spaces repeated under another basis (so some 2-sets are equal spaces)
+    rng = np.random.default_rng(seed)
+    arr = _mixed_planted(seed, n, 6)
+    copies = [_equal_copy(arr.spaces[i], rng) for i in rng.choice(n, size=2, replace=False)]
+    arr = Arrangement(6, arr.spaces + copies)
+    live = range(arr.n)
+    triples = list(combinations(live, 3))
+    dependent = [t for t in triples if is_dependent_triple(*(arr.spaces[i] for i in t))]
+    index = st.integers(-1, arr.n)  # -1 and n are out of range
+    one_set = st.one_of(
+        st.sampled_from(dependent or triples), st.sampled_from(triples),
+        st.sampled_from(list(combinations(live, 2))),
+        st.sampled_from([(i, arr.n - 2 + c) for c in range(2) for i in live
+                         if i < arr.n - 2]),           # pairs holding a copy
+        st.tuples(index, index), st.tuples(index, index, index),  # duplicates, range
+        st.tuples(index), st.tuples(index, index, index, index),   # wrong sizes
+    )
+    sets = data.draw(st.lists(one_set, max_size=40))
+    sys = TripleSystem(arr.n, sets, alpha=6, delta=0.0)
+    want = _set_violations_oracle(arr, sys.sets)
+    got = validate_system(arr, sys).violations
+    assert got[:len(want)] == want
+    assert not any(v.startswith("set ") for v in got[len(want):])
 
 
 def test_triple_family_r3():
