@@ -186,6 +186,37 @@ def _partner_stacks(arr: Arrangement, width: int, zero: bool = True):
                     [np.broadcast_to(base, (count,) + base.shape), stacks[d][sel]], axis=1)
 
 
+def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Rank of the stacked bases of each row of ``sets`` (an (m, size) index array).
+
+    Sets are grouped by their dimension signature (the dimensions of their
+    members, in order) by sorting the signature rows, which needs no memory
+    beyond the signatures however long the sets are.  Each group's stacks
+    are gathered by row index from the arrangement's stacked basis and
+    decided by stacked singular values under the rule of :func:`rank`, in
+    chunks of about CHUNK_BYTES.
+    """
+    out = np.zeros(len(sets), dtype=int)
+    if not len(sets):
+        return out
+    dims = np.array(arr.dims(), dtype=int)
+    rows, starts = arr.stacked_basis(), np.cumsum(dims) - dims
+    signatures = dims.astype(np.min_scalar_type(dims.max()))[sets]
+    order = np.lexsort(signatures.T)
+    ordered = signatures[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    for members in np.split(order, cuts):
+        signature = dims[sets[members[0]]]
+        if not signature.any():
+            continue
+        for part in chunk_slices(members.size, 8 * int(signature.sum()) * arr.ambient):
+            idx = members[part]
+            index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
+                                    for c, d in enumerate(signature)], axis=1)
+            out[idx] = stacked_ranks(np.linalg.svd(rows[index], compute_uv=False), tol)
+    return out
+
+
 def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
     """All pairs (i, j), i < j, whose subspaces intersect nontrivially.
 

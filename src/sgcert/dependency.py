@@ -9,10 +9,17 @@ rational arithmetic so that ceil/floor decisions never flip on float noise.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, _partner_stacks, _read_lines
+from .arrangement import (
+    Arrangement,
+    Subspace,
+    _partner_stacks,
+    _read_lines,
+    _stacked_set_ranks,
+)
 from .errors import (
     InconsistentSystemError,
     ParseError,
@@ -59,11 +66,8 @@ class TripleSystem:
         return len(self.sets)
 
     def degrees(self) -> list:
-        deg = [0] * self.n
-        for s in self.sets:
-            for i in s:
-                deg[i] += 1
-        return deg
+        return np.bincount(np.fromiter(chain.from_iterable(self.sets), dtype=np.intp),
+                           minlength=self.n).tolist()
 
     def pair_counts(self) -> dict:
         counts = {}
@@ -309,33 +313,6 @@ def build_sg_system(arr: Arrangement, k: int,
     if sets and arr.n:
         sys.delta = min(sys.degrees()) / arr.n
     return sys
-
-
-def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Rank of the stacked bases of each row of ``sets`` (an (m, size) index array).
-
-    Sets are grouped by their dimension signature; each group's stacks are
-    gathered by row index from the arrangement's stacked basis and decided
-    by stacked singular values under the rule of :func:`rank`, in chunks of
-    about CHUNK_BYTES.
-    """
-    out = np.zeros(len(sets), dtype=int)
-    if not len(sets):
-        return out
-    dims = np.array(arr.dims(), dtype=int)
-    rows, starts = arr.stacked_basis(), np.cumsum(dims) - dims
-    code = sum(dims[sets[:, c]] * (dims.max() + 1) ** c for c in range(sets.shape[1]))
-    for key in np.flatnonzero(np.bincount(code)):
-        members = np.flatnonzero(code == key)
-        signature = dims[sets[members[0]]]
-        if not signature.any():
-            continue
-        for part in chunk_slices(members.size, 8 * int(signature.sum()) * arr.ambient):
-            idx = members[part]
-            index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
-                                    for c, d in enumerate(signature)], axis=1)
-            out[idx] = stacked_ranks(np.linalg.svd(rows[index], compute_uv=False), tol)
-    return out
 
 
 def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:

@@ -15,11 +15,11 @@ obstruction diagnostic instead of a map.
 """
 
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace
+from .arrangement import Arrangement, Subspace, _stacked_set_ranks
 from .errors import (
     DegenerateStateError,
     OptimizeTimeoutError,
@@ -30,7 +30,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     orthonormalize,
-    rank,
     spectral_norm,
 )
 
@@ -40,8 +39,9 @@ from .linalg import (
 # the exact integer rank equation.
 _ELIGIBLE_MIN_SV = 1e-7
 
-# Trials the greedy sampler advances together; bounds its transient memory
-# to one (block, n_k, k, l) residual array per dimension group.
+# Trials the greedy sampler advances together, with one vector draw per step,
+# so the sampled sets depend on it; bounds its transient memory to one
+# (block, n_k, k, l) residual array per dimension group.
 _TRIAL_BLOCK = 32
 
 
@@ -84,16 +84,16 @@ def _min_sv2(res: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(res @ res.transpose(0, 1, 3, 2))[..., 0]
 
 
-def _greedy_block(dim_groups, rngs, ambient, tol):
-    """Greedy-to-maximality runs for one block of trials, advanced together.
+def _greedy_block(dim_groups, gen, b, ambient, tol):
+    """Greedy-to-maximality runs for a block of ``b`` trials, advanced together.
 
     Every step computes the eligible spaces of all running trials, retires
     the trials with none left (or whose span fills the ambient space),
-    draws one pick per remaining trial from its own generator over the
-    eligible (group, position) pairs in group order, and projects every
-    residual off the picked spaces.  Returns each trial's picks in order.
+    draws one pick per remaining trial, all from the one generator ``gen``
+    in a single vector draw over the eligible (group, position) pairs in
+    group order, and projects every residual off the picked spaces.
+    Returns each trial's picks in order.
     """
-    b = len(rngs)
     idx = {k: np.asarray(ix) for k, (ix, _) in dim_groups.items()}
     res = {k: np.repeat(mats[None], b, axis=0) for k, (_, mats) in dim_groups.items()}
     alive = {k: np.ones((b, len(ix)), dtype=bool) for k, ix in idx.items()}
@@ -118,9 +118,9 @@ def _greedy_block(dim_groups, rngs, ambient, tol):
             in_group = {k: c[rows] for k, c in in_group.items()}
             alive = {k: a[rows] for k, a in alive.items()}
             res = {k: r[rows] for k, r in res.items()}
-        counts = sum(in_group.values())
-        draw = np.array([rngs[t].integers(int(c)) for t, c in zip(live, counts)])
-        q = np.zeros((live.size, max(res), ambient))
+        draw = gen.integers(sum(in_group.values()))
+        # at least two rows: with one, numpy's stacked matmul leaves BLAS
+        q = np.zeros((live.size, max(2, max(res)), ambient))
         for k in res:
             sel = np.flatnonzero((draw >= 0) & (draw < in_group[k]))
             nth = draw[sel]
@@ -155,12 +155,14 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
 
     Each run starts empty and repeatedly picks, uniformly at random, a
     space meeting the current span only at the origin, until no eligible
-    space remains.  Zero-dimensional spaces are never picked.  Runs take
-    their draws from per-trial generators seeded by (seed, trial), so they
-    are independent and reproducible; blocks of trials advance together,
-    one pick per step, which leaves every run's picks exactly as if it ran
-    alone.  Each distinct emitted set is verified once against the exact
-    admissibility equation dim(sum) = sum(dim).
+    space remains.  Zero-dimensional spaces are never picked.  All draws
+    come from one generator seeded by ``seed``: blocks of _TRIAL_BLOCK
+    trials advance together, and each step takes one vector draw for the
+    block's running trials.  So the same seed gives the same sets and
+    frequencies, and the sets depend on the block size as well as the
+    seed.  Every distinct emitted set is verified once against the exact
+    admissibility equation dim(sum) = sum(dim), by stacked singular values
+    per dimension signature.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
@@ -172,25 +174,33 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
         dim_groups[v.dim][0].append(i)
         dim_groups[v.dim][1].append(v.basis)
     dim_groups = {k: (idx, np.stack(mats)) for k, (idx, mats) in dim_groups.items()}
+    gen = np.random.default_rng(seed)
     sets = []
     for start in range(0, trials, _TRIAL_BLOCK):
-        rngs = [np.random.default_rng((seed, t))
-                for t in range(start, min(start + _TRIAL_BLOCK, trials))]
-        sets.extend(_greedy_block(dim_groups, rngs, arr.ambient, tol))
+        sets.extend(_greedy_block(dim_groups, gen, min(_TRIAL_BLOCK, trials - start),
+                                  arr.ambient, tol))
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    counts = np.bincount(np.fromiter(chain.from_iterable(sets), dtype=np.intp,
+                                     count=int(sizes.sum())), minlength=arr.n)
 
-    bases, dims = [v.basis for v in arr.spaces], arr.dims()
-    counts = np.zeros(arr.n)
     first = {}  # hash of a sorted set -> index of its first occurrence
+    distinct = np.zeros(len(sets), dtype=bool)
     for t, h in enumerate(sets):
         if not h:
             continue
-        counts[list(h)] += 1.0
         key = tuple(sorted(h))
         j = first.setdefault(hash(key), t)
-        if j != t and tuple(sorted(sets[j])) == key:
-            continue
-        if rank(np.concatenate([bases[i] for i in key]), tol) != sum(dims[i] for i in key):
-            raise SgcertError(f"sampled set {h} failed the admissibility equation")
+        distinct[t] = j == t or tuple(sorted(sets[j])) != key
+    del first  # freed before the stacked check, which then sets no new peak
+    dims = np.array(arr.dims(), dtype=int)
+    for size in np.flatnonzero(np.bincount(sizes[distinct])):
+        picked = np.flatnonzero(distinct & (sizes == size))
+        chosen = np.array([sets[t] for t in picked], dtype=np.min_scalar_type(arr.n))
+        chosen.sort(axis=1)
+        short = np.flatnonzero(_stacked_set_ranks(arr, chosen, tol) != dims[chosen].sum(axis=1))
+        if short.size:
+            raise SgcertError(f"sampled set {sets[picked[short[0]]]} "
+                              "failed the admissibility equation")
     return AdmissibleSample(sets=sets, p_hat=counts / trials, trials=trials, seed=seed)
 
 
@@ -585,10 +595,8 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
 
     p_model = np.zeros(arr.n + d)
     for h, q in hull.terms:
-        span = np.zeros((0, d))
-        for i in h:
-            span = np.vstack([span, model_spaces[i].basis])
-        span = orthonormalize(span, tol)
+        span = orthonormalize(np.vstack([np.zeros((0, d))]
+                                        + [model_spaces[i].basis for i in h]), tol)
         extension = []
         for s in range(d):
             if span.shape[0] == d:

@@ -6,6 +6,7 @@ from sgcert.arrangement import (
     ComplexSubspace,
     InvariantViolation,
     Subspace,
+    _stacked_set_ranks,
     complex_to_real,
     generate,
     generate_complex_planted,
@@ -21,7 +22,7 @@ from sgcert.arrangement import (
     write_arrangement,
 )
 from sgcert.errors import ParseError, PreconditionError
-from sgcert.linalg import rank
+from sgcert.linalg import DEFAULT_TOL, orthonormalize, rank
 
 
 def line(ambient, direction):
@@ -59,6 +60,23 @@ def test_pairwise_zero_intersection_examples():
     # coordinate-pair planes sharing an axis intersect in that axis
     grid = Arrangement(3, [Subspace(3, e[[0, 1]]), Subspace(3, e[[0, 2]])])
     assert pairwise_zero_intersection(grid) == [(0, 1)]
+
+
+def test_stacked_set_ranks_long_mixed_sets():
+    # 40-space sets of dimensions 1-3 (and a zero space): many signatures,
+    # some repeated, and rank deficits from duplicated spaces
+    rng = np.random.default_rng(7)
+    spaces = [Subspace(120, orthonormalize(rng.standard_normal((d, 120))))
+              for d in rng.integers(1, 4, size=60)]
+    spaces += [spaces[i] for i in rng.choice(60, size=10, replace=False)]
+    arr = Arrangement(120, spaces + [Subspace(120, np.zeros((0, 120)))])
+    sets = np.array([rng.choice(arr.n, size=40, replace=False) for _ in range(30)])
+    sets = np.concatenate([sets, sets[:5], np.sort(sets[5:10], axis=1), [np.arange(40)]])
+    ranks = _stacked_set_ranks(arr, sets, DEFAULT_TOL)
+    expected = [rank(np.concatenate([arr.spaces[i].basis for i in row])) for row in sets]
+    assert ranks.tolist() == expected
+    rows = [sum(arr.spaces[i].dim for i in row) for row in sets]
+    assert any(r < m for r, m in zip(expected, rows)) and any(r == m for r, m in zip(expected, rows))
 
 
 def test_tau_separated_examples():

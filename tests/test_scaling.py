@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from sgcert.arrangement import Arrangement, Subspace, generate_grouped
+from sgcert.arrangement import Arrangement, Subspace, _stacked_set_ranks, generate_grouped
 import sgcert.scaling
 from sgcert.errors import PreconditionError, SgcertError
 from sgcert.linalg import orthonormalize, rank, spectral_norm
@@ -156,36 +158,79 @@ SAMPLER_CASES = {
 }
 
 
+def assert_maximal_admissible(arr, h):
+    """``h`` is admissible, and maximal under the sampler's own eligibility rule."""
+    assert len(set(h)) == len(h) and all(arr.spaces[i].dim for i in h)
+    stacked = np.concatenate([np.zeros((0, arr.ambient))] + [arr.spaces[i].basis for i in h])
+    assert rank(stacked) == stacked.shape[0]
+    if stacked.shape[0] >= arr.ambient:
+        return
+    span = orthonormalize(stacked)
+    for i, v in enumerate(arr.spaces):
+        if v.dim and i not in h:
+            resid = v.basis - (v.basis @ span.T) @ span
+            assert np.linalg.svd(resid, compute_uv=False)[-1] <= _ELIGIBLE_MIN_SV, (h, i)
+
+
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
 @pytest.mark.parametrize("trials", [1, 32, 33])
 @pytest.mark.parametrize("seed", [0, 5, 17])
 @pytest.mark.parametrize("block", [3, None])
-def test_sampler_matches_per_trial_reference(case, trials, seed, block, monkeypatch):
+def test_sampler_emits_maximal_admissible_sets(case, trials, seed, block, monkeypatch):
     # small blocks retire trials and drop dead spaces at many more steps
     if block is not None:
         monkeypatch.setattr(sgcert.scaling, "_TRIAL_BLOCK", block)
     arr = SAMPLER_CASES[case]()
-    sets, p_hat = reference_sample(arr, trials, seed)
     sample = sample_admissible(arr, trials=trials, seed=seed)
-    assert sample.sets == sets
-    assert np.array_equal(sample.p_hat, p_hat)
+    assert len(sample.sets) == trials
+    for h in sample.sets:
+        assert_maximal_admissible(arr, h)
+    counts = np.zeros(arr.n)
+    for h in sample.sets:
+        counts[list(h)] += 1.0
+    assert np.array_equal(sample.p_hat, counts / trials)
+
+
+AGREEMENT_TRIALS = 4000
+
+
+@functools.lru_cache(maxsize=None)
+def reference_p_hat(case):
+    return reference_sample(SAMPLER_CASES[case](), AGREEMENT_TRIALS, seed=11)[1]
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+@pytest.mark.parametrize("block", [3, None])
+def test_sampler_frequencies_agree_with_per_trial_reference(case, block, monkeypatch):
+    # each p_hat[i] is a binomial proportion over independent trials; the two
+    # sides must agree within 5 sigma of the pooled difference, exactly
+    # where the pooled frequency is 0 or 1
+    if block is not None:
+        monkeypatch.setattr(sgcert.scaling, "_TRIAL_BLOCK", block)
+    arr = SAMPLER_CASES[case]()
+    expected = reference_p_hat(case)
+    p_hat = sample_admissible(arr, trials=AGREEMENT_TRIALS, seed=12).p_hat
+    pooled = (p_hat + expected) / 2.0
+    sigma = np.sqrt(pooled * (1.0 - pooled) * 2.0 / AGREEMENT_TRIALS)
+    assert (np.abs(p_hat - expected) <= 5.0 * sigma).all(), (p_hat, expected)
 
 
 def test_sampler_reverifies_each_distinct_set_once(monkeypatch):
     arr = mixed_with_zero(1)
-    calls = []
+    ranked = []
 
-    def counting_rank(m, tol):
-        calls.append(m.shape)
-        return rank(m, tol)
+    def counting_ranks(a, sets, tol):
+        ranked.extend(tuple(row) for row in sets.tolist())
+        return _stacked_set_ranks(a, sets, tol)
 
-    monkeypatch.setattr(sgcert.scaling, "rank", counting_rank)
+    monkeypatch.setattr(sgcert.scaling, "_stacked_set_ranks", counting_ranks)
     sample = sample_admissible(arr, trials=200, seed=3)
     distinct = {tuple(sorted(h)) for h in sample.sets if h}
     assert len(distinct) < len(sample.sets)  # repeats occur, and are not re-checked
-    assert len(calls) == len(distinct)
+    assert sorted(ranked) == sorted(distinct)
 
-    monkeypatch.setattr(sgcert.scaling, "rank", lambda m, tol: rank(m, tol) - 1)
+    monkeypatch.setattr(sgcert.scaling, "_stacked_set_ranks",
+                        lambda a, sets, tol: _stacked_set_ranks(a, sets, tol) - 1)
     with pytest.raises(SgcertError, match="failed the admissibility equation"):
         sample_admissible(arr, trials=4, seed=3)
 
