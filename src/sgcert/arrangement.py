@@ -461,11 +461,14 @@ def _read_lines(path) -> list:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _parse_int(text, lineno) -> int:
+def _parse_count(text, lineno) -> int:
     try:
-        return int(text)
+        value = int(text)
+        if value >= 0:
+            return value
     except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", lineno) from None
+        pass
+    raise ParseError(f"expected a non-negative integer, got {text!r}", lineno)
 
 
 class _LineReader:
@@ -505,14 +508,14 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
     field_kind = _expect(reader, "field", None)[1]
     if field_kind not in ("real", "complex"):
         raise ParseError(f"unknown field {field_kind!r}", reader.lineno)
-    ambient = _parse_int(_expect(reader, "ambient", None)[1], reader.lineno)
-    count = _parse_int(_expect(reader, "n", None)[1], reader.lineno)
+    ambient = _parse_count(_expect(reader, "ambient", None)[1], reader.lineno)
+    count = _parse_count(_expect(reader, "n", None)[1], reader.lineno)
     spaces = []
     for idx in range(count):
         parts = _expect(reader, "space", None, "dim", None)
-        if _parse_int(parts[1], reader.lineno) != idx:
+        if _parse_count(parts[1], reader.lineno) != idx:
             raise ParseError(f"expected space {idx}, got {parts[1]}", reader.lineno)
-        dim = _parse_int(parts[3], reader.lineno)
+        dim = _parse_count(parts[3], reader.lineno)
         rows_re, rows_im = [], []
         for _ in range(dim):
             ln = reader.next()

@@ -17,7 +17,9 @@ Three layers:
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil
+from functools import cache
+from itertools import combinations
+from math import ceil, floor
 
 import numpy as np
 
@@ -51,23 +53,12 @@ from .scaling import admissible_hull_vector, spanning_model, optimize, sample_ad
 _HARVEST_RETRIES = 8
 
 
-def _frac_ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _frac_floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 @dataclass
 class DependencyMatrix:
-    """Annihilator evidence: D A = 0 with constant diagonal L = ceil(delta n)."""
+    """Annihilator evidence: D A = 0 with constant diagonal ceil(delta n)."""
 
     A: np.ndarray
     D: np.ndarray
-    L: float
-    K: float           # measured off-diagonal squared mass
-    psi: list          # flat row index -> space index
 
 
 @dataclass
@@ -157,12 +148,14 @@ def diagdom_rank_bound(d_mat) -> tuple:
     return bound, l_val, k_val
 
 
-def _flat_layout(arr: Arrangement):
-    psi, offsets = [], {}
-    for i, v in enumerate(arr.spaces):
-        offsets[i] = len(psi)
-        psi.extend([i] * v.dim)
-    return psi, offsets
+def _unseparated_pairs(spaces: list, sets, tau: float):
+    """Yield each set's first pair of members that is not tau-separated, or None.
+
+    Each distinct pair is tested once over all the sets.
+    """
+    separated = cache(lambda a, b: tau_separated(spaces[a], spaces[b], tau))
+    for s in sets:
+        yield next((pair for pair in combinations(s, 2) if not separated(*pair)), None)
 
 
 def separated_certificate(arr: Arrangement, sys: TripleSystem, tau: float,
@@ -170,64 +163,56 @@ def separated_certificate(arr: Arrangement, sys: TripleSystem, tau: float,
     """Rank certificate: d <= alpha k / (tau delta) for separated systems.
 
     Every pair inside a 3-set must be tau-separated (2-sets pair equal
-    spaces and use the unit-mass expansion instead).  Builds one
-    annihilator row per basis vector from the first ceil(delta n) sets
-    through its space, verifies D A = 0 and the diagonal and off-diagonal
-    budgets, and cross-checks the measured rank of A against the bound.
+    spaces).  Each space's rows of D take one least-squares expansion of
+    its basis over the other members of each of the first ceil(delta n)
+    sets through it; the expansions' residuals and masses, D A = 0, the
+    diagonal and off-diagonal budgets and the measured rank of A against
+    the bound are re-verified.
     Expects a system that already passed :func:`validate_system`.
     """
-    for j, s in enumerate(sys.sets):
-        if len(s) == 3:
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    if not tau_separated(arr.spaces[s[a]], arr.spaces[s[b]], tau):
-                        raise PreconditionError(
-                            f"set {j}: spaces {s[a]} and {s[b]} are not {tau}-separated"
-                        )
+    three_sets = (s if len(s) == 3 else () for s in sys.sets)
+    for j, bad in enumerate(_unseparated_pairs(arr.spaces, three_sets, tau)):
+        if bad is not None:
+            raise PreconditionError(
+                f"set {j}: spaces {bad[0]} and {bad[1]} are not {tau}-separated"
+            )
     n = arr.n
     delta = as_fraction(sys.delta)
     if delta <= 0:
         raise PreconditionError("separated certificate needs delta > 0")
-    need = _frac_ceil(delta * n)
-    psi, offsets = _flat_layout(arr)
-    m = len(psi)
+    need = ceil(delta * n)
     a_mat = arr.stacked_basis()
+    index = np.split(np.arange(len(a_mat)), np.cumsum(arr.dims())[:-1])
     sets_by_index = [[] for _ in range(n)]
     for j, s in enumerate(sys.sets):
         for i in s:
             sets_by_index[i].append(j)
-    d_mat = np.zeros((m, m))
-    for s_row in range(m):
-        i0 = psi[s_row]
-        through = sets_by_index[i0]
+    d_mat = np.zeros((len(a_mat), len(a_mat)))
+    for i, v in enumerate(arr.spaces):
+        if not v.dim:
+            continue
+        through = sets_by_index[i]
         if len(through) < need:
             raise PreconditionError(
-                f"index {i0} lies in {len(through)} sets, fewer than ceil(delta n) = {need}"
+                f"index {i} lies in {len(through)} sets, fewer than ceil(delta n) = {need}"
             )
-        u = a_mat[s_row]
-        y = np.zeros(m)
         for j in through[:need]:
-            s = sys.sets[j]
-            others = [i for i in s if i != i0]
-            c = np.zeros(m)
-            c[s_row] = 1.0
-            if len(s) == 3:
-                i1, i2 = others
-                lam, mu = coefficient_expand(u, arr.spaces[i1], arr.spaces[i2],
-                                             tau, tol)
-                c[offsets[i1]: offsets[i1] + arr.spaces[i1].dim] = -lam
-                c[offsets[i2]: offsets[i2] + arr.spaces[i2].dim] = -mu
-            else:
-                (i1,) = others
-                lam = arr.spaces[i1].basis @ u
-                resid = np.linalg.norm(u - lam @ arr.spaces[i1].basis)
-                if resid > tol.residual_tol:
-                    raise PreconditionError(
-                        f"set {j}: paired spaces are not equal (residual {resid:.3e})"
-                    )
-                c[offsets[i1]: offsets[i1] + arr.spaces[i1].dim] = -lam
-            y += c
-        d_mat[s_row] = y
+            others = [b for b in sys.sets[j] if b != i]
+            stacked = np.vstack([arr.spaces[b].basis for b in others])
+            coeff, *_ = np.linalg.lstsq(stacked.T, v.basis.T, rcond=None)
+            resid = float(np.linalg.norm(v.basis - coeff.T @ stacked, axis=1).max())
+            if resid > tol.residual_tol:
+                raise MembershipError(
+                    f"set {j}: space {i} lies outside the sum of the others "
+                    f"(residual {resid:.3e})"
+                )
+            mass = float(np.einsum("rd,rd->d", coeff, coeff).max())
+            if mass > 1.0 / tau + 1e-9 * max(1.0, 1.0 / tau):
+                raise CertificationError(
+                    f"set {j}: coefficient mass {mass:.6f} exceeds 1/tau = {1.0 / tau:.6f}"
+                )
+            d_mat[index[i], index[i]] += 1.0  # e_u for each basis row u of space i
+            d_mat[np.ix_(index[i], np.concatenate([index[b] for b in others]))] -= coeff.T
     # re-verify the construction
     da = spectral_norm(d_mat @ a_mat)
     scale = spectral_norm(d_mat) * spectral_norm(a_mat)
@@ -244,15 +229,14 @@ def separated_certificate(arr: Arrangement, sys: TripleSystem, tau: float,
         )
     k_bound = max(v.dim for v in arr.spaces)
     tau_frac = as_fraction(tau)
-    bound = _frac_floor(Fraction(sys.alpha) * k_bound / (tau_frac * delta))
+    bound = floor(Fraction(sys.alpha) * k_bound / (tau_frac * delta))
     measured = rank(a_mat, tol)
     if measured > bound:
         raise CertificationError(
             f"measured rank {measured} exceeds certified bound {bound}"
         )
-    evidence = DependencyMatrix(A=a_mat, D=d_mat, L=float(need),
-                                K=float(off_sq.sum()), psi=psi)
-    return Certificate(kind="bound", d_bound=bound, evidence=[evidence],
+    return Certificate(kind="bound", d_bound=bound,
+                       evidence=[DependencyMatrix(A=a_mat, D=d_mat)],
                        params={"alpha": sys.alpha, "delta": float(delta),
                                "tau": tau, "k": k_bound, "n": n,
                                "branch": "separated", "measured": measured})
@@ -269,7 +253,7 @@ def verify_certificate(cert: Certificate, arr: Arrangement, sys: TripleSystem,
             )
         return
     delta = as_fraction(sys.delta)
-    q_needed = _frac_ceil(delta * arr.n / (20 * sys.alpha))
+    q_needed = ceil(delta * arr.n / (20 * sys.alpha))
     if len(cert.indices) < q_needed:
         raise CertificationError(
             f"collapse witness has {len(cert.indices)} spaces, needs {q_needed}"
@@ -285,7 +269,7 @@ def verify_certificate(cert: Certificate, arr: Arrangement, sys: TripleSystem,
                 f"witness vector for space {i} is outside its space (residual {resid:.3e})"
             )
     z_rank = rank(cert.z_vectors, tol)
-    allowed = _frac_floor(as_fraction(beta) * d)
+    allowed = floor(as_fraction(beta) * d)
     if z_rank > allowed:
         raise CertificationError(
             f"witness vectors span {z_rank} dimensions, more than floor(beta d) = {allowed}"
@@ -326,18 +310,8 @@ def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
     """
     n = arr.n
     delta = as_fraction(sys.delta)
-    surviving = []
-    for s in sys.sets:
-        ok = True
-        for a in range(len(s)):
-            for b in range(a + 1, len(s)):
-                if not tau_separated(scaled[s[a]], scaled[s[b]], 0.5):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            surviving.append(s)
+    surviving = [s for s, bad in zip(sys.sets, _unseparated_pairs(scaled, sys.sets, 0.5))
+                 if bad is None]
     lemma_delta = delta / 10
     if Fraction(len(surviving)) < lemma_delta * n * n:
         raise InconclusiveError(
@@ -389,7 +363,7 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     threshold = Fraction(400 * alpha * k_bound**3) / (beta_frac * delta)
 
     def entry_certificate():
-        return Certificate(kind="bound", d_bound=_frac_floor(threshold),
+        return Certificate(kind="bound", d_bound=floor(threshold),
                            params={"alpha": alpha, "delta": float(delta),
                                    "k": k_bound, "n": n, "beta": beta,
                                    "branch": "entry", "measured": d})
@@ -407,19 +381,20 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
 
     if Fraction(len(below)) > delta * n / (10 * alpha):
         diagnostics["branch_tried"].append("harvest")
-        t_pref = _frac_ceil(beta_frac * d / (2 * k_bound))
-        q_needed = _frac_ceil(delta * n / (20 * alpha))
-        z_cap = _frac_floor(beta_frac * d)
+        t_pref = ceil(beta_frac * d / (2 * k_bound))
+        q_needed = ceil(delta * n / (20 * alpha))
+        z_cap = floor(beta_frac * d)
         for run in sample.sets[:_HARVEST_RETRIES]:
             if len(run) < t_pref:
                 continue
             indices, vectors = _harvest_from_run(arr, run, t_pref, tol)
             if len(indices) < q_needed:
                 continue
-            if rank(vectors, tol) > z_cap:
+            w_dim = rank(vectors, tol)
+            if w_dim > z_cap:
                 continue
             cert = Certificate(kind="collapse", indices=indices,
-                               z_vectors=vectors, w_dim=rank(vectors, tol),
+                               z_vectors=vectors, w_dim=w_dim,
                                params={"branch": "harvest",
                                        "prefix": int(t_pref)})
             verify_certificate(cert, arr, sys, beta, tol)
@@ -506,7 +481,7 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
                  if beta is None else as_fraction(beta))
     if not (0 < beta_frac < 1):
         raise PreconditionError(f"beta must be in (0, 1), got {float(beta_frac)}")
-    hard_cap = _frac_ceil(Fraction(20 * alpha * k_bound) / delta0)
+    hard_cap = ceil(Fraction(20 * alpha * k_bound) / delta0)
     max_rounds = hard_cap if budget.max_rounds is None else min(budget.max_rounds, hard_cap)
 
     measured0 = arr.dimension(tol)
@@ -537,7 +512,7 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
                                       cert.params.get("branch", "bound"), 0))
             bound_here = Fraction(400 * alpha * k_bound**3) / (beta_frac * delta_t)
             inflate = (Fraction(1) / (1 - beta_frac)) ** t
-            final_bound = _frac_floor(inflate * bound_here)
+            final_bound = floor(inflate * bound_here)
             if measured0 > final_bound:
                 raise CertificationError(
                     f"measured dimension {measured0} exceeds final bound {final_bound}"

@@ -14,9 +14,7 @@ from .arrangement import (
     InvariantViolation,
     _fmt,
     complex_to_real,
-    generate_grid,
-    generate_grouped,
-    generate_random_planted,
+    generate,
     pairwise_zero_intersection,
     read_arrangement,
     write_arrangement,
@@ -70,15 +68,9 @@ def cmd_gen(args) -> int:
     tol = _tol_from(args)
     if args.kind != "grouped" and args.l is None:
         raise SgcertError(f"--l is required for kind {args.kind}")
-    if args.kind == "grouped":
-        arr = generate_grouped(args.k, args.delta, args.n, args.l, args.seed, tol)
-    elif args.kind == "grid":
-        arr = generate_grid(args.l)
-    elif args.kind == "random-planted":
-        arr = generate_random_planted(args.n, args.k, args.l, args.triples,
-                                      args.seed, tol)
-    else:  # pragma: no cover - argparse choices guard this
-        raise SgcertError(f"unknown kind {args.kind}")
+    arr = generate(args.kind.replace("-", "_"),
+                   {"k": args.k, "delta": args.delta, "n": args.n, "ambient": args.l,
+                    "triples": args.triples}, args.seed, tol)
     write_arrangement(args.out, arr)
     print(f"wrote {args.out}: n {arr.n} ambient {arr.ambient} dim {arr.dimension(tol)}")
     return _EXIT_OK

@@ -7,9 +7,11 @@ member of a triple).  Degree and counting thresholds are compared in exact
 rational arithmetic so that ceil/floor decisions never flip on float noise.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
+from math import isfinite
 
 import numpy as np
 
@@ -69,14 +71,8 @@ class TripleSystem:
         return np.bincount(np.fromiter(chain.from_iterable(self.sets), dtype=np.intp),
                            minlength=self.n).tolist()
 
-    def pair_counts(self) -> dict:
-        counts = {}
-        for s in self.sets:
-            for a in range(len(s)):
-                for b in range(a + 1, len(s)):
-                    key = (s[a], s[b])
-                    counts[key] = counts.get(key, 0) + 1
-        return counts
+    def pair_counts(self) -> Counter:
+        return Counter(chain.from_iterable(combinations(s, 2) for s in self.sets))
 
 
 @dataclass(frozen=True)
@@ -278,19 +274,13 @@ def build_triple_family(r: int) -> list:
                 family.append(tuple(sorted((x, y, table[x][y]))))
     if len(family) != r * r - r:
         raise SgcertError("triple family has wrong size")
-    deg = [0] * r
-    pair = {}
     for t in family:
         if len(set(t)) != 3:
             raise SgcertError(f"degenerate triple {t}")
-        for e in t:
-            deg[e] += 1
-        for a in range(3):
-            for b in range(a + 1, 3):
-                pair[(t[a], t[b])] = pair.get((t[a], t[b]), 0) + 1
-    if any(d != 3 * (r - 1) for d in deg):
+    counts = TripleSystem(r, family, alpha=6, delta=0.0)
+    if any(d != 3 * (r - 1) for d in counts.degrees()):
         raise SgcertError("triple family element counts are off")
-    if any(c > 6 for c in pair.values()):
+    if any(c > 6 for c in counts.pair_counts().values()):
         raise SgcertError("triple family pair multiplicity exceeds 6")
     return family
 
@@ -555,6 +545,8 @@ def read_system(path) -> TripleSystem:
         n, alpha, delta = int(parts[1]), int(parts[3]), float(parts[5])
     except ValueError as exc:
         raise ParseError(str(exc), no) from None
+    if n < 0 or alpha < 1 or not (isfinite(delta) and delta >= 0):
+        raise ParseError(f"need n >= 0, alpha >= 1 and a finite delta >= 0 in {params!r}", no)
     sets = []
     for no, ln in lines[2:]:
         cells = ln.split()

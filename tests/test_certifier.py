@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import ceil
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from sgcert.arrangement import (
     generate_complex_planted,
     generate_grouped,
 )
+from sgcert import certifier
 from sgcert.certifier import (
     CertifyBudget,
     _collapse_from_scaled,
@@ -27,7 +30,12 @@ from sgcert.certifier import (
     separation_witness,
     verify_certificate,
 )
-from sgcert.dependency import TripleSystem, build_sg_system, build_triple_family
+from sgcert.dependency import (
+    TripleSystem,
+    build_sg_system,
+    build_triple_family,
+    validate_system,
+)
 from sgcert.errors import (
     BudgetExceededError,
     MembershipError,
@@ -211,6 +219,94 @@ def test_separated_certificate_boundary_sixty_degrees():
     cert = separated_certificate(arr, sys, tau=0.5)
     assert cert.params["measured"] == 2
     assert cert.d_bound == 6  # floor(6 * 1 / (0.5 * 2))
+
+
+def mixed_planes_instance():
+    """Planes in R^6: a separated dependent triple and a duplicated plane.
+
+    Spaces 0 and 1 are orthogonal, space 2 lies in their sum at 45 degrees
+    to both, and space 3 is space 0 under another basis; every space's
+    first two sets mix a 3-set with a 2-set or another 3-set.
+    """
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    spaces = [Subspace(6, q[:2]), Subspace(6, q[2:4]),
+              Subspace.from_spanning(q[:2] + q[2:4], 6),
+              Subspace(6, np.linalg.qr(rng.standard_normal((2, 2)))[0] @ q[:2])]
+    sets = [(1, 2, 3), (0, 3), (0, 1, 2), (0, 3), (1, 2, 3), (0, 1, 2)]
+    return Arrangement(6, spaces), TripleSystem(4, sets, alpha=6, delta=0.5)
+
+
+def annihilator_by_rows(arr, sys, tau):
+    """D one basis row u at a time: e_u minus u's expansion over each set's others."""
+    dims = arr.dims()
+    starts = np.cumsum(dims) - dims
+    need = ceil(Fraction(sys.delta).limit_denominator(10**9) * sys.n)
+    rows = []
+    for i, v in enumerate(arr.spaces):
+        through = [s for s in sys.sets if i in s][:need]
+        for r, u in enumerate(v.basis):
+            row = np.zeros(sum(dims))
+            for s in through:
+                row[starts[i] + r] += 1.0
+                others = [b for b in s if b != i]
+                if len(others) == 2:
+                    parts = coefficient_expand(u, arr.spaces[others[0]],
+                                               arr.spaces[others[1]], tau)
+                else:
+                    parts = (arr.spaces[others[0]].basis @ u,)
+                for b, c in zip(others, parts):
+                    row[starts[b]: starts[b] + dims[b]] -= c
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("make, tau", [(quad_lines_instance, 0.25),
+                                       (mixed_planes_instance, 0.25)])
+def test_separated_certificate_blocks_match_row_expansions(make, tau):
+    arr, sys = make()
+    assert validate_system(arr, sys).ok
+    d_mat = separated_certificate(arr, sys, tau=tau).evidence[0].D
+    reference = annihilator_by_rows(arr, sys, tau)
+    assert d_mat.shape == reference.shape
+    start = 0
+    for v in arr.spaces:
+        block = slice(start, start + v.dim)
+        assert np.abs(d_mat[block] - reference[block]).max() <= 1e-12
+        start += v.dim
+
+
+def test_separated_certificate_rejects_unequal_two_set():
+    v, w = line(3, [1.0, 0.0, 0.0]), line(3, [0.0, 1.0, 0.0])
+    sys = TripleSystem(2, [(0, 1)], alpha=1, delta=0.5)
+    with pytest.raises(MembershipError, match="set 0: space 0"):
+        separated_certificate(Arrangement(3, [v, w]), sys, tau=0.5)
+
+
+def test_collapse_filter_tests_each_pair_once(monkeypatch):
+    arr, sys = boundary_cluster_instance()
+    calls, phases = [], []
+    real_separated, real_certificate = certifier.tau_separated, certifier.separated_certificate
+
+    def counting(v, w, tau):
+        calls.append((id(v), id(w)))
+        return real_separated(v, w, tau)
+
+    def inner(*args, **kwargs):
+        phases.append(len(calls))
+        return real_certificate(*args, **kwargs)
+
+    monkeypatch.setattr(certifier, "tau_separated", counting)
+    monkeypatch.setattr(certifier, "separated_certificate", inner)
+    cert = _collapse_from_scaled(arr, sys, list(arr.spaces), beta=0.5,
+                                 d=arr.dimension())
+    assert sorted(cert.indices) == [0, 1, 2, 3, 4, 5]
+    # the filter, then the inner certificate, each test a pair at most once
+    (split,) = phases
+    pairs = {p for s in sys.sets for p in combinations(s, 2)}
+    assert 0 < split <= len(pairs)
+    for phase in (calls[:split], calls[split:]):
+        assert len(phase) == len(set(phase))
 
 
 # ---------------------------------------------------------------------------

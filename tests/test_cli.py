@@ -193,6 +193,14 @@ _GOOD_ARR = "arrangement v1\nfield real\nambient 2\nn 2\nspace 0 dim 1\n1 0\nspa
     (_GOOD_ARR, "system v1\nn 2 alpha 6 delta 0\n2 0 9\n", 2, "parse error:"),
     (_GOOD_ARR, "system v1\nn 2 alpha 6 delta 0\n2 -1 1\n", 2, "parse error:"),
     (b"\xff\xfe\x00garbage", None, 2, "parse error:"),                 # not UTF-8
+    (_GOOD_ARR, "system v1\nn 2 alpha 6 delta inf\n", 2, "parse error:"),
+    (_GOOD_ARR, "system v1\nn 2 alpha 0 delta 1\n", 2, "parse error:"),
+    (_GOOD_ARR, "system v1\nn 2 alpha 6 delta nan\n", 2, "parse error:"),
+    (_GOOD_ARR, "system v1\nn 2 alpha 6 delta -1\n", 2, "parse error:"),
+    (_GOOD_ARR, "system v1\nn -1 alpha 6 delta 0\n", 2, "parse error:"),
+    (_GOOD_ARR.replace("space 1 dim 1\n0 1\n", "space 1 dim -1\n"), None, 2, "parse error:"),
+    (_GOOD_ARR.replace("n 2", "n -1"), None, 2, "parse error:"),
+    ("arrangement v1\nfield real\nambient -2\nn 1\nspace 0 dim 0\n", None, 2, "parse error:"),
 ])
 def test_verify_exit_codes_one_line(tmp_path, capsys, text, system, code, prefix):
     arr_path = tmp_path / "in.arr"

@@ -1,0 +1,94 @@
+"""Property tests for the arrangement and system file formats."""
+
+import io
+import string
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgcert.arrangement import (
+    Arrangement,
+    ComplexArrangement,
+    ComplexSubspace,
+    Subspace,
+    read_arrangement,
+    write_arrangement,
+)
+from sgcert.cli import main
+from sgcert.dependency import TripleSystem, read_system, write_system
+
+
+def rewritten_bytes(write, read, obj):
+    """The file written from ``obj``, and the file written from reading it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        write(first, obj)
+        write(second, read(first))
+        return first.read_bytes(), second.read_bytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(1, 5),
+       dims=st.lists(st.integers(0, 5), max_size=5), complex_field=st.booleans())
+def test_arrangement_file_round_trip(seed, ambient, dims, complex_field):
+    # real and complex spaces of every dimension up to the ambient, zero included
+    rng = np.random.default_rng(seed)
+    dims = [min(d, ambient) for d in dims]
+    if complex_field:
+        arr = ComplexArrangement(ambient, [
+            ComplexSubspace(ambient, rng.standard_normal((d, ambient)),
+                            rng.standard_normal((d, ambient)))
+            for d in dims])
+    else:
+        arr = Arrangement(ambient, [
+            Subspace.from_spanning(rng.standard_normal((d, ambient)), ambient)
+            for d in dims])
+    first, second = rewritten_bytes(write_arrangement, read_arrangement, arr)
+    assert first == second
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 7), alpha=st.integers(1, 100),
+       delta=st.floats(0.0, 1e6, allow_nan=False), data=st.data())
+def test_system_file_round_trip(n, alpha, delta, data):
+    candidates = list(combinations(range(n), 2)) + list(combinations(range(n), 3))
+    sets = data.draw(st.lists(st.sampled_from(candidates), max_size=20)) if candidates else []
+    first, second = rewritten_bytes(write_system, read_system,
+                                    TripleSystem(n, sets, alpha=alpha, delta=delta))
+    assert first == second
+
+
+# three lines in the plane, and the one dependent triple they form
+_ARR = ("arrangement v1\nfield real\nambient 2\nn 3\nspace 0 dim 1\n1 0\n"
+        "space 1 dim 1\n0 1\nspace 2 dim 1\n0.6 0.8\n")
+_SYS = "system v1\nn 3 alpha 6 delta 0\n3 0 1 2\n"
+_TOKENS = (st.sampled_from(["inf", "nan", "-1", "0", "1e400"])
+           | st.text(string.ascii_letters + string.punctuation, min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupt_system=st.booleans(), data=st.data())
+def test_verify_survives_one_bad_token_or_missing_line(corrupt_system, data):
+    lines = (_SYS if corrupt_system else _ARR).splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        del lines[at]
+    else:
+        tokens = lines[at].split()
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(_TOKENS)
+        lines[at] = " ".join(tokens)
+    text = "\n".join(lines) + "\n"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        arr_path, sys_path = Path(tmp) / "in.arr", Path(tmp) / "in.sys"
+        arr_path.write_text(_ARR if corrupt_system else text)
+        sys_path.write_text(text if corrupt_system else _SYS)
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["verify", str(arr_path), "--system", str(sys_path)])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
