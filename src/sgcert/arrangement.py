@@ -484,6 +484,12 @@ class _LineReader:
                 return ln.strip()
         raise ParseError("unexpected end of file", self.pos)
 
+    def expect_end(self) -> None:
+        """Raise ParseError at the first non-blank line not yet read."""
+        for no in range(self.pos, len(self.lines)):
+            if self.lines[no].strip():
+                raise ParseError("content after the last declared space", no + 1)
+
     @property
     def lineno(self) -> int:
         return self.pos
@@ -501,7 +507,8 @@ def _expect(reader: _LineReader, *words):
 def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
     """Parse an arrangement file; returns Arrangement or ComplexArrangement.
 
-    Basis rows must be orthonormal within ``tol.residual_tol``.
+    Basis rows must be orthonormal within ``tol.residual_tol``, and only
+    blank lines may follow the last declared space.
     """
     reader = _LineReader(path)
     _expect(reader, "arrangement", "v1")
@@ -538,6 +545,7 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
                                           np.array(rows_im).reshape(dim, ambient), tol))
         else:
             spaces.append(Subspace(ambient, np.array(rows_re).reshape(dim, ambient), tol))
+    reader.expect_end()
     if field_kind == "complex":
         return ComplexArrangement(ambient, spaces)
     return Arrangement(ambient, spaces)

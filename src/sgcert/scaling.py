@@ -15,7 +15,7 @@ obstruction diagnostic instead of a map.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain
 
 import numpy as np
 
@@ -39,10 +39,14 @@ from .linalg import (
 # the exact integer rank equation.
 _ELIGIBLE_MIN_SV = 1e-7
 
-# Trials the greedy sampler advances together, with one vector draw per step,
-# so the sampled sets depend on it; bounds its transient memory to one
-# (block, n_k, k, l) residual array per dimension group.
-_TRIAL_BLOCK = 32
+# Trials the greedy sampler scans together: at most _TRIAL_BLOCK, and as
+# many as keep a block's working state (span, window and random order of
+# each trial) within _BLOCK_BYTES.  The sampled sets depend on neither.
+_TRIAL_BLOCK = 1024
+_BLOCK_BYTES = 3 << 18
+
+# Spaces of its random order a trial projects on its span in one product.
+_SCAN_WINDOW = 4
 
 
 # ---------------------------------------------------------------------------
@@ -67,86 +71,81 @@ class HullCertificate:
     terms: list  # (sorted index tuple, weight), weights sum to 1
 
 
-def _min_sv2(res: np.ndarray) -> np.ndarray:
-    """Smallest squared singular value of every residual block.
+def _clear(res: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """True where a residual block is still clear of the span.
 
-    ``res`` is (B, n_k, k, l); the result is (B, n_k).  Squared row norms
-    for k = 1, the smaller eigenvalue of the 2x2 Gram matrix in closed form
-    for k = 2, batched ``eigvalsh`` above.
+    ``res`` is (m, kmax, l) with zero rows past each space's dimension, and
+    ``pad`` (m, kmax) is 1 on those rows, which the Gram diagonal then counts
+    as clear.  The smallest Gram eigenvalue is the squared row norm for
+    kmax = 1, the closed form for kmax = 2 and batched ``eigvalsh`` above.
     """
-    k = res.shape[2]
+    k = res.shape[1]
     if k == 1:
-        return np.einsum("bnl,bnl->bn", res[:, :, 0], res[:, :, 0])
-    if k == 2:
-        r0, r1 = res[:, :, 0], res[:, :, 1]
-        a, c, d = (np.einsum("bnl,bnl->bn", x, y) for x, y in ((r0, r0), (r0, r1), (r1, r1)))
-        return (a + d) / 2.0 - np.hypot((a - d) / 2.0, c)
-    return np.linalg.eigvalsh(res @ res.transpose(0, 1, 3, 2))[..., 0]
+        lam = np.einsum("ml,ml->m", res[:, 0], res[:, 0])
+    elif k == 2:
+        r0, r1 = res[:, 0], res[:, 1]
+        a, c, d = (np.einsum("ml,ml->m", x, y) for x, y in ((r0, r0), (r0, r1), (r1, r1)))
+        a, d = a + pad[:, 0], d + pad[:, 1]
+        lam = (a + d) / 2.0 - np.hypot((a - d) / 2.0, c)
+    else:
+        gram = res @ res.transpose(0, 2, 1)
+        gram[:, range(k), range(k)] += pad
+        lam = np.linalg.eigvalsh(gram)[:, 0]
+    return lam > _ELIGIBLE_MIN_SV**2
 
 
-def _greedy_block(dim_groups, gen, b, ambient, tol):
-    """Greedy-to-maximality runs for a block of ``b`` trials, advanced together.
+def _greedy_block(bases, dims, order, ambient):
+    """Greedy-to-maximality runs for a block of trials, one random order each.
 
-    Every step computes the eligible spaces of all running trials, retires
-    the trials with none left (or whose span fills the ambient space),
-    draws one pick per remaining trial, all from the one generator ``gen``
-    in a single vector draw over the eligible (group, position) pairs in
-    group order, and projects every residual off the picked spaces.
-    Returns each trial's picks in order.
+    ``bases`` (n, kmax, l) holds the nonzero spaces zero-padded to kmax
+    rows, and trial t scans them in the order ``order[t]``, keeping each one
+    whose residual off its span is still clear of it.  A window of the order
+    is projected on the span in one stacked product; the rows of a kept
+    residual are orthonormalized by Gram-Schmidt applied twice, appended to
+    the span and projected off the rest of the window.  The trials of the
+    block scan in step; one whose span fills the ambient space leaves at the
+    end of the window, the rest stop when their orders run out.  Returns the
+    (b, n) mask of the kept positions of ``order``.
     """
-    idx = {k: np.asarray(ix) for k, (ix, _) in dim_groups.items()}
-    res = {k: np.repeat(mats[None], b, axis=0) for k, (_, mats) in dim_groups.items()}
-    alive = {k: np.ones((b, len(ix)), dtype=bool) for k, ix in idx.items()}
+    b, n = order.shape
+    kmax = bases.shape[1]
+    pad = (np.arange(kmax) >= dims[:, None]).astype(float)
+    # rows past a trial's own stay zero; kmax spare rows take the zero
+    # padding of a pick that fills the ambient space
+    span = np.zeros((b, ambient + kmax, ambient))
+    rows = np.zeros(b, dtype=np.intp)
+    kept = np.zeros((b, n), dtype=bool)
     live = np.arange(b)
-    span_rows = np.zeros(b, dtype=int)
-    history = np.zeros((b, ambient), dtype=int)  # every pick adds a span row
-    out = [None] * b
-    for step in count():
-        in_group = {}
-        for k in res:
-            # ineligibility is permanent: the span only grows
-            alive[k] &= _min_sv2(res[k]) > _ELIGIBLE_MIN_SV**2
-            in_group[k] = alive[k].sum(axis=1)
-        done = (sum(in_group.values()) == 0) | (span_rows >= ambient)
-        for trial in live[done]:
-            out[trial] = tuple(history[trial, :step].tolist())
-        if done.all():
-            return out
-        if done.any():
-            rows = ~done
-            live, span_rows = live[rows], span_rows[rows]
-            in_group = {k: c[rows] for k, c in in_group.items()}
-            alive = {k: a[rows] for k, a in alive.items()}
-            res = {k: r[rows] for k, r in res.items()}
-        draw = gen.integers(sum(in_group.values()))
-        # at least two rows: with one, numpy's stacked matmul leaves BLAS
-        q = np.zeros((live.size, max(2, max(res)), ambient))
-        for k in res:
-            sel = np.flatnonzero((draw >= 0) & (draw < in_group[k]))
-            nth = draw[sel]
-            draw -= in_group[k]
+    slots = np.arange(kmax)
+    for start in range(0, n, _SCAN_WINDOW):
+        cand = order[live, start:start + _SCAN_WINDOW]
+        res = bases[cand]
+        flat = res.reshape(live.size, -1, ambient)
+        flat -= (flat @ span.transpose(0, 2, 1)) @ span
+        for j in range(cand.shape[1]):
+            sel = np.flatnonzero(_clear(res[:, j], pad[cand[:, j]]))
             if not sel.size:
                 continue
-            pos = (np.cumsum(alive[k][sel], axis=1) <= nth[:, None]).sum(axis=1)
-            alive[k][sel, pos] = False
-            history[live[sel], step] = idx[k][pos]
-            picked = res[k][sel, pos]
-            if k == 1:
-                q[sel, :1] = picked / np.linalg.norm(picked, axis=2, keepdims=True)
-                span_rows[sel] += 1
-            else:
-                _, sv, vt = np.linalg.svd(picked, full_matrices=False)
-                kept = sv >= tol.rank_tol * sv[:, :1]  # the rank rule of orthonormalize
-                q[sel, :k] = vt * kept[:, :, None]
-                span_rows[sel] += kept.sum(axis=1)
-        qt = np.ascontiguousarray(q.transpose(0, 2, 1))
-        for k, r in res.items():
-            flat = r.reshape(live.size, -1, ambient)
-            r -= ((flat @ qt) @ q).reshape(r.shape)
-            # spaces no running trial can pick again leave the block
-            cols = alive[k].any(axis=0)
-            if not cols.all():
-                idx[k], alive[k], res[k] = idx[k][cols], alive[k][:, cols], r[:, cols]
+            q = res[sel, j]
+            for i in range(kmax):
+                v, prev = q[:, i], q[:, :i]
+                for _ in range(2 if i else 0):
+                    v -= np.einsum("sh,shl->sl", np.einsum("shl,sl->sh", prev, v), prev)
+                norm = np.sqrt(np.einsum("sl,sl->s", v, v))[:, None]
+                np.divide(v, norm, out=v, where=norm > 0.0)  # padded rows stay zero
+            span[sel[:, None], rows[sel, None] + slots] = q
+            rows[sel] += dims[cand[sel, j]]
+            kept[live[sel], start + j] = True
+            rest = res[sel, j + 1:]
+            flat = rest.reshape(sel.size, -1, ambient)
+            flat -= (flat @ q.transpose(0, 2, 1)) @ q
+            res[sel, j + 1:] = rest
+        full = rows >= ambient
+        if full.any():
+            live, rows, span = live[~full], rows[~full], span[~full]
+            if not live.size:
+                break
+    return kept
 
 
 def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
@@ -155,30 +154,39 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
 
     Each run starts empty and repeatedly picks, uniformly at random, a
     space meeting the current span only at the origin, until no eligible
-    space remains.  Zero-dimensional spaces are never picked.  All draws
-    come from one generator seeded by ``seed``: blocks of _TRIAL_BLOCK
-    trials advance together, and each step takes one vector draw for the
-    block's running trials.  So the same seed gives the same sets and
-    frequencies, and the sets depend on the block size as well as the
-    seed.  Every distinct emitted set is verified once against the exact
-    admissibility equation dim(sum) = sum(dim), by stacked singular values
-    per dimension signature.
+    space remains.  As eligibility is lost for good once the span grows,
+    that is a scan of a uniformly random order of the nonzero spaces that
+    keeps each one still clear of the span; zero-dimensional spaces are
+    never picked.  All orders come from one generator seeded by ``seed``,
+    one row of keys per trial, argsorted, and drawn in trial order; blocks
+    of trials sized by _BLOCK_BYTES (at most _TRIAL_BLOCK) are scanned
+    together.  So the sets depend only on the seed.  A pick keeps every
+    row of its space, as the rank rule does with the default ``rank_tol``
+    (1e-9): an eligible residual's smallest squared singular value exceeds
+    _ELIGIBLE_MIN_SV**2 = 1e-14, while rank_tol**2 times the largest is at
+    most 1e-18, the bases being orthonormal.  Every distinct emitted set is
+    verified once against the exact admissibility equation
+    dim(sum) = sum(dim), by stacked singular values per dimension signature.
     """
     if trials < 1:
         raise PreconditionError("trials must be >= 1")
-    dim_groups = {}
-    for i, v in enumerate(arr.spaces):
-        if v.dim == 0:
-            continue
-        dim_groups.setdefault(v.dim, ([], []))
-        dim_groups[v.dim][0].append(i)
-        dim_groups[v.dim][1].append(v.basis)
-    dim_groups = {k: (idx, np.stack(mats)) for k, (idx, mats) in dim_groups.items()}
+    all_dims = np.array(arr.dims(), dtype=np.intp)
+    nonzero = np.flatnonzero(all_dims)
+    dims = all_dims[nonzero]
+    kmax, n, ambient = int(dims.max(initial=0)), nonzero.size, arr.ambient
+    bases = np.zeros((n, kmax, ambient))
+    for p, i in enumerate(nonzero):
+        bases[p, :dims[p]] = arr.spaces[i].basis
+    # per trial: span, window with two product temporaries, keys, argsort, order
+    state = 8 * (ambient + kmax + 3 * _SCAN_WINDOW * kmax) * ambient + 17 * n
+    block = int(np.clip(_BLOCK_BYTES // state, 1, _TRIAL_BLOCK))
+    index_type = np.min_scalar_type(max(n - 1, 0))
     gen = np.random.default_rng(seed)
     sets = []
-    for start in range(0, trials, _TRIAL_BLOCK):
-        sets.extend(_greedy_block(dim_groups, gen, min(_TRIAL_BLOCK, trials - start),
-                                  arr.ambient, tol))
+    for start in range(0, trials, block):
+        order = gen.random((min(block, trials - start), n)).argsort(axis=1).astype(index_type)
+        kept = _greedy_block(bases, dims, order, ambient)
+        sets.extend(tuple(nonzero[o[k]].tolist()) for o, k in zip(order, kept))
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
     counts = np.bincount(np.fromiter(chain.from_iterable(sets), dtype=np.intp,
                                      count=int(sizes.sum())), minlength=arr.n)
@@ -192,12 +200,12 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
         j = first.setdefault(hash(key), t)
         distinct[t] = j == t or tuple(sorted(sets[j])) != key
     del first  # freed before the stacked check, which then sets no new peak
-    dims = np.array(arr.dims(), dtype=int)
     for size in np.flatnonzero(np.bincount(sizes[distinct])):
         picked = np.flatnonzero(distinct & (sizes == size))
         chosen = np.array([sets[t] for t in picked], dtype=np.min_scalar_type(arr.n))
         chosen.sort(axis=1)
-        short = np.flatnonzero(_stacked_set_ranks(arr, chosen, tol) != dims[chosen].sum(axis=1))
+        short = np.flatnonzero(_stacked_set_ranks(arr, chosen, tol)
+                               != all_dims[chosen].sum(axis=1))
         if short.size:
             raise SgcertError(f"sampled set {sets[picked[short[0]]]} "
                               "failed the admissibility equation")

@@ -4,6 +4,8 @@ from math import ceil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instances import (
     boundary_cluster_instance,
@@ -17,6 +19,7 @@ from sgcert.arrangement import (
     complex_to_real,
     generate_complex_planted,
     generate_grouped,
+    generate_random_planted,
 )
 from sgcert import certifier
 from sgcert.certifier import (
@@ -434,6 +437,27 @@ def test_certify_recursion_on_duplicates():
     # dimension loss accounting: measured d drops by the kernel size
     for a, b in zip(result.rounds[:-1], result.rounds[1:]):
         assert b.d >= a.d - a.loss
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), grouped=st.booleans(),
+       size=st.integers(3, 8), recurse=st.booleans())
+def test_certify_conserves_delta_n(seed, k, grouped, size, recurse):
+    # delta_t n_t is kept in rational arithmetic, so every round carries the
+    # input's value exactly, and the final bound covers the measured dimension
+    if grouped:
+        groups = 1 + seed % 4
+        arr = generate_grouped(k=k, delta=1 / groups, n=3 * groups + size, seed=seed)
+    else:  # every index inside one of ``size`` planted triples
+        arr = generate_random_planted(n=3 * size, k=k, ambient=3 * k + 1 + seed % 4,
+                                      triple_count=size, seed=seed)
+    sys = build_sg_system(arr, k)
+    kwargs = {"beta": 0.8, "entry_check": False} if recurse else {}
+    result = certify(arr, sys, budget=CertifyBudget(trials=64, seed=seed % 97), **kwargs)
+    assert result.measured <= result.final_bound
+    base = Fraction(sys.delta).limit_denominator(10**9) * sys.n
+    assert [Fraction(rec.delta).limit_denominator(10**9) * rec.n
+            for rec in result.rounds] == [base] * len(result.rounds)
 
 
 def test_certify_complex_reduction_path():

@@ -201,6 +201,8 @@ _GOOD_ARR = "arrangement v1\nfield real\nambient 2\nn 2\nspace 0 dim 1\n1 0\nspa
     (_GOOD_ARR.replace("space 1 dim 1\n0 1\n", "space 1 dim -1\n"), None, 2, "parse error:"),
     (_GOOD_ARR.replace("n 2", "n -1"), None, 2, "parse error:"),
     ("arrangement v1\nfield real\nambient -2\nn 1\nspace 0 dim 0\n", None, 2, "parse error:"),
+    (_GOOD_ARR.replace("n 2", "n 1"), None, 2, "parse error:"),        # a space past n
+    (_GOOD_ARR.replace("space 1 dim 1", "space 1 dim 0"), None, 2, "parse error:"),  # row past dim
 ])
 def test_verify_exit_codes_one_line(tmp_path, capsys, text, system, code, prefix):
     arr_path = tmp_path / "in.arr"

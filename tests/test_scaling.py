@@ -191,6 +191,22 @@ def test_sampler_emits_maximal_admissible_sets(case, trials, seed, block, monkey
     assert np.array_equal(sample.p_hat, counts / trials)
 
 
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_sampler_sets_depend_only_on_the_seed(case, seed, monkeypatch):
+    # every trial scans its own row of random keys, drawn in trial order, so
+    # neither the block size nor the scan window changes a set
+    arr = SAMPLER_CASES[case]()
+    want = sample_admissible(arr, trials=33, seed=seed).sets
+    for block, window in [(3, None), (None, 1), (3, 1)]:
+        with monkeypatch.context() as patch:
+            if block is not None:
+                patch.setattr(sgcert.scaling, "_TRIAL_BLOCK", block)
+            if window is not None:
+                patch.setattr(sgcert.scaling, "_SCAN_WINDOW", window)
+            assert sample_admissible(arr, trials=33, seed=seed).sets == want, (block, window)
+
+
 AGREEMENT_TRIALS = 4000
 
 
