@@ -193,8 +193,26 @@ def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np
     members, in order) by sorting the signature rows, which needs no memory
     beyond the signatures however long the sets are.  Each group's stacks
     are gathered by row index from the arrangement's stacked basis and
-    decided by stacked singular values under the rule of :func:`rank`, in
-    chunks of about CHUNK_BYTES.
+    decided under the rule of :func:`rank`, in chunks of about CHUNK_BYTES.
+
+    A chunk whose s = sum of the signature is at most the ambient dimension
+    l is first screened for full rank without an SVD: with G the Gram matrix
+    of a stack and T its trace, one stacked Cholesky factorisation of
+    G - tau I is tried, where
+
+        tau = 4 rank_tol^2 T + (l + s + 4) eps T    (eps = 2^-52).
+
+    The rounding of G, of the shift and Cholesky's backward error together
+    perturb G by at most (l + s + 4) (eps / 2) T to first order (Higham,
+    Thm 10.3: a factorisation that completes is exact for a perturbation
+    bounded by (s + 1) (eps / 2) times the trace of its factor product), so
+    a factorisation that completes proves lambda_min(G) > 4 rank_tol^2 T +
+    (l + s + 4) (eps / 2) T.  As T >= lambda_max(G), that is sigma_min >
+    max(2 rank_tol, sqrt((l + s + 4) eps / 2)) sigma_max, a margin far above
+    the SVD's own error of a small multiple of l s (eps / 2) sigma_max: the
+    SVD rule also counts all s singular values, and every set of the chunk
+    has rank s.  If any factorisation fails, the chunk's ranks come from
+    its stacked singular values, as do those of larger signatures.
     """
     out = np.zeros(len(sets), dtype=int)
     if not len(sets):
@@ -207,13 +225,26 @@ def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np
     cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
     for members in np.split(order, cuts):
         signature = dims[sets[members[0]]]
-        if not signature.any():
+        size = int(signature.sum())
+        if not size:
             continue
-        for part in chunk_slices(members.size, 8 * int(signature.sum()) * arr.ambient):
+        shift = 4 * tol.rank_tol**2 + (arr.ambient + size + 4) * np.finfo(float).eps
+        diagonal = (slice(None), range(size), range(size))
+        for part in chunk_slices(members.size, 8 * size * arr.ambient):
             idx = members[part]
             index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
                                     for c, d in enumerate(signature)], axis=1)
-            out[idx] = stacked_ranks(np.linalg.svd(rows[index], compute_uv=False), tol)
+            stacks = rows[index]
+            if size <= arr.ambient:
+                gram = stacks @ stacks.transpose(0, 2, 1)
+                gram[diagonal] -= shift * gram[diagonal].sum(axis=1, keepdims=True)
+                try:
+                    np.linalg.cholesky(gram)
+                    out[idx] = size
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+            out[idx] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
     return out
 
 

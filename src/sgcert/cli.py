@@ -8,6 +8,9 @@ invariant or certificate failure, 2 usage/parse error, 3 budget exceeded.
 import argparse
 import sys
 from contextlib import nullcontext
+from itertools import chain
+
+import numpy as np
 
 from .arrangement import (
     ComplexArrangement,
@@ -104,11 +107,16 @@ def cmd_scale(args) -> int:
     tol = _tol_from(args)
     arr = _load_real(args.input, tol)
     sample = sample_admissible(arr, args.trials, args.seed, tol)
-    total_dim = arr.dimension(tol)
-    non_basis = sum(
-        1 for h in sample.sets
-        if sum(arr.spaces[i].dim for i in h) != total_dim
-    )
+    # one summed segment of the picks' dimensions per set, in small dtypes;
+    # a set is empty only when every space is, and then all sets span
+    sizes = np.fromiter(map(len, sample.sets), dtype=np.intp, count=len(sample.sets))
+    picks = np.fromiter(chain.from_iterable(sample.sets), dtype=np.min_scalar_type(arr.n),
+                        count=int(sizes.sum()))
+    non_basis = 0
+    if picks.size:
+        dims = np.array(arr.dims(), dtype=np.min_scalar_type(arr.ambient))
+        set_dims = np.add.reduceat(dims[picks], np.cumsum(sizes) - sizes, dtype=np.intp)
+        non_basis = int(np.count_nonzero(set_dims != arr.dimension(tol)))
     if non_basis:
         print(f"warning: {non_basis} of {args.trials} sampled sets do not span; "
               "p may sit outside the basis hull", file=sys.stderr)

@@ -26,7 +26,8 @@ class Tolerance:
         Singular values below ``rank_tol`` times the largest are treated
         as zero.
     residual_tol
-        Threshold for membership / annihilation / orthonormality residuals.
+        Threshold for membership / annihilation / orthonormality residuals;
+        finite and positive.
     """
 
     rank_tol: float = 1e-9
@@ -35,8 +36,8 @@ class Tolerance:
     def __post_init__(self):
         if not (0 < self.rank_tol < 1):
             raise ValueError(f"rank_tol must be in (0, 1), got {self.rank_tol}")
-        if self.residual_tol <= 0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not (0 < self.residual_tol < np.inf):
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
 
 
 DEFAULT_TOL = Tolerance()

@@ -29,8 +29,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_matrix,
     orthonormalize,
     spectral_norm,
+    stacked_ranks,
 )
 
 # Smallest residual singular value treated as "clear of the current span"
@@ -361,15 +363,47 @@ def t_gradient(state: ScalingState) -> np.ndarray:
     return state.grad.copy()
 
 
+def _dimension_groups(bases, keep=None):
+    """(indices, stacked bases) for each basis dimension, ascending.
+
+    Only the bases where ``keep`` is true take part (all by default), and
+    zero-dimensional ones never do.
+    """
+    dims = np.array([b.shape[0] for b in bases], dtype=int)
+    if keep is not None:
+        dims = np.where(keep, dims, 0)
+    for k in sorted(set(dims.tolist()) - {0}):
+        idx = np.flatnonzero(dims == k)
+        yield idx, np.stack([bases[i] for i in idx])
+
+
+def _orthonormal_images(bases, x, tol: Tolerance, keep=None) -> dict:
+    """``{i: orthonormalize(bases[i] @ x.T, tol)}`` over the kept nonzero bases.
+
+    One stacked SVD per basis dimension instead of one per basis; each
+    image equals the one :func:`orthonormalize` gives bit for bit.
+    """
+    images = {}
+    for idx, stack in _dimension_groups(bases, keep):
+        _, s, vt = np.linalg.svd(as_matrix(stack @ x.T), full_matrices=False)
+        for i, r, v in zip(idx.tolist(), stacked_ranks(s, tol), vt):
+            images[i] = v[:r].copy()
+    return images
+
+
 def projector_gap(arr: Arrangement, p, m_factor, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Spectral norm of sum_i p_i Proj_{M(V_i)} - I, measured directly."""
+    """Spectral norm of sum_i p_i Proj_{M(V_i)} - I, measured directly.
+
+    The images M(V_i) of the weighted spaces are orthonormalized with one
+    stacked SVD per dimension (see :func:`_orthonormal_images`), and the
+    projectors are added in index order, so the gap is bit for bit the one
+    a per-space loop over :func:`orthonormalize` gives.
+    """
     p = np.asarray(p, dtype=float)
+    images = _orthonormal_images([v.basis for v in arr.spaces], m_factor, tol, p != 0.0)
     total = -np.eye(arr.ambient)
-    for i, v in enumerate(arr.spaces):
-        if v.dim == 0 or p[i] == 0.0:
-            continue
-        image = orthonormalize(v.basis @ m_factor.T, tol)
-        total += p[i] * (image.T @ image)
+    for i in sorted(images):
+        total += p[i] * (images[i].T @ images[i])
     return spectral_norm(total)
 
 
@@ -465,19 +499,19 @@ def _normalize(state: ScalingState, tol: Tolerance) -> None:
     by A_i = p_i (B_i X^{-1} B_i^T)^{-1}, so f never decreases.  With
     g, V the eigendecomposition of the Gram matrix of B_i M this reads
     R_i = V, t_i = ln p_i - ln g.  Zero-weight spaces are left to the t
-    step.  A numerically singular update is undone.
+    step.  A numerically singular update is undone.  The Gram matrices
+    are decomposed with one stacked ``eigh`` per space dimension.
     """
     t0, r0 = state.t.copy(), list(state.R)
     try:
-        for i, basis in enumerate(state.bases):
-            if state.p[i] <= 0.0:
-                continue
-            bm = basis @ state.M
-            g, v = np.linalg.eigh(bm @ bm.T)
-            if g[0] <= 0.0:
+        for idx, stack in _dimension_groups(state.bases, state.p > 0.0):
+            bm = stack @ state.M
+            g, v = np.linalg.eigh(bm @ bm.transpose(0, 2, 1))
+            if (g[:, 0] <= 0.0).any():
                 raise DegenerateStateError("space collapsed under the scaling map")
-            state.R[i] = v
-            state.t[state.slots(i)] = np.log(state.p[i]) - np.log(g)
+            for i, gi, vi in zip(idx.tolist(), g, v):
+                state.R[i] = vi
+                state.t[state.slots(i)] = np.log(state.p[i]) - np.log(gi)
         _refresh(state, tol)
     except DegenerateStateError:
         state.t, state.R = t0, r0
@@ -500,10 +534,14 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
     leaves [-t_cap, t_cap] before that, an obstruction diagnostic is
     returned instead of a guarantee (p sits on or outside the admissible
     hull boundary).  Exhausting max_iter raises OptimizeTimeoutError.
+    eps_target and t_cap must be finite and positive.
     """
     p = np.asarray(p, dtype=float)
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-9):
         raise PreconditionError("weights must lie in [0, 1]")
+    for name, value in (("eps_target", eps_target), ("t_cap", t_cap)):
+        if not (0 < value < np.inf):
+            raise PreconditionError(f"{name} must be finite and positive, got {value}")
     if arr.dimension(tol) != arr.ambient:
         raise PreconditionError(
             "arrangement does not span its ambient space; apply spanning_model first"
@@ -586,6 +624,13 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     adding auxiliary lines, and restricts everything to R^d through the
     isometry sending the span basis to coordinates.  The input p is a
     prefix of the returned p.
+
+    The images of the input spaces are orthonormalized with one stacked SVD
+    per dimension, and all hull terms are ranked at once on the model
+    arrangement by :func:`_stacked_set_ranks`, one group per term length:
+    its Cholesky screen certifies a term of d rows that spans R^d without an
+    SVD.  Only the terms of rank below d are orthonormalized and extended,
+    coordinate line by coordinate line.
     """
     if hull is None or not isinstance(hull, HullCertificate):
         raise PreconditionError("a hull certificate from admissible_hull_vector is required")
@@ -593,34 +638,52 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     d = span_rows.shape[0]
     if d == 0:
         raise PreconditionError("arrangement sum is the zero space")
-    model_spaces = []
-    for v in arr.spaces:
-        rows = v.basis @ span_rows.T  # isometric on the span
-        model_spaces.append(Subspace(d, orthonormalize(rows, tol)))
+    # isometric on the span
+    images = _orthonormal_images([v.basis for v in arr.spaces], span_rows, tol)
+    model_spaces = [Subspace(d, images.get(i, np.zeros((0, d)))) for i in range(arr.n)]
     eye = np.eye(d)
     aux = [Subspace(d, eye[[s]]) for s in range(d)]
     model_arr = Arrangement(d, model_spaces + aux, field_tag=arr.field_tag)
 
+    model_dims = np.array(model_arr.dims(), dtype=int)
+    lengths = np.array([len(h) for h, _ in hull.terms], dtype=int)
+    spans = np.zeros(len(hull.terms), dtype=bool)
+    term_dims = np.zeros(len(hull.terms), dtype=int)
+    for size in sorted(set(lengths.tolist()) - {0}):
+        which = np.flatnonzero(lengths == size)
+        sets = np.array([hull.terms[t][0] for t in which], dtype=np.intp)
+        spans[which] = _stacked_set_ranks(model_arr, sets, tol) == d
+        term_dims[which] = model_dims[sets].sum(axis=1)
     p_model = np.zeros(arr.n + d)
-    for h, q in hull.terms:
-        span = orthonormalize(np.vstack([np.zeros((0, d))]
-                                        + [model_spaces[i].basis for i in h]), tol)
-        extension = []
-        for s in range(d):
-            if span.shape[0] == d:
-                break
-            resid = eye[s] - (eye[s] @ span.T) @ span
-            if np.linalg.norm(resid) > _ELIGIBLE_MIN_SV:
-                extension.append(s)
-                span = np.vstack([span, resid / np.linalg.norm(resid)])
-        if span.shape[0] != d:
-            raise SgcertError(f"failed to extend admissible set {h} to a basis set")
+    for (h, q), spanning, h_dim in zip(hull.terms, spans, term_dims.tolist()):
+        extension = [] if spanning else _extend_to_basis(model_spaces, h, d, tol)
         full = list(h) + [arr.n + s for s in extension]
-        dims = sum(model_arr.spaces[i].dim for i in full)
-        if dims != d:
+        if h_dim + len(extension) != d:  # each auxiliary line adds one dimension
             raise SgcertError(f"extended set {full} is not a basis set")
         p_model[full] += q
     if not np.allclose(p_model[: arr.n], hull.p, atol=1e-12):
         raise SgcertError("hull prefix mismatch while extending to basis sets")
     return SpanningModel(arrangement=model_arr, p=p_model,
                        restriction=span_rows, n_original=arr.n)
+
+
+def _extend_to_basis(model_spaces, h, d: int, tol: Tolerance) -> list:
+    """Coordinate lines s, ascending, that extend the span of set ``h`` to R^d.
+
+    Each line is kept when its residual off the span so far exceeds
+    _ELIGIBLE_MIN_SV.
+    """
+    span = orthonormalize(np.vstack([np.zeros((0, d))]
+                                    + [model_spaces[i].basis for i in h]), tol)
+    eye = np.eye(d)
+    extension = []
+    for s in range(d):
+        if span.shape[0] == d:
+            break
+        resid = eye[s] - (eye[s] @ span.T) @ span
+        if np.linalg.norm(resid) > _ELIGIBLE_MIN_SV:
+            extension.append(s)
+            span = np.vstack([span, resid / np.linalg.norm(resid)])
+    if span.shape[0] != d:
+        raise SgcertError(f"failed to extend admissible set {h} to a basis set")
+    return extension

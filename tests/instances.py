@@ -1,4 +1,4 @@
-"""Hand-built arrangements shared by the certifier and acceptance tests."""
+"""Hand-built arrangements shared by the tests."""
 
 import numpy as np
 
@@ -116,3 +116,15 @@ def boundary_cluster_instance():
     sys = TripleSystem(arr.n, sets, alpha=6, delta=0.0)
     sys.delta = min(d for d in sys.degrees() if d > 0) / arr.n
     return arr, sys
+
+
+def plane_and_lines():
+    """A plane, a line inside it, and two lines spanning a plane through that line.
+
+    {plane, outside line} spans R^3; {inside line, outside line} is maximal
+    and spans only a plane, so some maximal admissible sets span and some
+    do not.
+    """
+    inside, outside = np.array([1.0, 0.5, 0.0]), np.array([0.2, 0.1, 1.0])
+    return Arrangement(3, [Subspace(3, np.eye(3)[[0, 1]])] + [
+        Subspace.from_spanning(v, 3) for v in (inside, outside, inside + 0.7 * outside)])

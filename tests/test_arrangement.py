@@ -22,7 +22,7 @@ from sgcert.arrangement import (
     write_arrangement,
 )
 from sgcert.errors import ParseError, PreconditionError
-from sgcert.linalg import DEFAULT_TOL, orthonormalize, rank
+from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank
 
 
 def line(ambient, direction):
@@ -77,6 +77,61 @@ def test_stacked_set_ranks_long_mixed_sets():
     assert ranks.tolist() == expected
     rows = [sum(arr.spaces[i].dim for i in row) for row in sets]
     assert any(r < m for r, m in zip(expected, rows)) and any(r == m for r, m in zip(expected, rows))
+
+
+def _near_dependent_arrangement(seed, ambient=8):
+    """Spaces of dimensions 1-3 in R^ambient and sets with planted near-dependencies.
+
+    For each planted ratio r from 1e-1 down to 1e-14, a new space of
+    dimension 1-3 is added whose first row leaves the span of one or two
+    earlier spaces at the angle 2 atan(r) (for two lines, exactly the
+    ratio of the pair's singular values), its other rows orthogonal to
+    everything else; the set is those parents and the new space.  Random
+    sets of every size up to the ambient dimension, and past it, are added.
+    """
+    rng = np.random.default_rng(seed)
+    spaces = [Subspace(ambient, orthonormalize(rng.standard_normal((d, ambient))))
+              for d in rng.integers(1, 4, size=6)]
+    sets = []
+    for ratio in 10.0 ** -np.arange(1.0, 14.01, 0.25):
+        parents = [int(i) for i in rng.choice(len(spaces), size=rng.integers(1, 3),
+                                              replace=False)]
+        span = np.concatenate([spaces[i].basis for i in parents])
+        k = int(rng.integers(1, 4))
+        if span.shape[0] + k > ambient:
+            parents, span = parents[:1], spaces[parents[0]].basis
+            k = min(k, ambient - span.shape[0])
+        inside = rng.standard_normal(span.shape[0]) @ span
+        _, _, vt = np.linalg.svd(span)
+        outside = orthonormalize(rng.standard_normal((k, ambient - span.shape[0]))
+                                 @ vt[span.shape[0]:])
+        angle = 2.0 * np.arctan(ratio)
+        first = np.cos(angle) * inside / np.linalg.norm(inside) + np.sin(angle) * outside[0]
+        spaces.append(Subspace(ambient, np.vstack([first, outside[1:]])))
+        sets.append(parents + [len(spaces) - 1])
+    spaces.append(Subspace(ambient, np.zeros((0, ambient))))
+    arr = Arrangement(ambient, spaces)
+    for size in range(1, ambient + 2):
+        sets.extend(rng.choice(arr.n, size=size, replace=False).tolist() for _ in range(6))
+    return arr, sets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(rank_tol=1e-3), Tolerance(rank_tol=1e-6)],
+                         ids=["default", "1e-3", "1e-6"])
+def test_stacked_set_ranks_match_rank_near_dependencies(seed, tol):
+    # the Cholesky screen may only certify sets the SVD rule calls full rank,
+    # whether a set is ranked on its own or in a stack with others
+    arr, sets = _near_dependent_arrangement(seed)
+    expected = [rank(np.concatenate([arr.spaces[i].basis for i in row]), tol) for row in sets]
+    rows = [sum(arr.spaces[i].dim for i in row) for row in sets]
+    assert any(r < m for r, m in zip(expected, rows)) and any(r == m for r, m in zip(expected, rows))
+    for size in {len(row) for row in sets}:
+        same = [t for t, row in enumerate(sets) if len(row) == size]
+        ranks = _stacked_set_ranks(arr, np.array([sets[t] for t in same]), tol)
+        assert ranks.tolist() == [expected[t] for t in same]
+    alone = [int(_stacked_set_ranks(arr, np.array([row]), tol)[0]) for row in sets]
+    assert alone == expected
 
 
 def test_tau_separated_examples():

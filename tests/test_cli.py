@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from instances import plane_and_lines
 
+import sgcert
 from sgcert.arrangement import (
     generate_complex_planted,
     read_arrangement,
@@ -8,6 +15,7 @@ from sgcert.arrangement import (
 )
 from sgcert.cli import main
 from sgcert.dependency import read_system
+from sgcert.scaling import sample_admissible
 
 
 def run(*argv):
@@ -147,8 +155,22 @@ def test_scale_obstruction_exit_code(tmp_path, capsys):
     out_path = tmp_path / "o.mat"
     assert run("scale", arr_path, "--trials", 128, "--seed", 2,
                "--out", out_path) == 1
-    assert "warning" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 128 of 128 sampled sets do not span; p may sit outside the basis hull"]
     assert "obstruction" in out_path.read_text()
+
+
+def test_scale_counts_non_spanning_sets(tmp_path, capsys):
+    arr = plane_and_lines()
+    arr_path = tmp_path / "p.arr"
+    write_arrangement(arr_path, arr)
+    sample = sample_admissible(arr, 200, seed=4)
+    non_basis = sum(1 for h in sample.sets if sum(arr.spaces[i].dim for i in h) != 3)
+    assert 0 < non_basis < 200
+    run("scale", arr_path, "--trials", 200, "--seed", 4, "--out", tmp_path / "p.mat")
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {non_basis} of 200 sampled sets do not span; "
+        "p may sit outside the basis hull"]
 
 
 def test_verify_complex_file(tmp_path, capsys):
@@ -254,3 +276,61 @@ def test_residual_tol_reaches_the_parser(tmp_path, capsys):
     assert run("verify", arr_path) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "not orthonormal" in err[0]
+
+
+_NON_ORTHONORMAL = _GOOD_ARR.replace("1 0\n", "1 1\n").replace("0 1\n", "3 4\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rank-tol", "0"], ["--rank-tol", "nan"],
+    ["--residual-tol", "nan"], ["--residual-tol", "inf"], ["--residual-tol", "0"],
+])
+def test_bad_tolerance_exit_code_one_line(tmp_path, capsys, flags):
+    # basis rows of norms sqrt(2) and 5: no tolerance may let them pass
+    arr_path = tmp_path / "bad.arr"
+    arr_path.write_text(_NON_ORTHONORMAL)
+    assert run("verify", arr_path) == 1
+    assert "not orthonormal" in capsys.readouterr().err
+    assert run(*flags, "verify", arr_path) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eps", "0"], ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
+    ["--tcap", "nan"], ["--tcap", "0"], ["--tcap", "inf"],
+])
+def test_scale_bad_targets_exit_code_one_line(tmp_path, capsys, flags):
+    arr_path, out_path = tmp_path / "s.arr", tmp_path / "s.mat"
+    arr_path.write_text(_GOOD_ARR)
+    assert run("scale", arr_path, "--trials", 16, *flags, "--out", out_path) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_path.exists()
+
+
+def test_scale_and_certify_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma (about 1 MB) comes with np.unique; the sampler, the optimizer
+    # and the spanning model must not need it
+    arr_path, sys_path = tmp_path / "g.arr", tmp_path / "g.sys"
+    assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
+               "--n", 8, "--seed", 1, "--out", arr_path) == 0
+    assert run("system", arr_path, "--out", sys_path) == 0
+    script = f"""
+import sys
+from sgcert.arrangement import read_arrangement
+from sgcert.certifier import CertifyBudget, certify
+from sgcert.cli import main
+from sgcert.dependency import read_system
+assert main(["scale", {str(arr_path)!r}, "--trials", "64", "--out", "-"]) == 0
+assert main(["certify", {str(arr_path)!r}, "--system", {str(sys_path)!r},
+             "--trials", "64", "--out", "-"]) == 0
+certify(read_arrangement({str(arr_path)!r}), read_system({str(sys_path)!r}),
+        entry_check=False, budget=CertifyBudget(trials=64))
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(sgcert.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "False"

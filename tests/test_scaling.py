@@ -2,6 +2,7 @@ import functools
 
 import numpy as np
 import pytest
+from instances import plane_and_lines
 
 from sgcert.arrangement import Arrangement, Subspace, _stacked_set_ranks, generate_grouped
 import sgcert.scaling
@@ -10,6 +11,8 @@ from sgcert.linalg import orthonormalize, rank, spectral_norm
 from sgcert.scaling import (
     _ELIGIBLE_MIN_SV,
     AdmissibleSample,
+    HullCertificate,
+    _normalize,
     admissible_hull_vector,
     spanning_model,
     make_state,
@@ -468,6 +471,50 @@ def test_optimize_requires_spanning():
         optimize(arr, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("eps_target, t_cap", [
+    (0.0, 60.0), (-1.0, 60.0), (np.nan, 60.0), (np.inf, 60.0),
+    (1e-6, 0.0), (1e-6, -1.0), (1e-6, np.nan), (1e-6, np.inf),
+])
+def test_optimize_rejects_bad_targets(eps_target, t_cap):
+    with pytest.raises(PreconditionError):
+        optimize(axes(2), np.array([1.0, 1.0]), eps_target=eps_target, t_cap=t_cap)
+
+
+def mixed_spanning(seed):
+    """Spaces of dimensions 1-3 in R^6 whose sum fills it, and a weight per space."""
+    rng = np.random.default_rng(seed)
+    arr = Arrangement(6, [Subspace(6, orthonormalize(rng.standard_normal((d, 6))))
+                          for d in (1, 2, 3, 2, 1, 3, 1)])
+    p = rng.uniform(0.1, 0.9, size=arr.n)
+    p[3] = 0.0
+    return arr, p
+
+
+def test_projector_gap_matches_per_space_loop():
+    arr, p = mixed_spanning(41)
+    m_factor = np.linalg.inv(np.linalg.qr(np.random.default_rng(42).standard_normal((6, 6)))[1])
+    total = -np.eye(6)
+    for i, v in enumerate(arr.spaces):
+        if p[i] != 0.0:
+            image = orthonormalize(v.basis @ m_factor.T)
+            total += p[i] * (image.T @ image)
+    assert projector_gap(arr, p, m_factor) == spectral_norm(total)
+
+
+def test_normalize_matches_per_space_loop():
+    arr, p = mixed_spanning(43)
+    state = make_state(arr, p, t=np.random.default_rng(44).normal(size=13))
+    t, rotations = state.t.copy(), list(state.R)
+    for i, basis in enumerate(state.bases):
+        if p[i] > 0.0:
+            bm = basis @ state.M
+            g, rotations[i] = np.linalg.eigh(bm @ bm.T)
+            t[state.slots(i)] = np.log(p[i]) - np.log(g)
+    _normalize(state, sgcert.scaling.DEFAULT_TOL)
+    assert np.array_equal(state.t, t)
+    assert all(np.array_equal(a, b) for a, b in zip(state.R, rotations))
+
+
 # ---------------------------------------------------------------------------
 # spanning model
 
@@ -529,3 +576,41 @@ def test_spanning_model_empty_sum():
 
     with pytest.raises(PreconditionError):
         spanning_model(arr, HC(p=np.zeros(1), terms=[((), 1.0)]))
+
+
+def per_term_model_p(arr, hull, model):
+    """The hull vector of a spanning model, one orthonormalization per term."""
+    d, eye = model.d, np.eye(model.d)
+    p = np.zeros(arr.n + d)
+    for h, q in hull.terms:
+        span = orthonormalize(np.vstack([np.zeros((0, d))]
+                                        + [model.arrangement.spaces[i].basis for i in h]))
+        extension = []
+        for s in range(d):
+            if span.shape[0] == d:
+                break
+            resid = eye[s] - (eye[s] @ span.T) @ span
+            if np.linalg.norm(resid) > _ELIGIBLE_MIN_SV:
+                extension.append(s)
+                span = np.vstack([span, resid / np.linalg.norm(resid)])
+        p[list(h) + [arr.n + s for s in extension]] += q
+    return p
+
+
+@pytest.mark.parametrize("make_hull", ["sampled", "by hand"])
+def test_spanning_model_matches_per_term_loop(make_hull):
+    arr = plane_and_lines()
+    if make_hull == "sampled":
+        hull = admissible_hull_vector(sample_admissible(arr, trials=400, seed=47))
+    else:
+        terms = [((1,), 0.125), ((0, 2), 0.25), ((1, 2), 0.375), ((0, 3), 0.25)]
+        p = np.zeros(arr.n)
+        for h, q in terms:
+            p[list(h)] += q
+        hull = HullCertificate(p=p, terms=terms)
+    spans = [rank(np.vstack([arr.spaces[i].basis for i in h])) == 3 for h, _ in hull.terms]
+    assert any(spans) and not all(spans)
+    model = spanning_model(arr, hull)
+    assert np.array_equal(model.p, per_term_model_p(arr, hull, model))
+    for v, image in zip(arr.spaces, model.arrangement.spaces):
+        assert np.array_equal(image.basis, orthonormalize(v.basis @ model.restriction.T))
