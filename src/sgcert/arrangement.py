@@ -162,41 +162,43 @@ def k_bounded_check(arr: Arrangement, k: int) -> bool:
     return all(v.dim <= k for v in arr.spaces)
 
 
-def _partner_stacks(arr: Arrangement, width: int, zero: bool = True):
-    """Yield (a, js, pairs): each space a stacked with its partners j > a.
+def _set_stacks(arr: Arrangement, sets: np.ndarray, width: int):
+    """Yield (idx, stacks): the stacked bases of the sets ``sets[idx]``.
 
-    ``pairs[q]`` is the basis of space a over that of space ``js[q]``; one
-    stack per row a and per dimension of the partners (ascending), cut so
-    that a float array of shape (len(js), rows of a pair, ``width``) stays
-    within CHUNK_BYTES.  Zero spaces take part unless ``zero`` is false.
+    ``sets`` is an (m, size) index array.  ``stacks[q]`` holds the basis rows
+    of the members of ``sets[idx[q]]``, in the order the set lists them,
+    gathered by row index from the arrangement's stacked basis.  Sets are
+    grouped by their dimension signature (the dimensions of their members,
+    in order) by sorting the signature rows, which needs no memory beyond
+    the signatures however long the sets are; within a group they keep
+    their order in ``sets``.  Each group is cut so that a float array of
+    shape (len(idx), rows of a stack, ``width``) stays within CHUNK_BYTES.
     """
+    if not len(sets):
+        return
     dims = np.array(arr.dims(), dtype=int)
-    by_dim = {int(d): np.flatnonzero(dims == d) for d in np.unique(dims) if zero or d > 0}
-    stacks = {d: np.stack([arr.spaces[j].basis for j in js]) for d, js in by_dim.items()}
-    for a in range(arr.n):
-        if not (zero or dims[a]):
-            continue
-        base = arr.spaces[a].basis
-        for d, js in by_dim.items():
-            first = int(np.searchsorted(js, a, side="right"))
-            for part in chunk_slices(len(js) - first, 8 * max(dims[a] + d, 1) * width):
-                sel = slice(first + part.start, first + part.stop)
-                count = sel.stop - sel.start
-                yield a, js[sel], np.concatenate(
-                    [np.broadcast_to(base, (count,) + base.shape), stacks[d][sel]], axis=1)
+    rows, starts = arr.stacked_basis(), np.cumsum(dims) - dims
+    signatures = dims.astype(np.min_scalar_type(dims.max()))[sets]
+    order = np.lexsort(signatures.T)
+    ordered = signatures[order]
+    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
+    for members in np.split(order, cuts):
+        signature = dims[sets[members[0]]]
+        for part in chunk_slices(members.size, 8 * max(int(signature.sum()), 1) * width):
+            idx = members[part]
+            index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
+                                    for c, d in enumerate(signature)], axis=1)
+            yield idx, rows[index]
 
 
 def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Rank of the stacked bases of each row of ``sets`` (an (m, size) index array).
 
-    Sets are grouped by their dimension signature (the dimensions of their
-    members, in order) by sorting the signature rows, which needs no memory
-    beyond the signatures however long the sets are.  Each group's stacks
-    are gathered by row index from the arrangement's stacked basis and
-    decided under the rule of :func:`rank`, in chunks of about CHUNK_BYTES.
+    The stacks come from :func:`_set_stacks` and are decided under the rule
+    of :func:`rank`, one chunk at a time.
 
-    A chunk whose s = sum of the signature is at most the ambient dimension
-    l is first screened for full rank without an SVD: with G the Gram matrix
+    A chunk whose stacks have s <= l rows (l the ambient dimension) is
+    first screened for full rank without an SVD: with G the Gram matrix
     of a stack and T its trace, one stacked Cholesky factorisation of
     G - tau I is tried, where
 
@@ -212,55 +214,42 @@ def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np
     the SVD's own error of a small multiple of l s (eps / 2) sigma_max: the
     SVD rule also counts all s singular values, and every set of the chunk
     has rank s.  If any factorisation fails, the chunk's ranks come from
-    its stacked singular values, as do those of larger signatures.
+    its stacked singular values, as do those of stacks with s > l rows.
     """
     out = np.zeros(len(sets), dtype=int)
-    if not len(sets):
-        return out
-    dims = np.array(arr.dims(), dtype=int)
-    rows, starts = arr.stacked_basis(), np.cumsum(dims) - dims
-    signatures = dims.astype(np.min_scalar_type(dims.max()))[sets]
-    order = np.lexsort(signatures.T)
-    ordered = signatures[order]
-    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-    for members in np.split(order, cuts):
-        signature = dims[sets[members[0]]]
-        size = int(signature.sum())
+    for idx, stacks in _set_stacks(arr, sets, arr.ambient):
+        size = stacks.shape[1]
         if not size:
             continue
-        shift = 4 * tol.rank_tol**2 + (arr.ambient + size + 4) * np.finfo(float).eps
-        diagonal = (slice(None), range(size), range(size))
-        for part in chunk_slices(members.size, 8 * size * arr.ambient):
-            idx = members[part]
-            index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
-                                    for c, d in enumerate(signature)], axis=1)
-            stacks = rows[index]
-            if size <= arr.ambient:
-                gram = stacks @ stacks.transpose(0, 2, 1)
-                gram[diagonal] -= shift * gram[diagonal].sum(axis=1, keepdims=True)
-                try:
-                    np.linalg.cholesky(gram)
-                    out[idx] = size
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-            out[idx] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
+        if size <= arr.ambient:
+            shift = 4 * tol.rank_tol**2 + (arr.ambient + size + 4) * np.finfo(float).eps
+            diagonal = (slice(None), range(size), range(size))
+            gram = stacks @ stacks.transpose(0, 2, 1)
+            gram[diagonal] -= shift * gram[diagonal].sum(axis=1, keepdims=True)
+            try:
+                np.linalg.cholesky(gram)
+                out[idx] = size
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        out[idx] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
     return out
 
 
 def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
-    """All pairs (i, j), i < j, whose subspaces intersect nontrivially.
+    """All pairs (i, j), i < j, whose subspaces intersect nontrivially, sorted.
 
     An empty list certifies that every pair meets only at the origin.  Each
-    row i takes one stacked singular-value computation per dimension of the
-    spaces j > i, decided by the rule of :func:`rank`: the pair meets when
-    fewer than dim_i + dim_j singular values reach rank_tol times the largest.
+    pair of nonzero spaces is a 2-member set ranked by
+    :func:`_stacked_set_ranks`; it meets when its rank, under the rule of
+    :func:`rank`, is below dim_i + dim_j.
     """
-    bad = []
-    for i, js, pairs in _partner_stacks(arr, arr.ambient, zero=False):
-        ranks = stacked_ranks(np.linalg.svd(pairs, compute_uv=False), tol)
-        bad.extend((i, int(j)) for j in js[ranks < pairs.shape[1]])
-    return sorted(bad)
+    dims = np.array(arr.dims(), dtype=int)
+    nonzero = np.flatnonzero(dims)
+    i, j = np.triu_indices(nonzero.size, 1)
+    pairs = np.column_stack([nonzero[i], nonzero[j]])
+    bad = pairs[_stacked_set_ranks(arr, pairs, tol) < dims[pairs].sum(axis=1)]
+    return [tuple(p) for p in bad.tolist()]
 
 
 def tau_separated(v: Subspace, w: Subspace, tau: float) -> bool:

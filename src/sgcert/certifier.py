@@ -476,7 +476,9 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     if delta0 <= 0:
         raise PreconditionError("certification needs delta > 0")
     alpha = sys.alpha
-    k_bound = max(v.dim for v in arr.spaces)
+    k_bound = arr.max_dim()
+    if not k_bound:
+        raise PreconditionError("certification needs a space of positive dimension")
     beta_frac = (min(Fraction(1, 2), delta0 / (alpha * k_bound))
                  if beta is None else as_fraction(beta))
     if not (0 < beta_frac < 1):

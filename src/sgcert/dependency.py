@@ -18,9 +18,10 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     Subspace,
-    _partner_stacks,
     _read_lines,
+    _set_stacks,
     _stacked_set_ranks,
+    pairwise_zero_intersection,
 )
 from .errors import (
     InconsistentSystemError,
@@ -34,7 +35,6 @@ from .linalg import (
     as_matrix,
     chunk_slices,
     rank,
-    stacked_ranks,
 )
 
 
@@ -117,14 +117,23 @@ def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
 
 
 def _pair_spans(arr: Arrangement, tol: Tolerance):
-    """Yield (a, bs, spans, inside) for each space a and chunk of partners b > a.
+    """Yield (pairs, spans, inside) for each chunk of the pairs a < b.
 
-    ``spans[q]`` is an orthonormal basis of V_a + V_bs[q], from one stacked
-    SVD under the rank rule of :func:`orthonormalize`; ``inside[q, i]`` is
-    True when every basis row of space i is within residual_tol of it
-    (always, for a zero space).  Zero spaces take part.  Raises naming the
-    lexicographically first pair that intersects nontrivially.
+    ``pairs`` is an (m, 2) index array of pairs, gathered by
+    :func:`_set_stacks`; ``spans[q]`` is an orthonormal basis of the sum of
+    the pair's spaces, from one stacked SVD per chunk under the rank rule
+    of :func:`orthonormalize`; ``inside[q, i]`` is True when every basis row
+    of space i is within residual_tol of it (always, for a zero space).
+    Zero spaces take part.  Before yielding anything, raises naming the
+    lexicographically first pair that :func:`pairwise_zero_intersection`
+    finds intersecting nontrivially.
     """
+    bad = pairwise_zero_intersection(arr, tol)
+    if bad:
+        raise PreconditionError(
+            f"spaces {bad[0][0]} and {bad[0][1]} intersect nontrivially; "
+            "special spaces are ill-defined"
+        )
     rows = arr.stacked_basis()
     norms2 = np.einsum("ij,ij->i", rows, rows)
     # ||x||^2 - ||S x||^2 is the squared residual up to rounding; with this
@@ -132,21 +141,10 @@ def _pair_spans(arr: Arrangement, tol: Tolerance):
     slack = 4 * tol.residual_tol**2 + 1e-12 * norms2
     dims = np.array(arr.dims(), dtype=int)
     owner = np.repeat(np.arange(arr.n), dims)
-    first_bad = None
-    for a, bs, pairs in _partner_stacks(arr, max(arr.ambient, rows.shape[0])):
-        if first_bad is not None and a > first_bad[0]:
-            break
-        m, r = pairs.shape[:2]
-        if r:
-            _, s, spans = np.linalg.svd(pairs, full_matrices=False)
-            short = stacked_ranks(s, tol) < r
-            if short.any():
-                bad = (a, int(bs[short][0]))
-                first_bad = min(first_bad or bad, bad)
-        else:
-            spans = pairs
-        if first_bad is not None:
-            continue
+    pairs = np.column_stack(np.triu_indices(arr.n, 1))
+    for idx, stacks in _set_stacks(arr, pairs, max(arr.ambient, rows.shape[0])):
+        m, r = stacks.shape[:2]
+        spans = np.linalg.svd(stacks, full_matrices=False)[2] if r else stacks
         coef = (spans.reshape(m * r, arr.ambient) @ rows.T).reshape(m, r, len(rows))
         q, x = np.nonzero(norms2 - np.einsum("qrn,qrn->qn", coef, coef) <= slack)
         keep = np.zeros(q.size, dtype=bool)
@@ -157,12 +155,18 @@ def _pair_spans(arr: Arrangement, tol: Tolerance):
         # a space is inside when all of its rows are (a zero space has none)
         inside = np.bincount(q[keep] * arr.n + owner[x[keep]],
                              minlength=m * arr.n).reshape(m, arr.n) == dims
-        yield a, bs, spans, inside
-    if first_bad is not None:
-        raise PreconditionError(
-            f"spaces {first_bad[0]} and {first_bad[1]} intersect nontrivially; "
-            "special spaces are ill-defined"
-        )
+        yield pairs[idx], spans, inside
+
+
+def _first_rows(a: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of ``a``, the rows
+    in lexicographic order (sorted by hand: numpy's unique imports numpy.ma,
+    about 1 MB, on its first call)."""
+    order = np.lexsort(a.T[::-1])
+    ordered = a[order]
+    fresh = np.ones(len(a), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order[fresh]
 
 
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
@@ -176,30 +180,26 @@ def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = Tru
     """
     first, found = {}, []
     nonzero = np.array(arr.dims()) > 0
-    for a, bs, spans, inside in _pair_spans(arr, tol):
+    for pairs, spans, inside in _pair_spans(arr, tol):
         members = inside & nonzero
         big = np.flatnonzero(members.sum(axis=1) >= 3)
         if big.size:
-            # pairs with the same members, found once: unique packed rows
-            packed = np.packbits(members[big], axis=1)
-            _, once = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True)
-            for q in big[once]:
+            # pairs with the same members, found once: distinct packed rows
+            for q in big[_first_rows(np.packbits(members[big], axis=1))]:
                 key = tuple(np.flatnonzero(members[q]).tolist())
-                pair = (a, int(bs[q]))
+                pair = tuple(pairs[q].tolist())
                 if key not in first or pair < first[key][0]:
                     first[key] = (pair, spans[q].copy())
         if triples:
-            inside[:, a] = False
-            inside[np.arange(len(bs)), bs] = False
+            inside[np.arange(len(pairs))[:, None], pairs] = False
             q, c = np.nonzero(inside)
-            found.append(np.column_stack([np.full(q.size, a), bs[q], c]))
+            found.append(np.column_stack([pairs[q], c]))
     specials = [SpecialSpace(span, key)
                 for key, (_, span) in sorted(first.items(), key=lambda kv: kv[1][0])]
     if not triples:
         return specials, None
-    rows = np.unique(np.sort(np.concatenate(found or [np.zeros((0, 3), dtype=int)]), axis=1),
-                     axis=0)
-    return specials, [tuple(t) for t in rows.tolist()]
+    rows = np.sort(np.concatenate(found or [np.zeros((0, 3), dtype=int)]), axis=1)
+    return specials, [tuple(t) for t in rows[_first_rows(rows)].tolist()]
 
 
 def find_special_spaces(arr: Arrangement, k: int,
@@ -317,8 +317,7 @@ def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:
     threes = np.array([s for s in sets if len(s) == 3], dtype=int).reshape(-1, 3)
     twos = np.array([s for s in sets if len(s) == 2], dtype=int).reshape(-1, 2)
     n, triple_pairs = arr.n, ((0, 1), (0, 2), (1, 2))
-    # every distinct pair, as the key i * n + j, is ranked once (sorted by
-    # hand: np.unique imports numpy.ma, about 1 MB, on its first call)
+    # every distinct pair, as the key i * n + j, is ranked once
     keys = np.sort(np.concatenate([threes[:, i] * n + threes[:, j] for i, j in triple_pairs]
                                   + [twos[:, 0] * n + twos[:, 1]]))
     distinct = keys[np.diff(keys, prepend=-1) > 0]

@@ -21,6 +21,7 @@ from sgcert.arrangement import (
     tau_separated,
     write_arrangement,
 )
+from sgcert.dependency import dependent_triples
 from sgcert.errors import ParseError, PreconditionError
 from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank
 
@@ -132,6 +133,45 @@ def test_stacked_set_ranks_match_rank_near_dependencies(seed, tol):
         assert ranks.tolist() == [expected[t] for t in same]
     alone = [int(_stacked_set_ranks(arr, np.array([row]), tol)[0]) for row in sets]
     assert alone == expected
+
+
+def _pair_oracle(arr, tol):
+    """Pairs i < j whose stacked bases have rank below dim_i + dim_j, one at a time."""
+    return [(i, j) for i in range(arr.n) for j in range(i + 1, arr.n)
+            if rank(np.vstack([arr.spaces[i].basis, arr.spaces[j].basis]), tol)
+            < arr.spaces[i].dim + arr.spaces[j].dim]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(rank_tol=1e-6), Tolerance(rank_tol=1e-3)],
+                         ids=["1e-9", "1e-6", "1e-3"])
+def test_pairwise_zero_intersection_matches_per_pair_rank(seed, tol):
+    # about half of the planted spaces nearly meet one parent, at ratios
+    # 1e-1 to 1e-14; zero spaces are spread among them
+    arr, _ = _near_dependent_arrangement(seed)
+    rng = np.random.default_rng(seed)
+    spaces = list(arr.spaces)
+    for pos in rng.choice(len(spaces), size=5, replace=False):
+        spaces.insert(int(pos), Subspace(arr.ambient, np.zeros((0, arr.ambient))))
+    arr = Arrangement(arr.ambient, spaces)
+    expected = _pair_oracle(arr, tol)
+    assert pairwise_zero_intersection(arr, tol) == expected
+    assert set(arr.dims()) == {0, 1, 2, 3}
+    # some planted pairs sit within three decades of the threshold
+    tighter = _pair_oracle(arr, Tolerance(rank_tol=tol.rank_tol * 1e-3))
+    assert set(tighter) < set(expected)
+    with pytest.raises(PreconditionError) as err:
+        dependent_triples(arr, tol)
+    i, j = expected[0]
+    assert str(err.value).startswith(f"spaces {i} and {j} intersect")
+
+
+@pytest.mark.parametrize("spaces", [[], [np.zeros((0, 3))], [np.eye(3)[[0, 2]]]],
+                         ids=["n0", "n1-zero", "n1-plane"])
+def test_pairwise_zero_intersection_without_pairs(spaces):
+    arr = Arrangement(3, [Subspace(3, b) for b in spaces])
+    assert pairwise_zero_intersection(arr) == _pair_oracle(arr, DEFAULT_TOL) == []
+    assert dependent_triples(arr) == []
 
 
 def test_tau_separated_examples():

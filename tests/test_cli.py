@@ -311,9 +311,8 @@ def test_scale_bad_targets_exit_code_one_line(tmp_path, capsys, flags):
 
 
 def test_scale_and_certify_leave_numpy_ma_unimported(tmp_path):
-    # numpy.ma (about 1 MB) comes with np.unique; the sampler, the optimizer
-    # and the spanning model must not need it
-    arr_path, sys_path = tmp_path / "g.arr", tmp_path / "g.sys"
+    # numpy.ma (about 1 MB) comes with np.unique; no subcommand may need it
+    arr_path, sys_path, out_path = tmp_path / "g.arr", tmp_path / "g.sys", tmp_path / "h.sys"
     assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
                "--n", 8, "--seed", 1, "--out", arr_path) == 0
     assert run("system", arr_path, "--out", sys_path) == 0
@@ -328,9 +327,35 @@ assert main(["certify", {str(arr_path)!r}, "--system", {str(sys_path)!r},
              "--trials", "64", "--out", "-"]) == 0
 certify(read_arrangement({str(arr_path)!r}), read_system({str(sys_path)!r}),
         entry_check=False, budget=CertifyBudget(trials=64))
+assert main(["triples", {str(arr_path)!r}, "--out", "-"]) == 0
+assert main(["system", {str(arr_path)!r}, "--out", {str(out_path)!r}]) == 0
+assert main(["verify", {str(arr_path)!r}, "--system", {str(sys_path)!r}]) == 0
+assert main(["certify", {str(arr_path)!r}, "--trials", "64", "--out", "-"]) == 0
 print("numpy.ma" in sys.modules)
 """
     src = str(Path(sgcert.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.splitlines()[-1] == "False"
+
+
+_ZERO_SPACES = ("arrangement v1\nfield real\nambient 3\nn 3\n"
+                "space 0 dim 0\nspace 1 dim 0\nspace 2 dim 0\n")
+
+
+@pytest.mark.parametrize("text, system", [
+    (_ZERO_SPACES, "system v1\nn 3 alpha 1 delta 0.3333333333333333\n3 0 1 2\n"),
+    ("arrangement v1\nfield real\nambient 3\nn 0\n", "system v1\nn 0 alpha 1 delta 0.5\n"),
+], ids=["zero-spaces", "n0"])
+@pytest.mark.parametrize("beta", [[], ["--beta", 0.5]], ids=["default-beta", "beta-0.5"])
+def test_certify_without_positive_dimension_one_line(tmp_path, capsys, text, system, beta):
+    # k = 0: the default beta divides by it and the hard cap is 0 rounds
+    arr_path, sys_path = tmp_path / "z.arr", tmp_path / "z.sys"
+    arr_path.write_text(text)
+    sys_path.write_text(system)
+    assert run("verify", arr_path, "--system", sys_path) == 0
+    capsys.readouterr()
+    assert run("certify", arr_path, "--system", sys_path, *beta, "--out", "-") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: certification needs a space of positive dimension"]

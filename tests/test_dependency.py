@@ -202,8 +202,8 @@ def test_pair_scan_residual_threshold(tol, factor, inside):
     arr = Arrangement(6, [a, b, c, far])
     assert pairwise_zero_intersection(arr, tol) == []
     assert Subspace(6, span).contains(c, tol) == inside
-    masks = {(i, int(j)): row for i, js, _, rows in _pair_spans(arr, tol)
-             for j, row in zip(js, rows)}
+    masks = {tuple(p): row for pairs, _, rows in _pair_spans(arr, tol)
+             for p, row in zip(pairs.tolist(), rows)}
     assert masks[0, 1].tolist() == [True, True, inside, False]
     # every pair's mask agrees with Subspace.contains
     for (i, j), row in masks.items():
