@@ -46,11 +46,15 @@ from .linalg import (
     rank,
     spectral_norm,
 )
-from .scaling import admissible_hull_vector, spanning_model, optimize, sample_admissible
+from .scaling import _SampleStream, admissible_hull_vector, optimize, spanning_model
 
 
 # the harvest branch takes its prefix from at most this many sampled runs
 _HARVEST_RETRIES = 8
+
+# decompose_step first samples this many trials, then doubles the count up
+# to its budget until the harvest test passes
+_FIRST_TRIALS = 128
 
 
 @dataclass
@@ -295,6 +299,27 @@ def _harvest_from_run(arr: Arrangement, run, t_pref: int, tol: Tolerance):
     return indices, np.array(vectors) if vectors else np.zeros((0, arr.ambient))
 
 
+def _harvest_certificate(arr: Arrangement, runs: list, t_pref: int, q_needed: int,
+                         z_cap: int, tol: Tolerance):
+    """Collapse witness from the first of ``runs`` whose prefix yields one, or None.
+
+    A run's first ``t_pref`` picks span a space; the witness is every space
+    meeting it, when there are at least ``q_needed`` and their vectors span
+    at most ``z_cap`` dimensions.
+    """
+    for run in runs:
+        if len(run) < t_pref:
+            continue
+        indices, vectors = _harvest_from_run(arr, run, t_pref, tol)
+        if len(indices) < q_needed:
+            continue
+        w_dim = rank(vectors, tol)
+        if w_dim <= z_cap:
+            return Certificate(kind="collapse", indices=indices, z_vectors=vectors,
+                               w_dim=w_dim, params={"branch": "harvest", "prefix": t_pref})
+    return None
+
+
 def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
                           beta: float, d: int,
                           tol: Tolerance = DEFAULT_TOL) -> Certificate:
@@ -342,13 +367,23 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     Pipeline: (entry) if the dimension is already at most
     400 alpha k^3 / (beta delta), return that bound; (a) estimate pick
     probabilities by sampling; (b) if more than delta n / (10 alpha)
-    indices sit confidently below beta d / (4 k n), harvest witness vectors
-    from the span of a run's first ceil(beta d / (2k)) picks; (c) otherwise
-    scale via the augmented model, drop badly separated sets, prune, and
-    pull the separated certificate back as a witness.  With
-    entry_check=False the entry bound is used only as a last resort after
-    the collapse branches fail.  Expects a validated system; a collapse
-    witness is verified before it is returned.
+    indices sit confidently (3 sigma at the current trial count) below
+    beta d / (4 k n), harvest witness vectors from the span of a run's
+    first ceil(beta d / (2k)) picks; (c) otherwise scale via the augmented
+    model, drop badly separated sets, prune, and pull the separated
+    certificate back as a witness.  With entry_check=False the entry bound
+    is used only as a last resort after the collapse branches fail.
+
+    Sampling is anytime: one resumable sampler stream is grown from
+    _FIRST_TRIALS trials, doubling up to ``trials``, until the test of (b)
+    passes.  The harvest witness reads only the first _HARVEST_RETRIES
+    runs, which every count shares, so it is built once, at the first count
+    where the test passes; if it fails there it fails at every count, and
+    the stream goes straight to ``trials``.  The scale branch always sees
+    the full ``trials`` runs.  The harvest certificate and the
+    InconclusiveError diagnostics record the trial count in ``trials``.
+    Expects a validated system; a collapse witness is verified before it
+    is returned.
     """
     if not (0.0 < beta < 1.0):
         raise PreconditionError(f"beta must be in (0, 1), got {beta}")
@@ -356,7 +391,9 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     if delta <= 0:
         raise PreconditionError("decomposition needs delta > 0")
     alpha = sys.alpha
-    k_bound = max(v.dim for v in arr.spaces)
+    k_bound = arr.max_dim()
+    if not k_bound:
+        raise PreconditionError("decomposition needs a space of positive dimension")
     n = arr.n
     d = arr.dimension(tol)
     beta_frac = as_fraction(beta)
@@ -371,34 +408,30 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     if entry_check and Fraction(d) <= threshold:
         return entry_certificate()
 
-    sample = sample_admissible(arr, trials, seed, tol)
-    p_hat = sample.p_hat
-    sigma = np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / trials)
     pick_floor = float(beta_frac * d / (4 * k_bound * n))
-    below = np.flatnonzero(p_hat + 3.0 * sigma < pick_floor)
-    diagnostics = {"d": d, "n": n, "below": len(below),
-                   "pick_floor": pick_floor, "branch_tried": []}
-
-    if Fraction(len(below)) > delta * n / (10 * alpha):
-        diagnostics["branch_tried"].append("harvest")
-        t_pref = ceil(beta_frac * d / (2 * k_bound))
-        q_needed = ceil(delta * n / (20 * alpha))
-        z_cap = floor(beta_frac * d)
-        for run in sample.sets[:_HARVEST_RETRIES]:
-            if len(run) < t_pref:
-                continue
-            indices, vectors = _harvest_from_run(arr, run, t_pref, tol)
-            if len(indices) < q_needed:
-                continue
-            w_dim = rank(vectors, tol)
-            if w_dim > z_cap:
-                continue
-            cert = Certificate(kind="collapse", indices=indices,
-                               z_vectors=vectors, w_dim=w_dim,
-                               params={"branch": "harvest",
-                                       "prefix": int(t_pref)})
-            verify_certificate(cert, arr, sys, beta, tol)
-            return cert
+    diagnostics = {"d": d, "n": n, "pick_floor": pick_floor, "branch_tried": []}
+    stream = _SampleStream(arr, seed, tol)
+    count = min(_FIRST_TRIALS, trials)
+    while True:
+        sample = stream.extend(count)
+        p_hat = sample.p_hat
+        sigma = np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / count)
+        below = np.flatnonzero(p_hat + 3.0 * sigma < pick_floor)
+        if (not diagnostics["branch_tried"]
+                and Fraction(len(below)) > delta * n / (10 * alpha)):
+            diagnostics["branch_tried"].append("harvest")
+            cert = _harvest_certificate(arr, sample.sets[:_HARVEST_RETRIES],
+                                        ceil(beta_frac * d / (2 * k_bound)),
+                                        ceil(delta * n / (20 * alpha)),
+                                        floor(beta_frac * d), tol)
+            if cert is not None:
+                cert.params["trials"] = count
+                verify_certificate(cert, arr, sys, beta, tol)
+                return cert
+        if count == trials:
+            break
+        count = trials if diagnostics["branch_tried"] else min(2 * count, trials)
+    diagnostics.update(below=len(below), trials=count)
 
     diagnostics["branch_tried"].append("scale-collapse")
     try:

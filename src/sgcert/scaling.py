@@ -35,8 +35,9 @@ from .linalg import (
     stacked_ranks,
 )
 
-# Smallest residual singular value treated as "clear of the current span"
-# by the greedy sampler; far above eigensolver noise, far below generic
+# Floor of the smallest residual singular value treated as "clear of the
+# current span" by the greedy sampler and the basis extension (see
+# _eligible_min_sv); far above eigensolver noise, far below generic
 # clearances.  The admissibility of every emitted set is re-verified with
 # the exact integer rank equation.
 _ELIGIBLE_MIN_SV = 1e-7
@@ -73,13 +74,26 @@ class HullCertificate:
     terms: list  # (sorted index tuple, weight), weights sum to 1
 
 
-def _clear(res: np.ndarray, pad: np.ndarray) -> np.ndarray:
+def _eligible_min_sv(ambient: int, tol: Tolerance) -> float:
+    """Smallest residual singular value that counts as clear of a span in R^ambient.
+
+    A stack of orthonormal bases whose dimensions sum to at most ``ambient``
+    has largest singular value at most sqrt(ambient), so the rule of
+    :func:`rank` may drop a singular value up to sqrt(ambient) rank_tol.  A
+    residual is clear only above that, and never below _ELIGIBLE_MIN_SV,
+    which the default ``rank_tol`` leaves in force for ambient < 10^4.
+    """
+    return max(_ELIGIBLE_MIN_SV, float(np.sqrt(ambient)) * tol.rank_tol)
+
+
+def _clear(res: np.ndarray, pad: np.ndarray, cutoff: float) -> np.ndarray:
     """True where a residual block is still clear of the span.
 
     ``res`` is (m, kmax, l) with zero rows past each space's dimension, and
     ``pad`` (m, kmax) is 1 on those rows, which the Gram diagonal then counts
     as clear.  The smallest Gram eigenvalue is the squared row norm for
-    kmax = 1, the closed form for kmax = 2 and batched ``eigvalsh`` above.
+    kmax = 1, the closed form for kmax = 2 and batched ``eigvalsh`` above;
+    it must exceed ``cutoff**2``.
     """
     k = res.shape[1]
     if k == 1:
@@ -93,21 +107,22 @@ def _clear(res: np.ndarray, pad: np.ndarray) -> np.ndarray:
         gram = res @ res.transpose(0, 2, 1)
         gram[:, range(k), range(k)] += pad
         lam = np.linalg.eigvalsh(gram)[:, 0]
-    return lam > _ELIGIBLE_MIN_SV**2
+    return lam > cutoff**2
 
 
-def _greedy_block(bases, dims, order, ambient):
+def _greedy_block(bases, dims, order, ambient, cutoff):
     """Greedy-to-maximality runs for a block of trials, one random order each.
 
     ``bases`` (n, kmax, l) holds the nonzero spaces zero-padded to kmax
     rows, and trial t scans them in the order ``order[t]``, keeping each one
-    whose residual off its span is still clear of it.  A window of the order
-    is projected on the span in one stacked product; the rows of a kept
-    residual are orthonormalized by Gram-Schmidt applied twice, appended to
-    the span and projected off the rest of the window.  The trials of the
-    block scan in step; one whose span fills the ambient space leaves at the
-    end of the window, the rest stop when their orders run out.  Returns the
-    (b, n) mask of the kept positions of ``order``.
+    whose residual off its span is still clear of it (smallest singular
+    value above ``cutoff``).  A window of the order is projected on the span
+    in one stacked product; the rows of a kept residual are orthonormalized
+    by Gram-Schmidt applied twice, appended to the span and projected off
+    the rest of the window.  The trials of the block scan in step; one
+    whose span fills the ambient space leaves at the end of the window, the
+    rest stop when their orders run out.  Returns the (b, n) mask of the
+    kept positions of ``order``.
     """
     b, n = order.shape
     kmax = bases.shape[1]
@@ -125,7 +140,7 @@ def _greedy_block(bases, dims, order, ambient):
         flat = res.reshape(live.size, -1, ambient)
         flat -= (flat @ span.transpose(0, 2, 1)) @ span
         for j in range(cand.shape[1]):
-            sel = np.flatnonzero(_clear(res[:, j], pad[cand[:, j]]))
+            sel = np.flatnonzero(_clear(res[:, j], pad[cand[:, j]], cutoff))
             if not sel.size:
                 continue
             q = res[sel, j]
@@ -150,6 +165,78 @@ def _greedy_block(bases, dims, order, ambient):
     return kept
 
 
+class _SampleStream:
+    """A resumable run of the greedy sampler on one arrangement and seed.
+
+    ``extend(total)`` scans only the trials not drawn yet, so a stream
+    grown in pieces holds the sets one call for the whole count gives: the
+    keys of each block of trials are the generator's next rows, drawn in
+    trial order.  Each distinct set is re-verified once, by stacked ranks,
+    when it first occurs; ``verified`` maps the hash of each checked set's
+    sorted key to the trial where it first occurred.
+    """
+
+    def __init__(self, arr: Arrangement, seed: int, tol: Tolerance):
+        all_dims = np.array(arr.dims(), dtype=np.intp)
+        self.nonzero = np.flatnonzero(all_dims)
+        self.dims = all_dims[self.nonzero]
+        kmax, n, ambient = int(self.dims.max(initial=0)), self.nonzero.size, arr.ambient
+        self.bases = np.zeros((n, kmax, ambient))
+        for p, i in enumerate(self.nonzero):
+            self.bases[p, :self.dims[p]] = arr.spaces[i].basis
+        # per trial: span, window with two product temporaries, keys, argsort, order
+        state = 8 * (ambient + kmax + 3 * _SCAN_WINDOW * kmax) * ambient + 17 * n
+        self.block = int(np.clip(_BLOCK_BYTES // state, 1, _TRIAL_BLOCK))
+        self.index_type = np.min_scalar_type(max(n - 1, 0))
+        self.cutoff = _eligible_min_sv(ambient, tol)
+        self.arr, self.all_dims, self.seed, self.tol = arr, all_dims, seed, tol
+        self.gen = np.random.default_rng(seed)
+        self.sets = []
+        self.counts = np.zeros(arr.n, dtype=np.intp)
+        self.verified = {}
+
+    def extend(self, total: int) -> AdmissibleSample:
+        """Draw trials up to ``total`` in all and return the sample so far."""
+        if total < 1:
+            raise PreconditionError("trials must be >= 1")
+        first = len(self.sets)
+        n = self.nonzero.size
+        while len(self.sets) < total:
+            keys = self.gen.random((min(self.block, total - len(self.sets)), n))
+            order = keys.argsort(axis=1).astype(self.index_type)
+            kept = _greedy_block(self.bases, self.dims, order, self.arr.ambient, self.cutoff)
+            self.sets.extend(tuple(self.nonzero[o[k]].tolist()) for o, k in zip(order, kept))
+        self._reverify(first)
+        new = self.sets[first:]
+        picks = np.fromiter(chain.from_iterable(new), dtype=np.intp, count=sum(map(len, new)))
+        self.counts += np.bincount(picks, minlength=self.arr.n)
+        return AdmissibleSample(sets=self.sets[:], p_hat=self.counts / len(self.sets),
+                                trials=len(self.sets), seed=self.seed)
+
+    def _reverify(self, first: int) -> None:
+        """Check ``dim(sum) = sum(dim)`` on the unseen sets of trials ``first`` on."""
+        fresh, sizes = [], []  # trial and size of each unseen set's first occurrence
+        for t in range(first, len(self.sets)):
+            h = self.sets[t]
+            if not h:
+                continue
+            key = tuple(sorted(h))
+            j = self.verified.setdefault(hash(key), t)
+            if j == t or tuple(sorted(self.sets[j])) != key:
+                fresh.append(t)
+                sizes.append(len(h))
+        fresh, sizes = np.array(fresh, dtype=np.intp), np.array(sizes, dtype=np.intp)
+        for size in np.flatnonzero(np.bincount(sizes)):
+            picked = fresh[sizes == size]
+            chosen = np.array([self.sets[t] for t in picked], dtype=np.min_scalar_type(self.arr.n))
+            chosen.sort(axis=1)
+            short = np.flatnonzero(_stacked_set_ranks(self.arr, chosen, self.tol)
+                                   != self.all_dims[chosen].sum(axis=1))
+            if short.size:
+                raise SgcertError(f"sampled set {self.sets[picked[short[0]]]} "
+                                  "failed the admissibility equation")
+
+
 def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
                       tol: Tolerance = DEFAULT_TOL) -> AdmissibleSample:
     """Run the greedy admissible-set sampler ``trials`` times.
@@ -162,56 +249,16 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
     never picked.  All orders come from one generator seeded by ``seed``,
     one row of keys per trial, argsorted, and drawn in trial order; blocks
     of trials sized by _BLOCK_BYTES (at most _TRIAL_BLOCK) are scanned
-    together.  So the sets depend only on the seed.  A pick keeps every
-    row of its space, as the rank rule does with the default ``rank_tol``
-    (1e-9): an eligible residual's smallest squared singular value exceeds
-    _ELIGIBLE_MIN_SV**2 = 1e-14, while rank_tol**2 times the largest is at
-    most 1e-18, the bases being orthonormal.  Every distinct emitted set is
-    verified once against the exact admissibility equation
-    dim(sum) = sum(dim), by stacked singular values per dimension signature.
+    together.  So the sets depend only on the seed, and the first ``a``
+    trials of any count are the sets ``a`` trials give.  A residual is
+    clear when its smallest singular value exceeds
+    :func:`_eligible_min_sv`, so a pick keeps every row of its space under
+    the rank rule of ``tol``.  Every distinct emitted set is verified once
+    against the exact admissibility equation dim(sum) = sum(dim), by
+    stacked singular values per dimension signature.  This is one
+    extension of a fresh :class:`_SampleStream`.
     """
-    if trials < 1:
-        raise PreconditionError("trials must be >= 1")
-    all_dims = np.array(arr.dims(), dtype=np.intp)
-    nonzero = np.flatnonzero(all_dims)
-    dims = all_dims[nonzero]
-    kmax, n, ambient = int(dims.max(initial=0)), nonzero.size, arr.ambient
-    bases = np.zeros((n, kmax, ambient))
-    for p, i in enumerate(nonzero):
-        bases[p, :dims[p]] = arr.spaces[i].basis
-    # per trial: span, window with two product temporaries, keys, argsort, order
-    state = 8 * (ambient + kmax + 3 * _SCAN_WINDOW * kmax) * ambient + 17 * n
-    block = int(np.clip(_BLOCK_BYTES // state, 1, _TRIAL_BLOCK))
-    index_type = np.min_scalar_type(max(n - 1, 0))
-    gen = np.random.default_rng(seed)
-    sets = []
-    for start in range(0, trials, block):
-        order = gen.random((min(block, trials - start), n)).argsort(axis=1).astype(index_type)
-        kept = _greedy_block(bases, dims, order, ambient)
-        sets.extend(tuple(nonzero[o[k]].tolist()) for o, k in zip(order, kept))
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    counts = np.bincount(np.fromiter(chain.from_iterable(sets), dtype=np.intp,
-                                     count=int(sizes.sum())), minlength=arr.n)
-
-    first = {}  # hash of a sorted set -> index of its first occurrence
-    distinct = np.zeros(len(sets), dtype=bool)
-    for t, h in enumerate(sets):
-        if not h:
-            continue
-        key = tuple(sorted(h))
-        j = first.setdefault(hash(key), t)
-        distinct[t] = j == t or tuple(sorted(sets[j])) != key
-    del first  # freed before the stacked check, which then sets no new peak
-    for size in np.flatnonzero(np.bincount(sizes[distinct])):
-        picked = np.flatnonzero(distinct & (sizes == size))
-        chosen = np.array([sets[t] for t in picked], dtype=np.min_scalar_type(arr.n))
-        chosen.sort(axis=1)
-        short = np.flatnonzero(_stacked_set_ranks(arr, chosen, tol)
-                               != all_dims[chosen].sum(axis=1))
-        if short.size:
-            raise SgcertError(f"sampled set {sets[picked[short[0]]]} "
-                              "failed the admissibility equation")
-    return AdmissibleSample(sets=sets, p_hat=counts / trials, trials=trials, seed=seed)
+    return _SampleStream(arr, seed, tol).extend(trials)
 
 
 def admissible_hull_vector(sample: AdmissibleSample) -> HullCertificate:
@@ -671,8 +718,9 @@ def _extend_to_basis(model_spaces, h, d: int, tol: Tolerance) -> list:
     """Coordinate lines s, ascending, that extend the span of set ``h`` to R^d.
 
     Each line is kept when its residual off the span so far exceeds
-    _ELIGIBLE_MIN_SV.
+    :func:`_eligible_min_sv` of R^d.
     """
+    cutoff = _eligible_min_sv(d, tol)
     span = orthonormalize(np.vstack([np.zeros((0, d))]
                                     + [model_spaces[i].basis for i in h]), tol)
     eye = np.eye(d)
@@ -681,7 +729,7 @@ def _extend_to_basis(model_spaces, h, d: int, tol: Tolerance) -> list:
         if span.shape[0] == d:
             break
         resid = eye[s] - (eye[s] @ span.T) @ span
-        if np.linalg.norm(resid) > _ELIGIBLE_MIN_SV:
+        if np.linalg.norm(resid) > cutoff:
             extension.append(s)
             span = np.vstack([span, resid / np.linalg.norm(resid)])
     if span.shape[0] != d:

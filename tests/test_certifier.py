@@ -44,7 +44,8 @@ from sgcert.errors import (
     MembershipError,
     PreconditionError,
 )
-from sgcert.linalg import rank, spectral_norm
+from sgcert.linalg import DEFAULT_TOL, rank, spectral_norm
+from sgcert.scaling import _SampleStream, sample_admissible
 
 
 def line(ambient, direction):
@@ -364,6 +365,93 @@ def test_decompose_far_clusters():
     verify_certificate(cert, arr, sys, beta=0.8)
 
 
+def reference_harvest(arr, sys, beta, trials, seed):
+    """The harvest witness from the first runs of the full-budget sample."""
+    d, k = arr.dimension(), arr.max_dim()
+    beta_f, delta = Fraction(beta), Fraction(sys.delta)
+    t_pref = ceil(beta_f * d / (2 * k))
+    q_needed = ceil(delta * arr.n / (20 * sys.alpha))
+    for run in sample_admissible(arr, trials, seed).sets[:certifier._HARVEST_RETRIES]:
+        if len(run) < t_pref:
+            continue
+        indices, vectors = certifier._harvest_from_run(arr, run, t_pref, DEFAULT_TOL)
+        if len(indices) >= q_needed and rank(vectors) <= int(beta_f * d):
+            return indices, vectors, rank(vectors)
+    return None
+
+
+def recording_extensions(monkeypatch):
+    """Record the total of every sampler-stream extension."""
+    totals = []
+    extend = _SampleStream.extend
+
+    def recording(self, total):
+        totals.append(total)
+        return extend(self, total)
+
+    monkeypatch.setattr(_SampleStream, "extend", recording)
+    return totals
+
+
+@pytest.mark.parametrize("make, args", [(duplicate_line_instance, (60, 4)),
+                                        (far_clusters_instance, (60, 10))])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_decompose_harvest_decided_on_a_prefix(make, args, seed, monkeypatch):
+    # the 3-sigma test passes on the first 128 trials, and the witness is
+    # the one the first runs of the full budget give
+    arr, sys = make(*args, seed=seed)
+    totals = recording_extensions(monkeypatch)
+    cert = decompose_step(arr, sys, beta=0.8, trials=2048, seed=seed + 100,
+                          entry_check=False)
+    assert totals == [128]
+    assert cert.params["branch"] == "harvest"
+    assert cert.params["trials"] == 128
+    indices, vectors, w_dim = reference_harvest(arr, sys, 0.8, 2048, seed + 100)
+    assert cert.indices == indices
+    assert cert.z_vectors.tobytes() == vectors.tobytes()
+    assert cert.w_dim == w_dim
+
+
+@pytest.mark.parametrize("trials, totals", [(64, [64]), (128, [128]),
+                                            (300, [128, 256, 300]),
+                                            (512, [128, 256, 512])])
+def test_decompose_scale_branch_sees_the_full_budget(trials, totals, monkeypatch):
+    # the harvest test never passes here, so the stream doubles up to the
+    # budget and the hull is built from all of its runs
+    arr = generate_grouped(k=1, delta=1 / 3, n=12, seed=11)
+    sys = build_sg_system(arr, 1)
+    seen = recording_extensions(monkeypatch)
+    hulls = []
+    hull_vector = certifier.admissible_hull_vector
+
+    def recording_hull(sample):
+        hulls.append(sample)
+        return hull_vector(sample)
+
+    monkeypatch.setattr(certifier, "admissible_hull_vector", recording_hull)
+    decompose_step(arr, sys, beta=0.5, trials=trials, seed=1, entry_check=False)
+    assert seen == totals
+    (sample,) = hulls
+    full = sample_admissible(arr, trials, seed=1)
+    assert sample.trials == trials
+    assert sample.sets == full.sets
+    assert sample.p_hat.tobytes() == full.p_hat.tobytes()
+
+
+def test_decompose_failed_harvest_jumps_to_the_budget(monkeypatch):
+    # a witness that fails on the first runs fails at every count: it is
+    # built once, and the stream goes straight to the budget
+    arr, sys = duplicate_line_instance(n_dup=60, groups=4, seed=2)
+    totals = recording_extensions(monkeypatch)
+    built = []
+    monkeypatch.setattr(certifier, "_harvest_certificate",
+                        lambda *args: built.append(args))
+    cert = decompose_step(arr, sys, beta=0.8, trials=1000, seed=3, entry_check=False)
+    assert totals == [128, 1000]
+    assert len(built) == 1
+    assert cert.params["branch"] != "harvest"
+
+
 def test_collapse_from_scaled_boundary_instance():
     # scale-collapse tail on an already-scaled configuration: the two
     # boundary planes survive the separation filter, the clustered planes
@@ -389,6 +477,15 @@ def test_decompose_scale_branch_falls_back_to_entry():
     assert cert.kind == "bound"
     assert cert.params["branch"] == "entry"
     verify_certificate(cert, arr, sys, beta=0.5)
+
+
+@pytest.mark.parametrize("entry_check", [True, False])
+def test_decompose_requires_positive_dimension(entry_check):
+    # k = 0 would divide by zero in the pick floor
+    arr = Arrangement(3, [Subspace(3, np.zeros((0, 3)))] * 3)
+    sys = TripleSystem(3, [(0, 1, 2)], alpha=1, delta=1 / 3)
+    with pytest.raises(PreconditionError, match="positive dimension"):
+        decompose_step(arr, sys, beta=0.5, entry_check=entry_check)
 
 
 def test_decompose_rejects_bad_beta():

@@ -7,10 +7,12 @@ from instances import plane_and_lines
 from sgcert.arrangement import Arrangement, Subspace, _stacked_set_ranks, generate_grouped
 import sgcert.scaling
 from sgcert.errors import PreconditionError, SgcertError
-from sgcert.linalg import orthonormalize, rank, spectral_norm
+from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank, spectral_norm
 from sgcert.scaling import (
     _ELIGIBLE_MIN_SV,
     AdmissibleSample,
+    _eligible_min_sv,
+    _SampleStream,
     HullCertificate,
     _normalize,
     admissible_hull_vector,
@@ -248,10 +250,54 @@ def test_sampler_reverifies_each_distinct_set_once(monkeypatch):
     assert len(distinct) < len(sample.sets)  # repeats occur, and are not re-checked
     assert sorted(ranked) == sorted(distinct)
 
+    # a stream grown in pieces checks each distinct set once over all of them
+    ranked.clear()
+    stream = _SampleStream(arr, 3, DEFAULT_TOL)
+    for total in (1, 8, 128, 200):
+        grown = stream.extend(total)
+    assert grown.sets == sample.sets
+    assert sorted(ranked) == sorted(distinct)
+
     monkeypatch.setattr(sgcert.scaling, "_stacked_set_ranks",
                         lambda a, sets, tol: _stacked_set_ranks(a, sets, tol) - 1)
     with pytest.raises(SgcertError, match="failed the admissibility equation"):
         sample_admissible(arr, trials=4, seed=3)
+
+
+@pytest.mark.parametrize("case", ["mixed-with-zero", "duplicate-lines", "not-spanning"])
+@pytest.mark.parametrize("block", [1, 3, 100, None])
+def test_stream_extended_in_pieces_matches_one_call(case, block, monkeypatch):
+    # trial t scans row t of the generator's keys however the trials are
+    # split, so every prefix of a stream is the sample of that many trials
+    if block is not None:
+        monkeypatch.setattr(sgcert.scaling, "_TRIAL_BLOCK", block)
+    arr = SAMPLER_CASES[case]()
+    stream = _SampleStream(arr, 5, DEFAULT_TOL)
+    for total in (1, 8, 128, 300):
+        grown = stream.extend(total)
+        once = sample_admissible(arr, trials=total, seed=5)
+        assert grown.trials == total
+        assert grown.sets == once.sets
+        assert grown.p_hat.tobytes() == once.p_hat.tobytes()
+
+
+def test_sampler_cutoff_follows_rank_tol():
+    # the line (1, 0, 1e-5) clears the plane e1e2 by 1e-5, above the 1e-7
+    # floor, but the rank rule with rank_tol 1e-3 merges the two: the
+    # cutoff sqrt(3) * 1e-3 keeps the sampler from picking both
+    line = np.array([[1.0, 0.0, 1e-5]])
+    arr = Arrangement(3, [Subspace(3, np.eye(3)[[0, 1]]),
+                          Subspace(3, line / np.linalg.norm(line)),
+                          Subspace(3, np.eye(3)[[2]])])
+    tol = Tolerance(rank_tol=1e-3)
+    sample = sample_admissible(arr, 64, seed=0, tol=tol)
+    assert {tuple(sorted(h)) for h in sample.sets} == {(0, 2), (1, 2)}
+    for h in sample.sets:
+        stacked = np.vstack([arr.spaces[i].basis for i in h])
+        assert rank(stacked, tol) == stacked.shape[0]
+    assert _eligible_min_sv(3, tol) == np.sqrt(3) * 1e-3
+    assert all(_eligible_min_sv(l, DEFAULT_TOL) == _ELIGIBLE_MIN_SV
+               for l in (1, 16, 1000, 9_999))
 
 
 def test_hull_vector_single_and_disjoint():
