@@ -96,17 +96,14 @@ class Arrangement:
         return len(self.spaces)
 
     def stacked_basis(self) -> np.ndarray:
-        parts = [v.basis for v in self.spaces if v.dim > 0]
-        if not parts:
-            return np.zeros((0, self.ambient))
-        return np.vstack(parts)
+        return np.concatenate([np.zeros((0, self.ambient))] + [v.basis for v in self.spaces])
 
     def dimension(self, tol: Tolerance = DEFAULT_TOL) -> int:
         """dim of the sum of all subspaces (numerical rank of stacked bases)."""
         return rank(self.stacked_basis(), tol)
 
     def dims(self) -> list:
-        return [v.dim for v in self.spaces]
+        return [len(v.basis) for v in self.spaces]
 
     def max_dim(self) -> int:
         return max((v.dim for v in self.spaces), default=0)
@@ -242,14 +239,18 @@ def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -
     An empty list certifies that every pair meets only at the origin.  Each
     pair of nonzero spaces is a 2-member set ranked by
     :func:`_stacked_set_ranks`; it meets when its rank, under the rule of
-    :func:`rank`, is below dim_i + dim_j.
+    :func:`rank`, is below dim_i + dim_j.  The pairs are ranked in blocks
+    of rows i, in lexicographic order, each block's (m, 2) pair array
+    within CHUNK_BYTES: no array of all pairs is built.
     """
     dims = np.array(arr.dims(), dtype=int)
     nonzero = np.flatnonzero(dims)
-    i, j = np.triu_indices(nonzero.size, 1)
-    pairs = np.column_stack([nonzero[i], nonzero[j]])
-    bad = pairs[_stacked_set_ranks(arr, pairs, tol) < dims[pairs].sum(axis=1)]
-    return [tuple(p) for p in bad.tolist()]
+    count, bad = nonzero.size, []
+    for block in chunk_slices(count, 16 * count):
+        i, j = np.nonzero(np.arange(block.start, block.stop)[:, None] < np.arange(count))
+        pairs = np.column_stack([nonzero[i + block.start], nonzero[j]])
+        bad.extend(pairs[_stacked_set_ranks(arr, pairs, tol) < dims[pairs].sum(axis=1)].tolist())
+    return [tuple(p) for p in bad]
 
 
 def tau_separated(v: Subspace, w: Subspace, tau: float) -> bool:

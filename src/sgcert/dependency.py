@@ -19,7 +19,6 @@ from .arrangement import (
     Arrangement,
     Subspace,
     _read_lines,
-    _set_stacks,
     _stacked_set_ranks,
     pairwise_zero_intersection,
 )
@@ -34,6 +33,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     chunk_slices,
+    orthonormalize,
     rank,
 )
 
@@ -116,15 +116,49 @@ def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
     return False
 
 
-def _pair_spans(arr: Arrangement, tol: Tolerance):
-    """Yield (pairs, spans, inside) for each chunk of the pairs a < b.
+def _rows_inside(quot: np.ndarray, cut: np.ndarray, q: np.ndarray, own: np.ndarray,
+                 tol: Tolerance) -> tuple:
+    """(p, x): the rows x of ``quot`` within residual_tol of the row span of ``q[p]``.
 
-    ``pairs`` is an (m, 2) index array of pairs, gathered by
-    :func:`_set_stacks`; ``spans[q]`` is an orthonormal basis of the sum of
-    the pair's spaces, from one stacked SVD per chunk under the rank rule
-    of :func:`orthonormalize`; ``inside[q, i]`` is True when every basis row
-    of space i is within residual_tol of it (always, for a zero space).
-    Zero spaces take part.  Before yielding anything, raises naming the
+    ``q`` is an (m, d, l) stack of orthonormal rows, and the rows ``own[p]``
+    of ``quot`` span q[p]: they are left out.  One product gives every
+    coefficient vector q[p] x; a row is screened out when its squared norm
+    is below ``cut[x]``, and otherwise decided by its explicit residual.
+    The pairs (p, x) come sorted.
+    """
+    m, d, ambient = q.shape
+    coef = (q.reshape(m * d, ambient) @ quot.T).reshape(m, d, len(quot))
+    screen = np.einsum("qdn,qdn->qn", coef, coef) >= cut
+    screen[np.arange(m)[:, None], own] = False
+    p, x = np.divmod(np.flatnonzero(screen), len(quot))
+    keep = np.zeros(p.size, dtype=bool)
+    for piece in chunk_slices(p.size, 8 * d * ambient):
+        pp, xp = p[piece], x[piece]
+        resid = quot.take(xp, axis=0) - np.einsum("cd,cdl->cl", coef[pp, :, xp],
+                                                  q.take(pp, axis=0))
+        keep[piece] = np.einsum("cl,cl->c", resid, resid) <= tol.residual_tol**2
+    return p[keep], x[keep]
+
+
+def _pair_members(arr: Arrangement, tol: Tolerance):
+    """Yield (pairs, inside) for the pairs a < b, one space a at a time.
+
+    ``pairs`` is an (m, 2) index array whose rows share one a;
+    ``inside[q, i]`` is True when every basis row of space i is within
+    residual_tol of V_a + V_b (always for a zero space, and for a and b).
+    The spaces a come in index order; their partners b > a are grouped by
+    dimension d, in index order within a group, and cut into chunks as
+    :func:`chunk_slices` sizes them.
+
+    The test is made in the quotient by V_a.  Every basis row x is
+    projected off V_a once, to x'; the residual of x off V_a + V_b is that
+    of x' off the image of V_b, whose d rows are orthonormalized by one
+    stacked Householder QR per group of partners (no SVD).  A row with
+    |x'| <= residual_tol is inside for every b, since a residual off a
+    larger space is never larger.  The others go to :func:`_rows_inside`,
+    whose screen drops the rows with |x'|^2 - |Q x'|^2 (the squared
+    residual up to rounding) clearly above residual_tol^2.  Zero spaces
+    take part.  Before yielding anything, raises naming the
     lexicographically first pair that :func:`pairwise_zero_intersection`
     finds intersecting nontrivially.
     """
@@ -134,28 +168,43 @@ def _pair_spans(arr: Arrangement, tol: Tolerance):
             f"spaces {bad[0][0]} and {bad[0][1]} intersect nontrivially; "
             "special spaces are ill-defined"
         )
+    n = arr.n
     rows = arr.stacked_basis()
     norms2 = np.einsum("ij,ij->i", rows, rows)
-    # ||x||^2 - ||S x||^2 is the squared residual up to rounding; with this
-    # slack it only discards rows that are clearly outside
+    # with this slack the screen only discards rows that are clearly outside
     slack = 4 * tol.residual_tol**2 + 1e-12 * norms2
     dims = np.array(arr.dims(), dtype=int)
-    owner = np.repeat(np.arange(arr.n), dims)
-    pairs = np.column_stack(np.triu_indices(arr.n, 1))
-    for idx, stacks in _set_stacks(arr, pairs, max(arr.ambient, rows.shape[0])):
-        m, r = stacks.shape[:2]
-        spans = np.linalg.svd(stacks, full_matrices=False)[2] if r else stacks
-        coef = (spans.reshape(m * r, arr.ambient) @ rows.T).reshape(m, r, len(rows))
-        q, x = np.nonzero(norms2 - np.einsum("qrn,qrn->qn", coef, coef) <= slack)
-        keep = np.zeros(q.size, dtype=bool)
-        for part in chunk_slices(q.size, 8 * r * arr.ambient):
-            qp, xp = q[part], x[part]
-            resid = rows[xp] - np.einsum("cr,crl->cl", coef[qp, :, xp], spans[qp])
-            keep[part] = np.linalg.norm(resid, axis=1) <= tol.residual_tol
-        # a space is inside when all of its rows are (a zero space has none)
-        inside = np.bincount(q[keep] * arr.n + owner[x[keep]],
-                             minlength=m * arr.n).reshape(m, arr.n) == dims
-        yield pairs[idx], spans, inside
+    starts = np.cumsum(dims) - dims
+    owner = np.repeat(np.arange(n), dims)
+    by_dim = [(d, np.flatnonzero(dims == d)) for d in sorted(set(dims.tolist()))]
+    width = max(arr.ambient, len(rows))
+    for a in range(n - 1):
+        own = slice(starts[a], starts[a] + dims[a])
+        quot = rows - (rows @ rows[own].T) @ rows[own]
+        quot2 = np.einsum("ij,ij->i", quot, quot)
+        near = quot2 <= tol.residual_tol**2
+        near[own] = True
+        base = np.bincount(owner[near], minlength=n)
+        # a row near V_a is never screened again
+        cut = np.where(near, np.inf, quot2 - slack)
+        for d, spaces in by_dim:
+            partners = spaces[np.searchsorted(spaces, a, side="right"):]
+            own_rows = starts[partners][:, None] + np.arange(d)
+            q = np.linalg.qr(quot[own_rows].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            for part in chunk_slices(partners.size, 8 * max(d, 1) * width):
+                b = partners[part]
+                m = b.size
+                # a space is inside when all of its rows are (a zero space has none)
+                inside = np.repeat((base == dims)[None], m, axis=0)
+                inside[np.arange(m), b] = True
+                p, x = _rows_inside(quot, cut, q[part], own_rows[part], tol)
+                if p.size:
+                    # the rows come sorted by (pair, owner): count each run
+                    key = p * n + owner[x]
+                    first = np.flatnonzero(np.diff(key, prepend=-1))
+                    pk, ck = np.divmod(key[first], n)
+                    inside[pk, ck] |= np.diff(first, append=key.size) + base[ck] == dims[ck]
+                yield np.column_stack([np.full(m, a), b]), inside
 
 
 def _first_rows(a: np.ndarray) -> np.ndarray:
@@ -170,17 +219,19 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
-    """Special spaces and dependent triples, read off one pass over the pair spans.
+    """Special spaces and dependent triples, read off one pass over the pair members.
 
     A special space is a pair span holding >= 3 nonzero members, listed by
-    the lexicographically first pair that spans it; a dependent triple
-    {a, b, c} has c inside span(a, b) (zero spaces included).  The triples
-    come back as sorted tuples in lexicographic order, or as None when
-    ``triples`` is false.
+    the lexicographically first pair that spans it, from the masks of
+    :func:`_pair_members`; its ``span_basis`` is computed once, at the end,
+    by :func:`orthonormalize` of that pair's stacked bases.  A dependent
+    triple {a, b, c} has c inside span(a, b) (zero spaces included).  The
+    triples come back as sorted tuples in lexicographic order, or as None
+    when ``triples`` is false.
     """
     first, found = {}, []
     nonzero = np.array(arr.dims()) > 0
-    for pairs, spans, inside in _pair_spans(arr, tol):
+    for pairs, inside in _pair_members(arr, tol):
         members = inside & nonzero
         big = np.flatnonzero(members.sum(axis=1) >= 3)
         if big.size:
@@ -188,14 +239,16 @@ def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = Tru
             for q in big[_first_rows(np.packbits(members[big], axis=1))]:
                 key = tuple(np.flatnonzero(members[q]).tolist())
                 pair = tuple(pairs[q].tolist())
-                if key not in first or pair < first[key][0]:
-                    first[key] = (pair, spans[q].copy())
+                if key not in first or pair < first[key]:
+                    first[key] = pair
         if triples:
             inside[np.arange(len(pairs))[:, None], pairs] = False
-            q, c = np.nonzero(inside)
-            found.append(np.column_stack([pairs[q], c]))
-    specials = [SpecialSpace(span, key)
-                for key, (_, span) in sorted(first.items(), key=lambda kv: kv[1][0])]
+            q, c = np.divmod(np.flatnonzero(inside), arr.n)
+            if q.size:
+                found.append(np.column_stack([pairs[q], c]))
+    specials = [SpecialSpace(orthonormalize(np.vstack([arr.spaces[a].basis,
+                                                       arr.spaces[b].basis]), tol), key)
+                for key, (a, b) in sorted(first.items(), key=lambda kv: kv[1])]
     if not triples:
         return specials, None
     rows = np.sort(np.concatenate(found or [np.zeros((0, 3), dtype=int)]), axis=1)
@@ -289,15 +342,17 @@ def build_sg_system(arr: Arrangement, k: int,
                     tol: Tolerance = DEFAULT_TOL) -> TripleSystem:
     """Union of triple families over every special space's member list.
 
-    Returns alpha = 6 and delta measured from the construction: the largest
-    value such that every index lies in at least delta * n sets (zero when
-    there are no special spaces).
+    The family of each member count r is built once.  Returns alpha = 6
+    and delta measured from the construction: the largest value such that
+    every index lies in at least delta * n sets (zero when there are no
+    special spaces).
     """
     specials = find_special_spaces(arr, k, tol)
+    families = {r: build_triple_family(r) for r in {sp.size for sp in specials}}
     sets = []
     for sp in specials:
         members = sp.member_indices
-        for t in build_triple_family(len(members)):
+        for t in families[sp.size]:
             sets.append(tuple(sorted(members[e] for e in t)))
     sys = TripleSystem(arr.n, sets, alpha=6, delta=0.0)
     if sets and arr.n:
@@ -305,36 +360,48 @@ def build_sg_system(arr: Arrangement, k: int,
     return sys
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of the non-negative ``keys``, sorted."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) > 0]
+
+
 def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:
     """Whether each set (2 or 3 distinct in-range indices) means what it says.
 
     A 3-set must be a dependent triple (the test of
     :func:`is_dependent_triple`: some pair's rank equals the triple's), a
-    2-set two equal spaces (equal dimension d and pair rank d).  Each 3-set
-    and each distinct pair is ranked once.
+    2-set two equal spaces (equal dimension d and pair rank d).  Each
+    distinct 3-set and each distinct pair is ranked once: they are found
+    by sorting integer keys, (i n + j) n + k and i n + j, and every set
+    reads its answer back from its key.
     """
     dims = np.array(arr.dims(), dtype=int)
     threes = np.array([s for s in sets if len(s) == 3], dtype=int).reshape(-1, 3)
     twos = np.array([s for s in sets if len(s) == 2], dtype=int).reshape(-1, 2)
     n, triple_pairs = arr.n, ((0, 1), (0, 2), (1, 2))
-    # every distinct pair, as the key i * n + j, is ranked once
-    keys = np.sort(np.concatenate([threes[:, i] * n + threes[:, j] for i, j in triple_pairs]
-                                  + [twos[:, 0] * n + twos[:, 1]]))
-    distinct = keys[np.diff(keys, prepend=-1) > 0]
-    ranks = _stacked_set_ranks(arr, np.column_stack(np.divmod(distinct, n)), tol)
+    three_keys = (threes[:, 0] * n + threes[:, 1]) * n + threes[:, 2]
+    distinct3 = _distinct(three_keys)
+    ij, k = np.divmod(distinct3, n)
+    triples = np.column_stack([*np.divmod(ij, n), k])
+    distinct2 = _distinct(np.concatenate([triples[:, i] * n + triples[:, j]
+                                          for i, j in triple_pairs]
+                                         + [twos[:, 0] * n + twos[:, 1]]))
+    ranks = _stacked_set_ranks(arr, np.column_stack(np.divmod(distinct2, n)), tol)
 
     def pair_rank(i, j):
-        return ranks[np.searchsorted(distinct, i * n + j)]
+        return ranks[np.searchsorted(distinct2, i * n + j)]
 
-    total = _stacked_set_ranks(arr, threes, tol)
-    dependent = np.zeros(len(threes), dtype=bool)
+    total = _stacked_set_ranks(arr, triples, tol)
+    dependent = np.zeros(len(triples), dtype=bool)
     for i, j in triple_pairs:
-        dependent |= pair_rank(threes[:, i], threes[:, j]) == total
+        dependent |= pair_rank(triples[:, i], triples[:, j]) == total
     d = dims[twos]
     equal = (d[:, 0] == d[:, 1]) & (pair_rank(twos[:, 0], twos[:, 1]) == d[:, 0])
     holds = np.empty(len(sets), dtype=bool)
     is_three = np.array([len(s) == 3 for s in sets], dtype=bool)
-    holds[is_three], holds[~is_three] = dependent, equal
+    holds[is_three] = dependent[np.searchsorted(distinct3, three_keys)]
+    holds[~is_three] = equal
     return holds
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sgcert.arrangement import (
     Arrangement,
     Subspace,
+    _stacked_set_ranks,
     generate_grouped,
     generate_grid,
     generate_random_planted,
@@ -16,7 +18,7 @@ from sgcert.arrangement import (
 )
 from sgcert.dependency import (
     TripleSystem,
-    _pair_spans,
+    _pair_members,
     build_sg_system,
     build_triple_family,
     dependent_triples,
@@ -202,7 +204,7 @@ def test_pair_scan_residual_threshold(tol, factor, inside):
     arr = Arrangement(6, [a, b, c, far])
     assert pairwise_zero_intersection(arr, tol) == []
     assert Subspace(6, span).contains(c, tol) == inside
-    masks = {tuple(p): row for pairs, _, rows in _pair_spans(arr, tol)
+    masks = {tuple(p): row for pairs, rows in _pair_members(arr, tol)
              for p, row in zip(pairs.tolist(), rows)}
     assert masks[0, 1].tolist() == [True, True, inside, False]
     # every pair's mask agrees with Subspace.contains
@@ -210,6 +212,108 @@ def test_pair_scan_residual_threshold(tol, factor, inside):
         pair = Subspace.from_spanning(np.vstack([arr.spaces[i].basis, arr.spaces[j].basis]), 6)
         assert row.tolist() == [pair.contains(v, tol) for v in arr.spaces]
     assert ((0, 1, 2) in dependent_triples(arr, tol)) == inside
+
+
+def _near_degenerate_pair(rng, angle, da, db, tol, ambient=9):
+    """Spaces around a pair V_a, V_b whose smallest principal angle is ``angle``.
+
+    Returns (arrangement, (a, b), (half, double)): two planted spaces of
+    dimension min(da, db) lie inside V_a + V_b except for one row displaced
+    off it by 0.5 and 2 residual_tol; a generic space and two zero spaces
+    complete the arrangement, in a random order.
+    """
+    frame = orthonormalize(rng.standard_normal((ambient, ambient)))
+    span, normal = frame[:da + db], frame[da + db]
+    va = frame[:da]
+    first = np.cos(angle) * frame[0] + np.sin(angle) * frame[da]
+    vb = np.vstack([first, frame[da + 1:da + db]])
+    planted = []
+    for factor in (0.5, 2.0):
+        u = orthonormalize(rng.standard_normal((min(da, db), da + db)) @ span)
+        eps = factor * tol.residual_tol
+        u[-1] = (u[-1] + eps * normal) / np.hypot(1.0, eps)
+        planted.append(u)
+    far = orthonormalize(rng.standard_normal((int(rng.integers(1, 4)), ambient)))
+    zero = np.zeros((0, ambient))
+    bases = [va, vb, *planted, far, zero, zero]
+    order = rng.permutation(len(bases))
+    arr = Arrangement(ambient, [Subspace(ambient, bases[i], tol) for i in order])
+    where = np.argsort(order)
+    return arr, tuple(sorted(where[:2].tolist())), tuple(where[2:4].tolist())
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@pytest.mark.parametrize("angle", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_pair_members_match_contains_oracle_near_degenerate(tol, angle):
+    rng = np.random.default_rng(int(-np.log10(angle)))
+    for da, db in [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)]:
+        arr, pair, (half, double) = _near_degenerate_pair(rng, angle, da, db, tol)
+        assert pairwise_zero_intersection(arr, tol) == []
+        masks = {tuple(p): row for pairs, rows in _pair_members(arr, tol)
+                 for p, row in zip(pairs.tolist(), rows)}
+        assert sorted(masks) == list(combinations(range(arr.n), 2))
+        for (i, j), row in masks.items():
+            span = Subspace.from_spanning(np.vstack([arr.spaces[i].basis,
+                                                     arr.spaces[j].basis]), arr.ambient)
+            assert row.tolist() == [span.contains(v, tol) for v in arr.spaces], (da, db, i, j)
+        assert masks[pair][half] and not masks[pair][double]
+
+
+def test_validate_system_ranks_each_distinct_set_once(monkeypatch):
+    import sgcert.dependency
+
+    ranked = []
+
+    def recording(a, sets, tol):
+        ranked.append(sets.copy())
+        return _stacked_set_ranks(a, sets, tol)
+
+    monkeypatch.setattr(sgcert.dependency, "_stacked_set_ranks", recording)
+    arr = generate_grouped(k=1, delta=0.5, n=10, seed=2)
+    sys = build_sg_system(arr, 1)
+    assert len(set(sys.sets)) < sys.w  # a 3-member special repeats its triple
+    ranked.clear()
+    assert validate_system(arr, sys).ok
+    assert ranked
+    for sets in ranked:
+        assert len({tuple(row) for row in sets.tolist()}) == len(sets)
+    # a non-dependent triple listed twice is reported at both positions
+    arr = generate_random_planted(n=5, k=1, ambient=5, triple_count=0, seed=1)
+    sys = TripleSystem(5, [(0, 1, 2), (2, 3, 4), (0, 1, 2)], alpha=6, delta=0.0)
+    violations = validate_system(arr, sys).violations
+    assert violations[:3] == [f"set {j}: {s} is not a dependent triple"
+                              for j, s in enumerate(sys.sets)]
+
+
+def test_build_sg_system_builds_each_family_once(monkeypatch):
+    import sgcert.dependency
+
+    sizes = []
+
+    def counting(r):
+        sizes.append(r)
+        return build_triple_family(r)
+
+    monkeypatch.setattr(sgcert.dependency, "build_triple_family", counting)
+    arr = generate_grouped(k=1, delta=0.25, n=18, seed=4)
+    sys = build_sg_system(arr, 1)
+    assert sorted(sizes) == [4, 5]
+    assert sys.w == 2 * 20 + 2 * 12
+
+
+def test_pair_scans_stream_pairs_in_bounded_memory():
+    # 179,700 pairs: an index array of all of them alone is 2.9 MB
+    rng = np.random.default_rng(0)
+    arr = Arrangement(40, [Subspace(40, orthonormalize(rng.standard_normal((1, 40))))
+                           for _ in range(600)])
+    for scan in (pairwise_zero_intersection, dependent_triples):
+        tracemalloc.start()
+        try:
+            assert scan(arr) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (scan.__name__, peak)
 
 
 def _equal_copy(v, rng):
