@@ -179,25 +179,25 @@ def _pair_members(arr: Arrangement, tol: Tolerance):
     by_dim = [(d, np.flatnonzero(dims == d)) for d in sorted(set(dims.tolist()))]
     width = max(arr.ambient, len(rows))
     for a in range(n - 1):
-        own = slice(starts[a], starts[a] + dims[a])
-        quot = rows - (rows @ rows[own].T) @ rows[own]
+        rows_a = slice(starts[a], starts[a] + dims[a])
+        quot = rows - (rows @ rows[rows_a].T) @ rows[rows_a]
         quot2 = np.einsum("ij,ij->i", quot, quot)
         near = quot2 <= tol.residual_tol**2
-        near[own] = True
+        near[rows_a] = True
         base = np.bincount(owner[near], minlength=n)
         # a row near V_a is never screened again
         cut = np.where(near, np.inf, quot2 - slack)
         for d, spaces in by_dim:
             partners = spaces[np.searchsorted(spaces, a, side="right"):]
-            own_rows = starts[partners][:, None] + np.arange(d)
-            q = np.linalg.qr(quot[own_rows].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            rows_b = starts[partners][:, None] + np.arange(d)
+            q = np.linalg.qr(quot[rows_b].transpose(0, 2, 1))[0].transpose(0, 2, 1)
             for part in chunk_slices(partners.size, 8 * max(d, 1) * width):
                 b = partners[part]
                 m = b.size
                 # a space is inside when all of its rows are (a zero space has none)
                 inside = np.repeat((base == dims)[None], m, axis=0)
                 inside[np.arange(m), b] = True
-                p, x = _rows_inside(quot, cut, q[part], own_rows[part], tol)
+                p, x = _rows_inside(quot, cut, q[part], rows_b[part], tol)
                 if p.size:
                     # the rows come sorted by (pair, owner): count each run
                     key = p * n + owner[x]
