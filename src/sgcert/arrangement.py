@@ -320,8 +320,9 @@ def generate_grouped(k: int, delta: float, n: int, ambient=None,
     orthogonal matrix, so the total dimension is exactly 2k * ceil(1/delta)
     whenever every block is populated.  Within a block, spaces are generic
     k-subspaces with pairwise zero intersection (re-checked, not assumed).
+    ``delta`` must be finite.
     """
-    if k < 1 or n < 1 or delta <= 0:
+    if k < 1 or n < 1 or not 0 < delta < np.inf:  # NaN fails this too
         raise PreconditionError("grouped generator needs k >= 1, n >= 1, delta > 0")
     groups = int(np.ceil(1.0 / delta - 1e-12))
     if ambient is None:

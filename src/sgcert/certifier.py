@@ -46,7 +46,14 @@ from .linalg import (
     rank,
     spectral_norm,
 )
-from .scaling import _SampleStream, admissible_hull_vector, optimize, spanning_model
+from .scaling import (
+    _dimension_groups,
+    _pick_tuples,
+    _SampleStream,
+    admissible_hull_vector,
+    optimize,
+    spanning_model,
+)
 
 
 # the harvest branch takes its prefix from at most this many sampled runs
@@ -281,22 +288,25 @@ def verify_certificate(cert: Certificate, arr: Arrangement, sys: TripleSystem,
 
 
 def _harvest_from_run(arr: Arrangement, run, t_pref: int, tol: Tolerance):
-    """Intersections of every space with the span of a run's first picks."""
+    """Intersections of every space with the span of a run's first picks.
+
+    A nonzero space meets the span when the smallest singular value of its
+    residual off the span is within residual_tol; its vector is the basis
+    combination of the last left singular vector.  The residuals take one
+    stacked SVD per space dimension; indices come ascending.
+    """
     prefix = list(run[:t_pref])
     rows = np.vstack([arr.spaces[i].basis for i in prefix])
     span = orthonormalize(rows, tol)
     proj = span.T @ span
-    indices, vectors = [], []
-    for i, v in enumerate(arr.spaces):
-        if v.dim == 0:
-            continue
-        resid = v.basis - v.basis @ proj
-        u_left, svals, _ = np.linalg.svd(resid, full_matrices=False)
-        if svals[-1] <= tol.residual_tol:
-            c = u_left[:, -1]
-            indices.append(i)
-            vectors.append(c @ v.basis)
-    return indices, np.array(vectors) if vectors else np.zeros((0, arr.ambient))
+    found = {}
+    for idx, stack in _dimension_groups([v.basis for v in arr.spaces]):
+        u_left, svals, _ = np.linalg.svd(stack - stack @ proj, full_matrices=False)
+        for q in np.flatnonzero(svals[:, -1] <= tol.residual_tol).tolist():
+            found[int(idx[q])] = u_left[q, :, -1] @ stack[q]
+    indices = sorted(found)
+    return indices, (np.array([found[i] for i in indices]) if indices
+                     else np.zeros((0, arr.ambient)))
 
 
 def _harvest_certificate(arr: Arrangement, runs: list, t_pref: int, q_needed: int,
@@ -331,7 +341,8 @@ def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
     separated, so they drop automatically); the rest is pruned to an
     (alpha, delta/20)-system whose separated certificate bounds the span of
     the survivors, and the witness vectors are taken from the original
-    spaces at the surviving indices.
+    spaces at the surviving indices.  ``d`` is the dimension of the
+    arrangement, recorded in the certificate's params.
     """
     n = arr.n
     delta = as_fraction(sys.delta)
@@ -352,7 +363,7 @@ def _collapse_from_scaled(arr: Arrangement, sys: TripleSystem, scaled: list,
     z_rows = np.vstack([arr.spaces[i].basis[0] for i in idx_map])
     cert = Certificate(kind="collapse", indices=list(idx_map), z_vectors=z_rows,
                        w_dim=rank(z_rows, tol),
-                       params={"branch": "scale-collapse",
+                       params={"branch": "scale-collapse", "d": d,
                                "inner_bound": inner.d_bound,
                                "surviving_sets": len(surviving)})
     verify_certificate(cert, arr, sys, beta, tol)
@@ -382,8 +393,10 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     the stream goes straight to ``trials``.  The scale branch always sees
     the full ``trials`` runs.  The harvest certificate and the
     InconclusiveError diagnostics record the trial count in ``trials``.
-    Expects a validated system; a collapse witness is verified before it
-    is returned.
+    The dimension d and the span rows the stream samples in come from one
+    :func:`orthonormalize` of the stacked bases; every certificate returned
+    records d in ``params["d"]``.  Expects a validated system; a collapse
+    witness is verified before it is returned.
     """
     if not (0.0 < beta < 1.0):
         raise PreconditionError(f"beta must be in (0, 1), got {beta}")
@@ -395,7 +408,8 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     if not k_bound:
         raise PreconditionError("decomposition needs a space of positive dimension")
     n = arr.n
-    d = arr.dimension(tol)
+    span_rows = orthonormalize(arr.stacked_basis(), tol)
+    d = span_rows.shape[0]
     beta_frac = as_fraction(beta)
     threshold = Fraction(400 * alpha * k_bound**3) / (beta_frac * delta)
 
@@ -403,14 +417,14 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
         return Certificate(kind="bound", d_bound=floor(threshold),
                            params={"alpha": alpha, "delta": float(delta),
                                    "k": k_bound, "n": n, "beta": beta,
-                                   "branch": "entry", "measured": d})
+                                   "branch": "entry", "measured": d, "d": d})
 
     if entry_check and Fraction(d) <= threshold:
         return entry_certificate()
 
     pick_floor = float(beta_frac * d / (4 * k_bound * n))
     diagnostics = {"d": d, "n": n, "pick_floor": pick_floor, "branch_tried": []}
-    stream = _SampleStream(arr, seed, tol)
+    stream = _SampleStream(arr, seed, tol, span_rows)
     count = min(_FIRST_TRIALS, trials)
     while True:
         sample = stream.extend(count)
@@ -420,12 +434,12 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
         if (not diagnostics["branch_tried"]
                 and Fraction(len(below)) > delta * n / (10 * alpha)):
             diagnostics["branch_tried"].append("harvest")
-            cert = _harvest_certificate(arr, sample.sets[:_HARVEST_RETRIES],
+            cert = _harvest_certificate(arr, _pick_tuples(sample.picks[:_HARVEST_RETRIES]),
                                         ceil(beta_frac * d / (2 * k_bound)),
                                         ceil(delta * n / (20 * alpha)),
                                         floor(beta_frac * d), tol)
             if cert is not None:
-                cert.params["trials"] = count
+                cert.params.update(trials=count, d=d)
                 verify_certificate(cert, arr, sys, beta, tol)
                 return cert
         if count == trials:
@@ -436,7 +450,7 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
     diagnostics["branch_tried"].append("scale-collapse")
     try:
         hull = admissible_hull_vector(sample)
-        model = spanning_model(arr, hull, tol)
+        model = spanning_model(arr, hull, tol, span=stream.span)
         scaling = optimize(model.arrangement, model.p, eps_target=1.0, tol=tol)
         if scaling.obstruction is not None:
             raise InconclusiveError(
@@ -497,7 +511,8 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     terminating round's threshold back through the per-round (1 - beta)
     dimension-loss factor; the recursion is hard-capped at
     ceil(20 alpha k / delta) rounds.  Only the input system is validated here;
-    map_and_clean validates each later round's system as it makes it.
+    map_and_clean validates each later round's system as it makes it.  Each
+    round's dimension d_t is the one its decomposition step measured.
     """
     budget = budget or CertifyBudget()
     report = validate_system(arr, sys, tol)
@@ -519,7 +534,6 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     hard_cap = ceil(Fraction(20 * alpha * k_bound) / delta0)
     max_rounds = hard_cap if budget.max_rounds is None else min(budget.max_rounds, hard_cap)
 
-    measured0 = arr.dimension(tol)
     start = time.monotonic()
     rounds = []
     cur_arr, cur_sys = arr, sys
@@ -538,13 +552,14 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
             raise BudgetExceededError(
                 f"wall clock budget {budget.wall_clock}s exhausted", trace=rounds
             )
-        d_t = cur_arr.dimension(tol)
         cert = decompose_step(cur_arr, cur_sys, float(beta_frac),
                               trials=budget.trials, seed=budget.seed + t,
                               tol=tol, entry_check=entry_check)
+        d_t = cert.params["d"]
         if cert.kind == "bound":
             rounds.append(RoundRecord(t, cur_arr.n, float(delta_t), d_t,
                                       cert.params.get("branch", "bound"), 0))
+            measured0 = rounds[0].d
             bound_here = Fraction(400 * alpha * k_bound**3) / (beta_frac * delta_t)
             inflate = (Fraction(1) / (1 - beta_frac)) ** t
             final_bound = floor(inflate * bound_here)

@@ -8,7 +8,6 @@ invariant or certificate failure, 2 usage/parse error, 3 budget exceeded.
 import argparse
 import sys
 from contextlib import nullcontext
-from itertools import chain
 
 import numpy as np
 
@@ -107,16 +106,9 @@ def cmd_scale(args) -> int:
     tol = _tol_from(args)
     arr = _load_real(args.input, tol)
     sample = sample_admissible(arr, args.trials, args.seed, tol)
-    # one summed segment of the picks' dimensions per set, in small dtypes;
-    # a set is empty only when every space is, and then all sets span
-    sizes = np.fromiter(map(len, sample.sets), dtype=np.intp, count=len(sample.sets))
-    picks = np.fromiter(chain.from_iterable(sample.sets), dtype=np.min_scalar_type(arr.n),
-                        count=int(sizes.sum()))
-    non_basis = 0
-    if picks.size:
-        dims = np.array(arr.dims(), dtype=np.min_scalar_type(arr.ambient))
-        set_dims = np.add.reduceat(dims[picks], np.cumsum(sizes) - sizes, dtype=np.intp)
-        non_basis = int(np.count_nonzero(set_dims != arr.dimension(tol)))
+    # the picks hold index + 1 and pad with 0, which reads dimension 0 here
+    set_dims = np.array([0] + arr.dims(), dtype=np.intp)[sample.picks].sum(axis=1)
+    non_basis = int(np.count_nonzero(set_dims != arr.dimension(tol)))
     if non_basis:
         print(f"warning: {non_basis} of {args.trials} sampled sets do not span; "
               "p may sit outside the basis hull", file=sys.stderr)

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
-from math import isfinite
+from math import ceil, isfinite
 
 import numpy as np
 
@@ -366,8 +366,9 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) > 0]
 
 
-def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:
-    """Whether each set (2 or 3 distinct in-range indices) means what it says.
+def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
+                    tol: Tolerance) -> tuple:
+    """Whether each 3-set and each 2-set (rows of distinct in-range indices) holds.
 
     A 3-set must be a dependent triple (the test of
     :func:`is_dependent_triple`: some pair's rank equals the triple's), a
@@ -377,8 +378,6 @@ def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:
     reads its answer back from its key.
     """
     dims = np.array(arr.dims(), dtype=int)
-    threes = np.array([s for s in sets if len(s) == 3], dtype=int).reshape(-1, 3)
-    twos = np.array([s for s in sets if len(s) == 2], dtype=int).reshape(-1, 2)
     n, triple_pairs = arr.n, ((0, 1), (0, 2), (1, 2))
     three_keys = (threes[:, 0] * n + threes[:, 1]) * n + threes[:, 2]
     distinct3 = _distinct(three_keys)
@@ -398,11 +397,12 @@ def _semantics_hold(arr: Arrangement, sets: list, tol: Tolerance) -> np.ndarray:
         dependent |= pair_rank(triples[:, i], triples[:, j]) == total
     d = dims[twos]
     equal = (d[:, 0] == d[:, 1]) & (pair_rank(twos[:, 0], twos[:, 1]) == d[:, 0])
-    holds = np.empty(len(sets), dtype=bool)
-    is_three = np.array([len(s) == 3 for s in sets], dtype=bool)
-    holds[is_three] = dependent[np.searchsorted(distinct3, three_keys)]
-    holds[~is_three] = equal
-    return holds
+    return dependent[np.searchsorted(distinct3, three_keys)], equal
+
+
+def _set_rows(flat: np.ndarray, starts: np.ndarray, which: np.ndarray, size: int) -> np.ndarray:
+    """The (len(which), size) rows of the sets ``which``, cut from ``flat`` at ``starts``."""
+    return flat[starts[which][:, None] + np.arange(size)]
 
 
 def validate_system(arr: Arrangement, sys: TripleSystem,
@@ -412,41 +412,52 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
     Covers set sizes, the containment/equality semantics of 3- and 2-sets,
     per-index degree >= delta * n, per-pair multiplicity <= alpha, and the
     counting consequences delta n^2 / 3 <= w <= alpha n^2 / 2 and
-    delta/alpha <= 3/2.
+    delta/alpha <= 3/2.  The checks run on one array of all the sets'
+    indices: sizes, ranges and repeats by set, degrees by one count, and
+    pair multiplicities from sorted keys i n + j of the pairs of every set
+    with all its indices in range (out-of-range sets are reported and left
+    out of every count).  The violations of each kind come in the order of
+    the per-set definitions: by set, by index, and by the pair's first
+    occurrence.
     """
     report = SystemReport()
     v = report.violations
     if sys.n != arr.n:
         v.append(f"system indexes {sys.n} spaces, arrangement has {arr.n}")
         return report
-    n = arr.n
-    # out-of-range sets are reported below and left out of every count
-    counted = TripleSystem(n, [s for s in sys.sets if all(0 <= i < n for i in s)],
-                           alpha=sys.alpha, delta=sys.delta)
-    bad_sets, checked = {}, []
-    for j, s in enumerate(sys.sets):
-        if len(s) not in (2, 3) or len(set(s)) != len(s):
-            bad_sets[j] = f"set {j}: size must be 2 or 3 with distinct indices, got {s}"
-        elif any(i < 0 or i >= n for i in s):
-            bad_sets[j] = f"set {j}: index out of range in {s}"
-        else:
-            checked.append(j)
-    for j, holds in zip(checked, _semantics_hold(arr, [sys.sets[j] for j in checked], tol)):
-        if not holds:
-            s = sys.sets[j]
-            bad_sets[j] = (f"set {j}: {s} is not a dependent triple" if len(s) == 3
-                           else f"set {j}: spaces {s[0]} and {s[1]} are not equal")
+    n, sets = arr.n, sys.sets
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    in_range = np.bincount(owner[(flat < 0) | (flat >= n)], minlength=len(sets)) == 0
+    ordered = flat[np.lexsort((flat, owner))]  # each set's indices ascending
+    repeats = np.bincount(owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])],
+                          minlength=len(sets))
+    well_formed = ((sizes == 2) | (sizes == 3)) & (repeats == 0)
+    bad_sets = {j: f"set {j}: size must be 2 or 3 with distinct indices, got {sets[j]}"
+                for j in np.flatnonzero(~well_formed).tolist()}
+    bad_sets.update((j, f"set {j}: index out of range in {sets[j]}")
+                    for j in np.flatnonzero(well_formed & ~in_range).tolist())
+    checked = well_formed & in_range
+    by_size = {size: np.flatnonzero(checked & (sizes == size)) for size in (2, 3)}
+    dependent, equal = _semantics_hold(arr, _set_rows(flat, starts, by_size[3], 3),
+                                       _set_rows(flat, starts, by_size[2], 2), tol)
+    bad_sets.update((j, f"set {j}: {sets[j]} is not a dependent triple")
+                    for j in by_size[3][~dependent].tolist())
+    bad_sets.update((j, f"set {j}: spaces {sets[j][0]} and {sets[j][1]} are not equal")
+                    for j in by_size[2][~equal].tolist())
     v.extend(bad_sets[j] for j in sorted(bad_sets))
     delta = as_fraction(sys.delta)
-    deg = counted.degrees()
-    for i in range(n):
-        if Fraction(deg[i]) < delta * n:
-            v.append(
-                f"index {i} lies in {deg[i]} sets, fewer than delta*n = {float(delta * n):g}"
-            )
-    for (a, b), c in counted.pair_counts().items():
-        if c > sys.alpha:
-            v.append(f"pair ({a},{b}) appears in {c} sets, more than alpha = {sys.alpha}")
+    counted = in_range[owner]
+    deg = np.bincount(flat[counted], minlength=n)
+    # deg < delta n for an integer deg means deg < ceil(delta n)
+    for i in np.flatnonzero(deg < ceil(delta * n)).tolist():
+        v.append(
+            f"index {i} lies in {deg[i]} sets, fewer than delta*n = {float(delta * n):g}"
+        )
+    v.extend(f"pair ({a},{b}) appears in {c} sets, more than alpha = {sys.alpha}"
+             for a, b, c in _pairs_above(ordered, starts, sizes, in_range, n, sys.alpha))
     w = sys.w
     if Fraction(3 * w) < delta * n * n:
         v.append(f"count bound failed: w = {w} < delta*n^2/3 = {float(delta * n * n / 3):g}")
@@ -455,6 +466,36 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
     if 2 * delta > 3 * sys.alpha:
         v.append(f"delta/alpha = {float(delta) / sys.alpha:g} exceeds 3/2")
     return report
+
+
+def _pairs_above(ordered: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+                 counted: np.ndarray, n: int, alpha: int) -> list:
+    """(a, b, count) for each pair a <= b in more than ``alpha`` counted sets.
+
+    ``ordered`` holds each set's indices ascending, set after set from
+    ``starts``; the pairs of a set are its index combinations in order.  A
+    pair appears once per set and combination that gives it, and the
+    pairs come in the order of their first appearance, set by set.
+    """
+    keys, first = [], []
+    stride = int(sizes.max(initial=1)) ** 2  # above the combinations of any set
+    for size in np.flatnonzero(np.bincount(sizes[counted])).tolist():
+        which = np.flatnonzero(counted & (sizes == size))
+        rows = _set_rows(ordered, starts, which, size)
+        for c, (i, j) in enumerate(combinations(range(size), 2)):
+            keys.append(rows[:, i] * n + rows[:, j])
+            first.append(which * stride + c)
+    if not keys:
+        return []
+    keys, first = np.concatenate(keys), np.concatenate(first)
+    order = np.lexsort((first, keys))
+    keys, first = keys[order], first[order]
+    runs = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(runs, append=keys.size)
+    over = np.flatnonzero(counts > alpha)
+    over = over[np.argsort(first[runs[over]])]
+    a, b = np.divmod(keys[runs[over]], n)
+    return list(zip(a.tolist(), b.tolist(), counts[over].tolist()))
 
 
 def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta,

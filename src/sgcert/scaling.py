@@ -15,7 +15,7 @@ obstruction diagnostic instead of a map.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -56,14 +56,64 @@ _SCAN_WINDOW = 4
 # sampling admissible sets
 
 
-@dataclass
 class AdmissibleSample:
-    """Greedy-to-maximality samples: per-trial pick sequences and frequencies."""
+    """Greedy-to-maximality samples: per-trial pick sequences and frequencies.
 
-    sets: list
-    p_hat: np.ndarray
-    trials: int
-    seed: int
+    Row t of ``picks`` holds the picks of trial t in pick order, each index
+    plus one, padded with zeros: an unsigned array as narrow as the indices
+    allow.  ``sets`` lists the same picks as tuples of indices; it is built
+    when first read, and a sample made from ``sets`` takes its ``picks``
+    from them.
+    """
+
+    def __init__(self, sets=None, p_hat=None, trials=None, seed=None, picks=None):
+        self._sets = sets
+        self.picks = _pick_rows(sets) if picks is None else picks
+        self.p_hat, self.trials, self.seed = p_hat, trials, seed
+
+    @property
+    def sets(self) -> list:
+        if self._sets is None:
+            self._sets = _pick_tuples(self.picks)
+        return self._sets
+
+
+def _pick_rows(sets) -> np.ndarray:
+    """The ``picks`` array of a list of index tuples (see AdmissibleSample)."""
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    tags = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum())) + 1
+    return _padded(tags, sizes, int(sizes.max(initial=1)),
+                   np.min_scalar_type(tags.max(initial=0)))
+
+
+def _padded(tags: np.ndarray, sizes: np.ndarray, width: int, dtype) -> np.ndarray:
+    """Rows of ``width`` zero-padded entries; row t holds the next ``sizes[t]`` tags."""
+    rows = np.zeros((sizes.size, width), dtype=dtype)
+    rows[np.arange(width) < sizes[:, None]] = tags
+    return rows
+
+
+def _pick_tuples(picks: np.ndarray) -> list:
+    """The rows of a ``picks`` array as tuples of indices, in row order."""
+    flat = iter((picks[picks > 0] - 1).tolist())
+    return [tuple(islice(flat, size)) for size in np.count_nonzero(picks, axis=1).tolist()]
+
+
+def _set_runs(picks: np.ndarray) -> tuple:
+    """(keys, order, starts): the sets of the rows of ``picks``, grouped.
+
+    Row q of ``keys`` is row ``order[q]`` of ``picks`` sorted ascending with
+    its zero padding last; ``order`` sorts the keys lexicographically and is
+    stable, so equal sets keep their trial order, and ``starts`` are the
+    first rows of the runs of equal keys.  With the padding last, that is
+    the order of the sets as sorted tuples.
+    """
+    keys = np.sort(picks - 1, axis=1) + 1  # the padding wraps to the top and back
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return keys, order, np.flatnonzero(fresh)
 
 
 @dataclass
@@ -113,14 +163,14 @@ def _clear(res: np.ndarray, pad: np.ndarray, cutoff: float) -> np.ndarray:
 def _greedy_block(bases, dims, order, ambient, cutoff):
     """Greedy-to-maximality runs for a block of trials, one random order each.
 
-    ``bases`` (n, kmax, l) holds the nonzero spaces zero-padded to kmax
-    rows, and trial t scans them in the order ``order[t]``, keeping each one
+    ``bases`` (n, kmax, l) holds the nonzero spaces of R^l (l = ``ambient``,
+    the dimension the trials scan) zero-padded to kmax rows, and trial t scans them in the order ``order[t]``, keeping each one
     whose residual off its span is still clear of it (smallest singular
     value above ``cutoff``).  A window of the order is projected on the span
     in one stacked product; the rows of a kept residual are orthonormalized
     by Gram-Schmidt applied twice, appended to the span and projected off
     the rest of the window.  The trials of the block scan in step; one
-    whose span fills the ambient space leaves at the end of the window, the
+    whose span fills R^l leaves at the end of the window, the
     rest stop when their orders run out.  Returns the (b, n) mask of the
     kept positions of ``order``.
     """
@@ -128,7 +178,7 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
     kmax = bases.shape[1]
     pad = (np.arange(kmax) >= dims[:, None]).astype(float)
     # rows past a trial's own stay zero; kmax spare rows take the zero
-    # padding of a pick that fills the ambient space
+    # padding of a pick that fills R^l
     span = np.zeros((b, ambient + kmax, ambient))
     rows = np.zeros(b, dtype=np.intp)
     kept = np.zeros((b, n), dtype=bool)
@@ -171,70 +221,84 @@ class _SampleStream:
     ``extend(total)`` scans only the trials not drawn yet, so a stream
     grown in pieces holds the sets one call for the whole count gives: the
     keys of each block of trials are the generator's next rows, drawn in
-    trial order.  Each distinct set is re-verified once, by stacked ranks,
-    when it first occurs; ``verified`` maps the hash of each checked set's
-    sorted key to the trial where it first occurred.
+    trial order.  When the spaces span d < l dimensions of R^l, the trials
+    scan their isometric images in R^d (coordinates on the orthonormal
+    ``span_rows`` of the sum, as :func:`spanning_model` takes them), so a
+    trial leaves as soon as its span has d rows; the clearance cutoff stays
+    the one of R^l.  ``span`` is the pair (span_rows, images), images None
+    when the trials scan R^l.  The picks are kept as the rows of
+    ``picks`` (see :class:`AdmissibleSample`), and each distinct set is
+    re-verified once against the original arrangement, by stacked ranks,
+    when it first occurs.
     """
 
-    def __init__(self, arr: Arrangement, seed: int, tol: Tolerance):
-        all_dims = np.array(arr.dims(), dtype=np.intp)
-        self.nonzero = np.flatnonzero(all_dims)
-        self.dims = all_dims[self.nonzero]
-        kmax, n, ambient = int(self.dims.max(initial=0)), self.nonzero.size, arr.ambient
-        self.bases = np.zeros((n, kmax, ambient))
+    def __init__(self, arr: Arrangement, seed: int, tol: Tolerance, span_rows=None):
+        if span_rows is None:
+            span_rows = orthonormalize(arr.stacked_basis(), tol)
+        dim, bases, images = arr.ambient, [v.basis for v in arr.spaces], None
+        if 0 < span_rows.shape[0] < dim:
+            dim = span_rows.shape[0]
+            images = _orthonormal_images(bases, span_rows, tol)
+            bases = [images.get(i, np.zeros((0, dim))) for i in range(arr.n)]
+        sampled_dims = np.array([len(b) for b in bases], dtype=np.intp)
+        self.nonzero = np.flatnonzero(sampled_dims)
+        self.dims = sampled_dims[self.nonzero]
+        kmax, n = int(self.dims.max(initial=0)), self.nonzero.size
+        self.bases = np.zeros((n, kmax, dim))
         for p, i in enumerate(self.nonzero):
-            self.bases[p, :self.dims[p]] = arr.spaces[i].basis
+            self.bases[p, :self.dims[p]] = bases[i]
         # per trial: span, window with two product temporaries, keys, argsort, order
-        state = 8 * (ambient + kmax + 3 * _SCAN_WINDOW * kmax) * ambient + 17 * n
+        state = 8 * (dim + kmax + 3 * _SCAN_WINDOW * kmax) * dim + 17 * n
         self.block = int(np.clip(_BLOCK_BYTES // state, 1, _TRIAL_BLOCK))
         self.index_type = np.min_scalar_type(max(n - 1, 0))
-        self.cutoff = _eligible_min_sv(ambient, tol)
-        self.arr, self.all_dims, self.seed, self.tol = arr, all_dims, seed, tol
+        self.cutoff = _eligible_min_sv(arr.ambient, tol)
+        # each pick adds at least the smallest dimension to a span of at most dim rows
+        self.width = min(n, dim // int(self.dims.min())) if n else 1
+        self.tags = (self.nonzero + 1).astype(np.min_scalar_type(arr.n))
+        self.arr, self.dim, self.span = arr, dim, (span_rows, images)
+        self.all_dims = np.array(arr.dims(), dtype=np.intp)
+        self.seed, self.tol = seed, tol
         self.gen = np.random.default_rng(seed)
-        self.sets = []
+        self.picks = np.zeros((0, self.width), dtype=self.tags.dtype)
         self.counts = np.zeros(arr.n, dtype=np.intp)
-        self.verified = {}
 
     def extend(self, total: int) -> AdmissibleSample:
         """Draw trials up to ``total`` in all and return the sample so far."""
         if total < 1:
             raise PreconditionError("trials must be >= 1")
-        first = len(self.sets)
-        n = self.nonzero.size
-        while len(self.sets) < total:
-            keys = self.gen.random((min(self.block, total - len(self.sets)), n))
+        first = drawn = len(self.picks)
+        blocks = [self.picks]
+        while drawn < total:
+            keys = self.gen.random((min(self.block, total - drawn), self.nonzero.size))
             order = keys.argsort(axis=1).astype(self.index_type)
-            kept = _greedy_block(self.bases, self.dims, order, self.arr.ambient, self.cutoff)
-            self.sets.extend(tuple(self.nonzero[o[k]].tolist()) for o, k in zip(order, kept))
+            kept = _greedy_block(self.bases, self.dims, order, self.dim, self.cutoff)
+            blocks.append(_padded(self.tags[order[kept]], kept.sum(axis=1), self.width,
+                                  self.tags.dtype))
+            drawn += len(order)
+        self.picks = np.concatenate(blocks)
         self._reverify(first)
-        new = self.sets[first:]
-        picks = np.fromiter(chain.from_iterable(new), dtype=np.intp, count=sum(map(len, new)))
-        self.counts += np.bincount(picks, minlength=self.arr.n)
-        return AdmissibleSample(sets=self.sets[:], p_hat=self.counts / len(self.sets),
-                                trials=len(self.sets), seed=self.seed)
+        self.counts += np.bincount(self.picks[first:].ravel(), minlength=self.arr.n + 1)[1:]
+        return AdmissibleSample(picks=self.picks, p_hat=self.counts / drawn,
+                                trials=drawn, seed=self.seed)
 
     def _reverify(self, first: int) -> None:
-        """Check ``dim(sum) = sum(dim)`` on the unseen sets of trials ``first`` on."""
-        fresh, sizes = [], []  # trial and size of each unseen set's first occurrence
-        for t in range(first, len(self.sets)):
-            h = self.sets[t]
-            if not h:
-                continue
-            key = tuple(sorted(h))
-            j = self.verified.setdefault(hash(key), t)
-            if j == t or tuple(sorted(self.sets[j])) != key:
-                fresh.append(t)
-                sizes.append(len(h))
-        fresh, sizes = np.array(fresh, dtype=np.intp), np.array(sizes, dtype=np.intp)
+        """Check ``dim(sum) = sum(dim)`` on the unseen sets of trials ``first`` on.
+
+        A set is unseen when its first occurrence is one of those trials; the
+        nonempty unseen sets are ranked in the order of those occurrences.
+        """
+        keys, order, starts = _set_runs(self.picks)
+        fresh = starts[(order[starts] >= first) & (keys[starts, 0] > 0)]
+        fresh = fresh[np.argsort(order[fresh])]
+        sizes = np.count_nonzero(keys[fresh], axis=1)
         for size in np.flatnonzero(np.bincount(sizes)):
-            picked = fresh[sizes == size]
-            chosen = np.array([self.sets[t] for t in picked], dtype=np.min_scalar_type(self.arr.n))
-            chosen.sort(axis=1)
+            runs = fresh[sizes == size]
+            chosen = keys[runs, :size] - 1
             short = np.flatnonzero(_stacked_set_ranks(self.arr, chosen, self.tol)
                                    != self.all_dims[chosen].sum(axis=1))
             if short.size:
-                raise SgcertError(f"sampled set {self.sets[picked[short[0]]]} "
-                                  "failed the admissibility equation")
+                (bad,) = _pick_tuples(self.picks[order[runs[short[:1]]]])
+                raise SgcertError(f"sampled set {bad} failed the admissibility equation")
 
 
 def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
@@ -253,10 +317,12 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
     trials of any count are the sets ``a`` trials give.  A residual is
     clear when its smallest singular value exceeds
     :func:`_eligible_min_sv`, so a pick keeps every row of its space under
-    the rank rule of ``tol``.  Every distinct emitted set is verified once
-    against the exact admissibility equation dim(sum) = sum(dim), by
-    stacked singular values per dimension signature.  This is one
-    extension of a fresh :class:`_SampleStream`.
+    the rank rule of ``tol``.  When the spaces span d < l dimensions, the
+    trials scan their isometric images in R^d and leave once their span has
+    d rows, with the cutoff of R^l.  Every distinct emitted set is verified
+    once against the exact admissibility equation dim(sum) = sum(dim) of
+    the spaces given, by stacked ranks per dimension signature.  This is
+    one extension of a fresh :class:`_SampleStream`.
     """
     return _SampleStream(arr, seed, tol).extend(trials)
 
@@ -266,18 +332,18 @@ def admissible_hull_vector(sample: AdmissibleSample) -> HullCertificate:
 
     The returned p is computed as sum_H q_H 1_H over the distinct sampled
     sets with q_H = (occurrences / trials), so hull membership holds by
-    construction.
+    construction.  The distinct sets and their counts are read off the
+    sorted rows of ``sample.picks``; the terms come as sorted tuples in
+    ascending order, and each p_i adds its terms' weights in that order.
     """
     if sample.trials < 1:
         raise PreconditionError("sample has no trials")
-    weights = {}
-    for h in sample.sets:
-        key = tuple(sorted(h))
-        weights[key] = weights.get(key, 0) + 1
-    terms = [(h, c / sample.trials) for h, c in sorted(weights.items())]
-    p = np.zeros_like(sample.p_hat)
-    for h, q in terms:
-        p[list(h)] += q
+    keys, _, starts = _set_runs(sample.picks)
+    distinct = keys[starts]
+    counts = np.diff(starts, append=len(keys)).tolist()
+    terms = [(h, c / sample.trials) for h, c in zip(_pick_tuples(distinct), counts)]
+    weights = np.repeat([q for _, q in terms], np.count_nonzero(distinct, axis=1))
+    p = np.bincount(distinct[distinct > 0] - 1, weights=weights, minlength=len(sample.p_hat))
     return HullCertificate(p=p, terms=terms)
 
 
@@ -663,7 +729,7 @@ class SpanningModel:
 
 
 def spanning_model(arr: Arrangement, hull: HullCertificate,
-                 tol: Tolerance = DEFAULT_TOL) -> SpanningModel:
+                 tol: Tolerance = DEFAULT_TOL, span=None) -> SpanningModel:
     """Build the spanning model whose optimum yields the sum-of-squares <= 2 bound.
 
     Appends one 1-dimensional space per direction of the span, extends
@@ -678,15 +744,19 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     its Cholesky screen certifies a term of d rows that spans R^d without an
     SVD.  Only the terms of rank below d are orthonormalized and extended,
     coordinate line by coordinate line.
+
+    ``span`` is the ``span`` of a :class:`_SampleStream` on ``arr`` and
+    ``tol``, whose span rows (and images, when it has them) are reused.
     """
     if hull is None or not isinstance(hull, HullCertificate):
         raise PreconditionError("a hull certificate from admissible_hull_vector is required")
-    span_rows = orthonormalize(arr.stacked_basis(), tol)
+    span_rows, images = span or (orthonormalize(arr.stacked_basis(), tol), None)
     d = span_rows.shape[0]
     if d == 0:
         raise PreconditionError("arrangement sum is the zero space")
     # isometric on the span
-    images = _orthonormal_images([v.basis for v in arr.spaces], span_rows, tol)
+    if images is None:
+        images = _orthonormal_images([v.basis for v in arr.spaces], span_rows, tol)
     model_spaces = [Subspace(d, images.get(i, np.zeros((0, d)))) for i in range(arr.n)]
     eye = np.eye(d)
     aux = [Subspace(d, eye[[s]]) for s in range(d)]
@@ -701,13 +771,18 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
         sets = np.array([hull.terms[t][0] for t in which], dtype=np.intp)
         spans[which] = _stacked_set_ranks(model_arr, sets, tol) == d
         term_dims[which] = model_dims[sets].sum(axis=1)
-    p_model = np.zeros(arr.n + d)
-    for (h, q), spanning, h_dim in zip(hull.terms, spans, term_dims.tolist()):
+    fulls = []
+    for (h, _), spanning, h_dim in zip(hull.terms, spans, term_dims.tolist()):
         extension = [] if spanning else _extend_to_basis(model_spaces, h, d, tol)
         full = list(h) + [arr.n + s for s in extension]
         if h_dim + len(extension) != d:  # each auxiliary line adds one dimension
             raise SgcertError(f"extended set {full} is not a basis set")
-        p_model[full] += q
+        fulls.append(full)
+    # each p_model[i] adds its terms' weights in term order
+    members = np.fromiter(chain.from_iterable(fulls), dtype=np.intp,
+                          count=sum(map(len, fulls)))
+    weights = np.repeat([q for _, q in hull.terms], list(map(len, fulls)))
+    p_model = np.bincount(members, weights=weights, minlength=arr.n + d)
     if not np.allclose(p_model[: arr.n], hull.p, atol=1e-12):
         raise SgcertError("hull prefix mismatch while extending to basis sets")
     return SpanningModel(arrangement=model_arr, p=p_model,

@@ -12,6 +12,7 @@ from instances import (
     duplicate_line_instance,
     far_clusters_instance,
     mercedes_lines,
+    plane_and_lines,
 )
 from sgcert.arrangement import (
     Arrangement,
@@ -44,7 +45,7 @@ from sgcert.errors import (
     MembershipError,
     PreconditionError,
 )
-from sgcert.linalg import DEFAULT_TOL, rank, spectral_norm
+from sgcert.linalg import DEFAULT_TOL, orthonormalize, rank, spectral_norm
 from sgcert.scaling import _SampleStream, sample_admissible
 
 
@@ -380,6 +381,41 @@ def reference_harvest(arr, sys, beta, trials, seed):
     return None
 
 
+def per_space_harvest(arr, run, t_pref, tol):
+    """_harvest_from_run with one SVD per space."""
+    span = orthonormalize(np.vstack([arr.spaces[i].basis for i in run[:t_pref]]), tol)
+    proj = span.T @ span
+    indices, vectors = [], []
+    for i, v in enumerate(arr.spaces):
+        if v.dim:
+            u_left, svals, _ = np.linalg.svd(v.basis - v.basis @ proj, full_matrices=False)
+            if svals[-1] <= tol.residual_tol:
+                indices.append(i)
+                vectors.append(u_left[:, -1] @ v.basis)
+    return indices, np.array(vectors) if vectors else np.zeros((0, arr.ambient))
+
+
+@pytest.mark.parametrize("make", [lambda: duplicate_line_instance(60, 4, seed=2)[0],
+                                  lambda: far_clusters_instance(60, 10, seed=2)[0],
+                                  lambda: generate_grouped(k=2, delta=0.25, n=16, seed=1),
+                                  plane_and_lines],
+                         ids=["duplicate-line", "far-clusters", "grouped-planes",
+                              "plane-and-lines"])
+def test_harvest_from_run_matches_per_space_loop(make):
+    # one stacked SVD per space dimension gives the per-space answers bit for
+    # bit, planes that meet the span in a line included
+    arr = make()
+    hits = 0
+    for run in sample_admissible(arr, 3, seed=5).sets:
+        for t_pref in range(1, len(run) + 1, 2):
+            indices, vectors = certifier._harvest_from_run(arr, run, t_pref, DEFAULT_TOL)
+            want_indices, want_vectors = per_space_harvest(arr, run, t_pref, DEFAULT_TOL)
+            assert indices == want_indices
+            assert vectors.tobytes() == want_vectors.tobytes()
+            hits += len(indices)
+    assert hits
+
+
 def recording_extensions(monkeypatch):
     """Record the total of every sampler-stream extension."""
     totals = []
@@ -507,6 +543,26 @@ def test_certify_grouped_lower_bound():
     assert result.final_bound >= 8
     assert result.rounds[-1].branch == "entry"
     assert result.sound
+
+
+def test_certify_measures_a_round_once(monkeypatch):
+    # the round's dimension and the span rows come from one orthonormalize
+    # of its stacked bases; the entry bound needs no other measurement
+    arr = generate_grouped(k=1, delta=0.25, n=16, seed=13)
+    sys = build_sg_system(arr, 1)
+    stacked = []
+    measure = certifier.orthonormalize
+
+    def recording(m, tol=DEFAULT_TOL):
+        stacked.append(np.array_equal(m, arr.stacked_basis()))
+        return measure(m, tol)
+
+    monkeypatch.setattr(certifier, "orthonormalize", recording)
+    monkeypatch.setattr(Arrangement, "dimension", lambda *args: pytest.fail("re-measured"))
+    result = certify(arr, sys, budget=CertifyBudget(trials=64))
+    assert stacked == [True]
+    assert result.measured == result.rounds[0].d == 8
+    assert result.rounds[0].branch == "entry"
 
 
 def test_certify_single_special_space():

@@ -359,3 +359,16 @@ def test_certify_without_positive_dimension_one_line(tmp_path, capsys, text, sys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: certification needs a space of positive dimension"]
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan", "0", "-0.5"])
+def test_gen_grouped_rejects_bad_delta_one_line(tmp_path, capsys, delta):
+    # an infinite delta made ceil(1/delta) = 0 blocks and an empty file,
+    # a NaN one a conversion error
+    out_path = tmp_path / "g.arr"
+    assert run("gen", "--kind", "grouped", "--delta", delta, "--out", out_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: grouped generator needs k >= 1, n >= 1, delta > 0"]
+    assert not out_path.exists()

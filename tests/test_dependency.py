@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -369,6 +370,53 @@ def test_validate_system_matches_per_set_oracle(seed, n, data):
     got = validate_system(arr, sys).violations
     assert got[:len(want)] == want
     assert not any(v.startswith("set ") for v in got[len(want):])
+
+
+def _validate_oracle(arr, sys):
+    """validate_system one set at a time: per-set checks, a Counter of pairs."""
+    n = arr.n
+    out = _set_violations_oracle(arr, sys.sets)
+    counted = [s for s in sys.sets if all(0 <= i < n for i in s)]
+    deg = [0] * n
+    for s in counted:
+        for i in s:
+            deg[i] += 1
+    delta = Fraction(sys.delta).limit_denominator(10**9)
+    out += [f"index {i} lies in {deg[i]} sets, fewer than delta*n = {float(delta * n):g}"
+            for i in range(n) if Fraction(deg[i]) < delta * n]
+    pairs = Counter(p for s in counted for p in combinations(sorted(s), 2))
+    out += [f"pair ({a},{b}) appears in {c} sets, more than alpha = {sys.alpha}"
+            for (a, b), c in pairs.items() if c > sys.alpha]
+    w = len(sys.sets)
+    if Fraction(3 * w) < delta * n * n:
+        out.append(f"count bound failed: w = {w} < delta*n^2/3 = {float(delta * n * n / 3):g}")
+    if Fraction(2 * w) > Fraction(sys.alpha) * n * n:
+        out.append(f"count bound failed: w = {w} > alpha*n^2/2 = {sys.alpha * n * n / 2:g}")
+    if 2 * delta > 3 * sys.alpha:
+        out.append(f"delta/alpha = {float(delta) / sys.alpha:g} exceeds 3/2")
+    return out
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 7), alpha=st.integers(1, 4),
+       delta=st.sampled_from([0.0, 0.2, 0.5, 1.0, 2.5]), data=st.data())
+def test_validate_system_matches_per_set_reference(seed, n, alpha, delta, data):
+    # malformed systems: wrong sizes, repeated and out-of-range indices,
+    # sets repeated past alpha, degrees below delta n; every message and
+    # its place in the report must match the per-set reference
+    arr = _mixed_planted(seed, n, 6)
+    index = st.integers(-1, n)  # -1 and n are out of range
+    one_set = st.one_of(
+        st.sampled_from(list(combinations(range(n), 3))),
+        st.sampled_from(list(combinations(range(n), 2))),
+        st.tuples(index, index), st.tuples(index, index, index),
+        st.lists(index, max_size=5).map(tuple),
+    )
+    sets = data.draw(st.lists(one_set, max_size=30))
+    repeats = data.draw(st.lists(st.integers(0, max(len(sets) - 1, 0)), max_size=12))
+    sets += [sets[j] for j in repeats if sets]
+    sys = TripleSystem(n, sets, alpha=alpha, delta=delta)
+    assert validate_system(arr, sys).violations == _validate_oracle(arr, sys)
 
 
 def test_triple_family_r3():

@@ -1,7 +1,10 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from instances import plane_and_lines
 
 from sgcert.arrangement import Arrangement, Subspace, _stacked_set_ranks, generate_grouped
@@ -298,6 +301,138 @@ def test_sampler_cutoff_follows_rank_tol():
     assert _eligible_min_sv(3, tol) == np.sqrt(3) * 1e-3
     assert all(_eligible_min_sv(l, DEFAULT_TOL) == _ELIGIBLE_MIN_SV
                for l in (1, 16, 1000, 9_999))
+
+
+# sha256 of repr(sets) + p_hat bytes, first 16 hex digits, recorded before
+# the sampler kept its picks as arrays and scanned in the span of the
+# spaces: 300 trials at seeds 0, 5 and 17
+SAMPLER_DIGESTS = {
+    "duplicate-lines": ["80c3194fd43c73b8", "09e1492258111c45", "bd25b32fd8cbcfb6"],
+    "mixed-with-zero": ["16c7476e3b7585d0", "8d5093bdd48edabe", "e8fc5175ad546686"],
+    "not-spanning": ["213f4fa5d851d348", "38bb7a561b85b642", "48ecd1c7e79cc787"],
+    "zero-spaces-only": ["8217e0af90db481b"] * 3,
+}
+
+
+def sample_digest(sample):
+    text = repr(sample.sets).encode() + sample.p_hat.tobytes()
+    return hashlib.sha256(text).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_sampler_matches_recorded_digests(case):
+    arr = SAMPLER_CASES[case]()
+    got = [sample_digest(sample_admissible(arr, trials=300, seed=seed)) for seed in (0, 5, 17)]
+    assert got == SAMPLER_DIGESTS[case]
+
+
+def test_ci_scale_sample_matches_recorded_digest():
+    # the sample behind `sgcert scale g.arr --trials 256 --seed 3` on the CI
+    # instance `sgcert gen --kind grouped --k 1 --delta 0.5 --n 8 --seed 1`
+    arr = generate_grouped(k=1, delta=0.5, n=8, seed=1)
+    assert sample_digest(sample_admissible(arr, trials=256, seed=3)) == "3f56ccaa55969374"
+
+
+def integer_spaces(seed, ambient, n):
+    """Spans of rows with entries in {-1, 0, 1} (dimensions 0-3), two repeated.
+
+    Every clearance the sampler meets is either zero, up to rounding, or an
+    algebraic number of small height, far above any cutoff used here.  The
+    repeats are the same spaces under another orthonormal basis.
+    """
+    rng = np.random.default_rng(seed)
+    spaces = [Subspace(ambient, orthonormalize(
+        rng.integers(-1, 2, size=(int(rng.integers(0, min(3, ambient) + 1)), ambient))))
+        for _ in range(n)]
+    for i in rng.integers(0, n, size=2):
+        v = spaces[i]
+        turn = orthonormalize(rng.standard_normal((v.dim, v.dim))) if v.dim else np.eye(0)
+        spaces.append(Subspace(ambient, turn @ v.basis))
+    return Arrangement(ambient, spaces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(2, 5), n=st.integers(1, 6),
+       extra=st.integers(1, 3))
+def test_isometric_embedding_samples_alike(seed, ambient, n, extra):
+    # the embedding never spans its ambient space, so its trials scan the
+    # images in the span; the arrangement itself may span (and scan R^l)
+    arr = integer_spaces(seed, ambient, n)
+    frame = orthonormalize(np.random.default_rng(seed).standard_normal((ambient, ambient + extra)))
+    embedded = Arrangement(ambient + extra, [Subspace(ambient + extra, v.basis @ frame)
+                                             for v in arr.spaces])
+    if arr.dimension():
+        assert _SampleStream(embedded, 0, DEFAULT_TOL).dim == arr.dimension()
+    for tol in (DEFAULT_TOL, Tolerance(rank_tol=1e-3)):
+        a = sample_admissible(arr, trials=64, seed=seed, tol=tol)
+        b = sample_admissible(embedded, trials=64, seed=seed, tol=tol)
+        assert a.sets == b.sets
+        assert a.p_hat.tobytes() == b.p_hat.tobytes()
+        hull_a, hull_b = admissible_hull_vector(a), admissible_hull_vector(b)
+        assert hull_a.terms == hull_b.terms
+        assert hull_a.p.tobytes() == hull_b.p.tobytes()
+
+
+@pytest.mark.parametrize("case, dim", [("not-spanning", 3), ("mixed-with-zero", 9)])
+def test_stream_scans_the_span_of_its_spaces(case, dim, monkeypatch):
+    # a trial scans R^d, d the dimension of the sum, and leaves once its span
+    # has d rows; the cutoff stays the one of the input's ambient space
+    arr = SAMPLER_CASES[case]()
+    scanned = []
+    greedy = sgcert.scaling._greedy_block
+
+    def recording(bases, dims, order, ambient, cutoff):
+        kept = greedy(bases, dims, order, ambient, cutoff)
+        scanned.append((bases.shape[2], ambient, cutoff))
+        return kept
+
+    monkeypatch.setattr(sgcert.scaling, "_greedy_block", recording)
+    sample = sample_admissible(arr, trials=40, seed=2, tol=Tolerance(rank_tol=1e-3))
+    assert set(scanned) == {(dim, dim, _eligible_min_sv(arr.ambient, Tolerance(rank_tol=1e-3)))}
+    stream = _SampleStream(arr, 2, DEFAULT_TOL)
+    assert (stream.span[1] is None) == (dim == arr.ambient)
+    assert np.array_equal(stream.span[0], orthonormalize(arr.stacked_basis()))
+    for h in sample.sets:
+        assert_maximal_admissible(arr, h)
+
+
+def test_sample_picks_hold_the_sets():
+    # picks rows: index + 1 in pick order, zero padded, as narrow as the indices allow
+    arr = SAMPLER_CASES["mixed-with-zero"]()
+    sample = sample_admissible(arr, trials=50, seed=4)
+    assert sample.picks.dtype == np.uint8 and sample.picks.shape[0] == 50
+    rebuilt = AdmissibleSample(sets=sample.sets, p_hat=sample.p_hat, trials=50, seed=4)
+    assert rebuilt.picks.dtype == np.uint8
+    assert np.array_equal(rebuilt.picks, sample.picks[:, :rebuilt.picks.shape[1]])
+    assert not sample.picks[:, rebuilt.picks.shape[1]:].any()
+    assert rebuilt.sets is sample.sets
+    by_hand = AdmissibleSample(sets=[(2, 0), (), (1,)], p_hat=np.zeros(3), trials=3, seed=0)
+    assert by_hand.picks.tolist() == [[3, 1], [0, 0], [2, 0]]
+
+
+def reference_hull_vector(sample):
+    """The hull terms by a dict of sorted tuples, and p added term by term."""
+    weights = {}
+    for h in sample.sets:
+        key = tuple(sorted(h))
+        weights[key] = weights.get(key, 0) + 1
+    terms = [(h, c / sample.trials) for h, c in sorted(weights.items())]
+    p = np.zeros_like(sample.p_hat)
+    for h, q in terms:
+        p[list(h)] += q
+    return terms, p
+
+
+@pytest.mark.parametrize("case", ["duplicate-lines", "mixed-with-zero", "not-spanning",
+                                  "grouped"])
+def test_hull_vector_matches_per_set_reference(case):
+    arr = (generate_grouped(k=2, delta=0.25, n=64, ambient=16, seed=0) if case == "grouped"
+           else SAMPLER_CASES[case]())
+    sample = sample_admissible(arr, trials=2000, seed=6)
+    hull = admissible_hull_vector(sample)
+    terms, p = reference_hull_vector(sample)
+    assert hull.terms == terms
+    assert hull.p.tobytes() == p.tobytes()
 
 
 def test_hull_vector_single_and_disjoint():
