@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import ceil, floor
+from math import ceil, floor, isnan
 
 import numpy as np
 
@@ -512,9 +512,21 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     dimension-loss factor; the recursion is hard-capped at
     ceil(20 alpha k / delta) rounds.  Only the input system is validated here;
     map_and_clean validates each later round's system as it makes it.  Each
-    round's dimension d_t is the one its decomposition step measured.
+    round's dimension d_t is the one its decomposition step measured.  The
+    budget's trials (>= 1), seed (>= 0) and wall clock (not NaN) and a given
+    beta (in (0, 1)) are checked before any round, as round 0 may end on the
+    entry bound without sampling.
     """
     budget = budget or CertifyBudget()
+    if budget.trials < 1:
+        raise PreconditionError(f"trials must be >= 1, got {budget.trials}")
+    if budget.seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {budget.seed}")
+    if budget.wall_clock is not None and isnan(budget.wall_clock):
+        raise PreconditionError(
+            f"wall clock budget must be a number of seconds, got {budget.wall_clock}")
+    if beta is not None and not 0 < beta < 1:  # NaN fails this too
+        raise PreconditionError(f"beta must be in (0, 1), got {beta}")
     report = validate_system(arr, sys, tol)
     if not report.ok:
         raise PreconditionError(

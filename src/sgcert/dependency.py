@@ -10,7 +10,7 @@ rational arithmetic so that ceil/floor decisions never flip on float noise.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import ceil, isfinite
 
 import numpy as np
@@ -36,6 +36,7 @@ from .linalg import (
     orthonormalize,
     rank,
 )
+from .scaling import _dimension_groups
 
 
 def as_fraction(x) -> Fraction:
@@ -551,22 +552,22 @@ def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta,
     return sub_arr, sub_sys, index_map
 
 
-def _project_space(v: Subspace, p: np.ndarray, tol: Tolerance) -> Subspace:
-    """Image of a subspace under a linear map, with dead directions removed.
+def _project_spaces(spaces, p: np.ndarray, tol: Tolerance) -> dict:
+    """``{i: image basis}`` of the spaces whose image under a linear map is nonzero.
 
-    Basis rows are unit vectors, so singular values of the image below
+    Basis rows are unit vectors, so singular values of an image below
     rank_tol relative to max(largest, 1) are genuine zeros, not small
-    surviving directions.
+    surviving directions.  One stacked SVD per space dimension; each image
+    equals the one an SVD of that space's image alone gives, bit for bit.
     """
-    if v.dim == 0:
-        return v
-    rows = v.basis @ p.T
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    cutoff = tol.rank_tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    r = int(np.count_nonzero(s >= cutoff))
-    if r == 0:
-        return Subspace(v.ambient, np.zeros((0, v.ambient)))
-    return Subspace(v.ambient, vt[:r].copy())
+    images = {}
+    for idx, stack in _dimension_groups([v.basis for v in spaces]):
+        _, s, vt = np.linalg.svd(stack @ p.T, full_matrices=False)
+        ranks = np.count_nonzero(s >= tol.rank_tol * np.maximum(s[:, :1], 1.0), axis=1)
+        for i, r, v in zip(idx.tolist(), ranks.tolist(), vt):
+            if r:
+                images[i] = v[:r].copy()
+    return images
 
 
 def map_and_clean(arr: Arrangement, sys: TripleSystem, p,
@@ -576,38 +577,43 @@ def map_and_clean(arr: Arrangement, sys: TripleSystem, p,
     3-sets that lose exactly one member demote to 2-sets of equal spaces;
     sets losing all members are dropped.  A 3-set losing exactly two
     members (or a 2-set losing exactly one) contradicts the system
-    semantics and raises.  Returns (arrangement, system, delta_prime) with
-    delta_prime = delta * n / n'.
+    semantics and raises, for the first such set.  The sets are relabeled
+    on one array of all their indices.  Returns (arrangement, system,
+    delta_prime) with delta_prime = delta * n / n'.
     """
     p = as_matrix(p)
     if p.shape != (arr.ambient, arr.ambient):
         raise PreconditionError(
             f"map must be {arr.ambient}x{arr.ambient}, got {p.shape}"
         )
-    images = [_project_space(v, p, tol) for v in arr.spaces]
-    phi = {}
-    kept = []
-    for i, img in enumerate(images):
-        if img.dim > 0:
-            phi[i] = len(kept)
-            kept.append(img)
-    n_prime = len(kept)
+    images = _project_spaces(arr.spaces, p, tol)
+    n_prime = len(images)
     if n_prime == 0:
         raise PreconditionError("the map killed every space in the arrangement")
-    new_sets = []
-    for j, s in enumerate(sys.sets):
-        alive = [i for i in s if i in phi]
-        if len(s) == 3 and len(alive) == 1:
+    kept = [Subspace(arr.ambient, images[i]) for i in sorted(images)]
+    survives = np.zeros(arr.n, dtype=bool)
+    survives[list(images)] = True
+    sizes = np.fromiter(map(len, sys.sets), dtype=np.intp, count=len(sys.sets))
+    flat = np.fromiter(chain.from_iterable(sys.sets), dtype=np.intp, count=int(sizes.sum()))
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    in_range = (flat >= 0) & (flat < arr.n)
+    alive = np.zeros(flat.size, dtype=bool)
+    alive[in_range] = survives[flat[in_range]]
+    count = np.bincount(owner[alive], minlength=len(sizes))
+    broken = np.flatnonzero((count == 1) & ((sizes == 2) | (sizes == 3)))
+    if broken.size:
+        j = int(broken[0])
+        if sizes[j] == 3:
             raise InconsistentSystemError(
                 f"set {j}: two members of a dependent triple were killed but the "
                 "third survived, contradicting the containment"
             )
-        if len(s) == 2 and len(alive) == 1:
-            raise InconsistentSystemError(
-                f"set {j}: one of two equal spaces was killed but not the other"
-            )
-        if len(alive) >= 2:
-            new_sets.append(tuple(sorted(phi[i] for i in alive)))
+        raise InconsistentSystemError(
+            f"set {j}: one of two equal spaces was killed but not the other"
+        )
+    # the new index of a surviving space is the number of survivors before it
+    relabeled = iter((np.cumsum(survives) - 1)[flat[alive & (count[owner] >= 2)]].tolist())
+    new_sets = [tuple(islice(relabeled, c)) for c in count[count >= 2].tolist()]
     delta = as_fraction(sys.delta)
     delta_prime = delta * sys.n / n_prime
     new_arr = Arrangement(arr.ambient, kept, field_tag=arr.field_tag)

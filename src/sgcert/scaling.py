@@ -44,9 +44,12 @@ _ELIGIBLE_MIN_SV = 1e-7
 
 # Trials the greedy sampler scans together: at most _TRIAL_BLOCK, and as
 # many as keep a block's working state (span, window and random order of
-# each trial) within _BLOCK_BYTES.  The sampled sets depend on neither.
+# each trial) within _BLOCK_BYTES.  Each scanned position costs a fixed
+# number of numpy calls per block, so the budget sits where a larger block
+# stops saving time, not where a block fits in cache.  The sampled sets
+# depend on neither.
 _TRIAL_BLOCK = 1024
-_BLOCK_BYTES = 3 << 18
+_BLOCK_BYTES = 3 << 20
 
 # Spaces of its random order a trial projects on its span in one product.
 _SCAN_WINDOW = 4
@@ -164,15 +167,17 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
     """Greedy-to-maximality runs for a block of trials, one random order each.
 
     ``bases`` (n, kmax, l) holds the nonzero spaces of R^l (l = ``ambient``,
-    the dimension the trials scan) zero-padded to kmax rows, and trial t scans them in the order ``order[t]``, keeping each one
-    whose residual off its span is still clear of it (smallest singular
-    value above ``cutoff``).  A window of the order is projected on the span
-    in one stacked product; the rows of a kept residual are orthonormalized
-    by Gram-Schmidt applied twice, appended to the span and projected off
-    the rest of the window.  The trials of the block scan in step; one
-    whose span fills R^l leaves at the end of the window, the
-    rest stop when their orders run out.  Returns the (b, n) mask of the
-    kept positions of ``order``.
+    the dimension the trials scan) zero-padded to kmax rows, and trial t
+    scans them in the order ``order[t]``, keeping each one whose residual
+    off its span is still clear of it (smallest singular value above
+    ``cutoff``).  A window of the order is projected on the span in one
+    stacked product, on the span's first rows up to the longest live
+    trial's (the rows past a trial's own are zero); the rows of a kept
+    residual are orthonormalized by Gram-Schmidt applied twice, appended to
+    the span and projected off the rest of the window.  The trials of the
+    block scan in step; one whose span fills R^l leaves at the end of the
+    window, the rest stop when their orders run out.  Returns the (b, n)
+    mask of the kept positions of ``order``.
     """
     b, n = order.shape
     kmax = bases.shape[1]
@@ -187,8 +192,10 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
     for start in range(0, n, _SCAN_WINDOW):
         cand = order[live, start:start + _SCAN_WINDOW]
         res = bases[cand]
-        flat = res.reshape(live.size, -1, ambient)
-        flat -= (flat @ span.transpose(0, 2, 1)) @ span
+        top = rows.max()
+        if top:  # the rows past every trial's own are zero
+            flat = res.reshape(live.size, -1, ambient)
+            flat -= (flat @ span[:, :top].transpose(0, 2, 1)) @ span[:, :top]
         for j in range(cand.shape[1]):
             sel = np.flatnonzero(_clear(res[:, j], pad[cand[:, j]], cutoff))
             if not sel.size:
@@ -247,10 +254,14 @@ class _SampleStream:
         self.bases = np.zeros((n, kmax, dim))
         for p, i in enumerate(self.nonzero):
             self.bases[p, :self.dims[p]] = bases[i]
-        # per trial: span, window with two product temporaries, keys, argsort, order
-        state = 8 * (dim + kmax + 3 * _SCAN_WINDOW * kmax) * dim + 17 * n
-        self.block = int(np.clip(_BLOCK_BYTES // state, 1, _TRIAL_BLOCK))
         self.index_type = np.min_scalar_type(max(n - 1, 0))
+        # per trial, live while a block is scanned: the span twice (the
+        # survivors are copied out when trials leave), a window with two
+        # product temporaries, the order and the kept mask; the keys and
+        # their argsort (16 n) live only before the scan
+        scan = (8 * (2 * (dim + kmax) + 3 * _SCAN_WINDOW * kmax) * dim
+                + (self.index_type.itemsize + 1) * n)
+        self.block = int(np.clip(_BLOCK_BYTES // max(scan, 16 * n), 1, _TRIAL_BLOCK))
         self.cutoff = _eligible_min_sv(arr.ambient, tol)
         # each pick adds at least the smallest dimension to a span of at most dim rows
         self.width = min(n, dim // int(self.dims.min())) if n else 1
@@ -269,8 +280,9 @@ class _SampleStream:
         first = drawn = len(self.picks)
         blocks = [self.picks]
         while drawn < total:
-            keys = self.gen.random((min(self.block, total - drawn), self.nonzero.size))
-            order = keys.argsort(axis=1).astype(self.index_type)
+            # the keys are freed once their order exists
+            order = (self.gen.random((min(self.block, total - drawn), self.nonzero.size))
+                     .argsort(axis=1).astype(self.index_type))
             kept = _greedy_block(self.bases, self.dims, order, self.dim, self.cutoff)
             blocks.append(_padded(self.tags[order[kept]], kept.sum(axis=1), self.width,
                                   self.tags.dtype))
@@ -361,6 +373,7 @@ class ScalingState:
     gamma: np.ndarray    # gamma_(i,j) = p_i
     t: np.ndarray
     R: list              # orthogonal k_i x k_i factors
+    groups: list         # (indices, stacked bases, x row slots) per space dimension
     x_rows: np.ndarray = field(default=None)  # row s = x_(i,j)
     X: np.ndarray = field(default=None)
     M: np.ndarray = field(default=None)
@@ -379,13 +392,18 @@ class ScalingState:
 def _refresh(state: ScalingState, tol: Tolerance) -> ScalingState:
     """Recompute x rows, X, M = X^{-1/2}, f and the gradient from (t, R).
 
+    The x rows R_i^T B_i come from one stacked product per space dimension
+    (``state.groups``).
+
     Unlike inv_sqrt_factor this tolerates extreme (but still positive)
     conditioning: trajectories drifting toward the admissible-hull
     boundary make X nearly singular, and the optimizer needs to see that
     as a measured condition number, not an exception.
     """
-    rows = [state.R[i].T @ state.bases[i] for i in range(len(state.bases))]
-    x_rows = np.vstack(rows)
+    x_rows = np.empty((state.m, state.bases[0].shape[1]))
+    for idx, stack, slots in state.groups:
+        rot = np.stack([state.R[i] for i in idx]).transpose(0, 2, 1)
+        x_rows[slots] = (rot @ stack).reshape(len(slots), -1)
     e_t = np.exp(state.t)
     x_mat = x_rows.T * e_t
     x = x_mat @ x_rows
@@ -420,8 +438,11 @@ def make_state(arr: Arrangement, p, t=None, rotations=None,
     t = np.zeros(m) if t is None else np.asarray(t, dtype=float).copy()
     rotations = ([np.eye(d) for d in dims] if rotations is None
                  else [np.asarray(r, dtype=float).copy() for r in rotations])
+    groups = [(idx.tolist(), stack,
+               (np.asarray(offsets)[idx, None] + np.arange(stack.shape[1])).ravel())
+              for idx, stack in _dimension_groups(bases)]
     state = ScalingState(bases=bases, p=p, offsets=offsets, gamma=gamma,
-                         t=t, R=rotations)
+                         t=t, R=rotations, groups=groups)
     return _refresh(state, tol)
 
 
@@ -743,7 +764,9 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     arrangement by :func:`_stacked_set_ranks`, one group per term length:
     its Cholesky screen certifies a term of d rows that spans R^d without an
     SVD.  Only the terms of rank below d are orthonormalized and extended,
-    coordinate line by coordinate line.
+    coordinate line by coordinate line.  The terms are read as one index
+    array, and p adds the weights of their members and of their extensions
+    in one count.
 
     ``span`` is the ``span`` of a :class:`_SampleStream` on ``arr`` and
     ``tol``, whose span rows (and images, when it has them) are reused.
@@ -762,27 +785,38 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     aux = [Subspace(d, eye[[s]]) for s in range(d)]
     model_arr = Arrangement(d, model_spaces + aux, field_tag=arr.field_tag)
 
-    model_dims = np.array(model_arr.dims(), dtype=int)
-    lengths = np.array([len(h) for h, _ in hull.terms], dtype=int)
-    spans = np.zeros(len(hull.terms), dtype=bool)
-    term_dims = np.zeros(len(hull.terms), dtype=int)
+    # the terms as one index array: term t holds members[starts[t]:][:lengths[t]]
+    count = len(hull.terms)
+    lengths = np.fromiter((len(h) for h, _ in hull.terms), dtype=np.intp, count=count)
+    members = np.fromiter(chain.from_iterable(h for h, _ in hull.terms), dtype=np.intp,
+                          count=int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
+    weights = np.fromiter((q for _, q in hull.terms), dtype=float, count=count)
+    model_dims = np.array(model_arr.dims(), dtype=np.intp)
+    spans = np.zeros(count, dtype=bool)
+    term_dims = np.zeros(count, dtype=np.intp)
     for size in sorted(set(lengths.tolist()) - {0}):
         which = np.flatnonzero(lengths == size)
-        sets = np.array([hull.terms[t][0] for t in which], dtype=np.intp)
+        sets = members[starts[which][:, None] + np.arange(size)]
         spans[which] = _stacked_set_ranks(model_arr, sets, tol) == d
         term_dims[which] = model_dims[sets].sum(axis=1)
-    fulls = []
-    for (h, _), spanning, h_dim in zip(hull.terms, spans, term_dims.tolist()):
-        extension = [] if spanning else _extend_to_basis(model_spaces, h, d, tol)
-        full = list(h) + [arr.n + s for s in extension]
-        if h_dim + len(extension) != d:  # each auxiliary line adds one dimension
-            raise SgcertError(f"extended set {full} is not a basis set")
-        fulls.append(full)
-    # each p_model[i] adds its terms' weights in term order
-    members = np.fromiter(chain.from_iterable(fulls), dtype=np.intp,
-                          count=sum(map(len, fulls)))
-    weights = np.repeat([q for _, q in hull.terms], list(map(len, fulls)))
-    p_model = np.bincount(members, weights=weights, minlength=arr.n + d)
+    extensions = {t: _extend_to_basis(model_spaces, hull.terms[t][0], d, tol)
+                  for t in np.flatnonzero(~spans).tolist()}
+    added = np.zeros(count, dtype=np.intp)
+    added[list(extensions)] = [len(e) for e in extensions.values()]
+    bad = np.flatnonzero(term_dims + added != d)  # each auxiliary line adds one dimension
+    if bad.size:
+        t = int(bad[0])
+        full = list(hull.terms[t][0]) + [arr.n + s for s in extensions.get(t, [])]
+        raise SgcertError(f"extended set {full} is not a basis set")
+    # each p_model[i] adds its terms' weights in term order: an input space
+    # only from the terms' members, an auxiliary line only from the extensions
+    lines = np.fromiter(chain.from_iterable(extensions.values()), dtype=np.intp,
+                        count=int(added.sum())) + arr.n
+    p_model = np.bincount(np.concatenate([members, lines]),
+                          weights=np.concatenate([np.repeat(weights, lengths),
+                                                  np.repeat(weights, added)]),
+                          minlength=arr.n + d)
     if not np.allclose(p_model[: arr.n], hull.p, atol=1e-12):
         raise SgcertError("hull prefix mismatch while extending to basis sets")
     return SpanningModel(arrangement=model_arr, p=p_model,

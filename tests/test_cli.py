@@ -372,3 +372,26 @@ def test_gen_grouped_rejects_bad_delta_one_line(tmp_path, capsys, delta):
     assert captured.err.splitlines() == [
         "error: grouped generator needs k >= 1, n >= 1, delta > 0"]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--wall-clock", "nan"], "error: wall clock budget must be a number of seconds, got nan"),
+    (["--beta", "nan"], "error: beta must be in (0, 1), got nan"),
+    (["--trials", "0"], "error: trials must be >= 1, got 0"),
+    (["--seed", "-3"], "error: seed must be >= 0, got -3"),
+])
+def test_certify_rejects_bad_budget_flags_one_line(tmp_path, capsys, flags, message):
+    # round 0 of this instance ends on the entry bound without sampling, so
+    # the flags must be checked before it (a NaN wall clock used to switch
+    # the budget off, and NaN beta reached the rational conversion)
+    arr_path, out_path = tmp_path / "b.arr", tmp_path / "b.trace"
+    assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
+               "--n", 8, "--seed", 1, "--out", arr_path) == 0
+    assert run("certify", arr_path, "--trials", 64, "--out", out_path) == 0
+    assert out_path.read_text().splitlines()[0].endswith("branch bound loss 0")
+    capsys.readouterr()
+    out_path.unlink()
+    assert run("certify", arr_path, "--trials", 64, *flags, "--out", out_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+    assert not out_path.exists()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -607,6 +608,62 @@ def test_map_and_clean_rejects_double_kill():
     p[2, 2] = 1.0
     with pytest.raises(InconsistentSystemError):
         map_and_clean(arr, sys, p)
+
+
+@pytest.mark.parametrize("sets, message", [
+    ([(3, 4), (0, 1, 2)], "set 0: one of two equal spaces was killed but not the other"),
+    ([(0, 1, 2), (3, 4)], "set 0: two members of a dependent triple were killed"),
+    ([(0, 3), (0, 1, 4)], "set 1: two members of a dependent triple were killed"),
+])
+def test_map_and_clean_reports_the_first_broken_set(sets, message):
+    # faked systems: the map keeps e2 and e4 only, so (0, 1, 2) and (0, 1, 4)
+    # keep one member and (3, 4) one of its two; (0, 3) loses both
+    arr = Arrangement(5, [Subspace(5, row[None]) for row in np.eye(5)])
+    p = np.diag([0.0, 0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(InconsistentSystemError, match=re.escape(message)):
+        map_and_clean(arr, TripleSystem(5, sets, alpha=1, delta=0.0), p)
+
+
+def per_space_map_and_clean(arr, sys, p, tol=DEFAULT_TOL):
+    """The images and sets of map_and_clean, one SVD per space and one set at a time."""
+    images, phi = [], {}
+    for i, v in enumerate(arr.spaces):
+        if v.dim:
+            _, s, vt = np.linalg.svd(v.basis @ p.T, full_matrices=False)
+            r = int(np.count_nonzero(s >= tol.rank_tol * max(float(s[0]), 1.0)))
+            if r:
+                phi[i] = len(images)
+                images.append(vt[:r].copy())
+    sets = [tuple(sorted(phi[i] for i in s if i in phi)) for s in sys.sets]
+    return images, [s for s in sets if len(s) >= 2]
+
+
+def lines_and_planes(seed):
+    """Grouped lines in R^4 and grouped planes in R^8, side by side in R^12, interleaved."""
+    small = generate_grouped(k=1, delta=0.5, n=8, seed=seed)
+    large = generate_grouped(k=2, delta=0.5, n=8, seed=seed + 1)
+    spaces = []
+    for a, b in zip(small.spaces, large.spaces):
+        spaces.append(Subspace(12, np.hstack([a.basis, np.zeros((1, 8))])))
+        spaces.append(Subspace(12, np.hstack([np.zeros((2, 4)), b.basis])))
+    return Arrangement(12, spaces)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_map_and_clean_matches_per_space_loop(seed):
+    # the map kills a line and a plane: sets through either lose one member
+    # and sets of the other spaces of their blocks keep all three
+    arr = lines_and_planes(seed)
+    sys = build_sg_system(arr, arr.max_dim())
+    p = np.eye(12) - projector(np.vstack([arr.spaces[0].basis, arr.spaces[3].basis]))
+    new_arr, new_sys, _ = map_and_clean(arr, sys, p)
+    images, sets = per_space_map_and_clean(arr, sys, p)
+    assert new_arr.n == len(images) == arr.n - 2
+    assert sorted(set(new_arr.dims())) == [1, 2]
+    assert all(v.basis.tobytes() == image.tobytes() and v.basis.shape == image.shape
+               for v, image in zip(new_arr.spaces, images))
+    assert new_sys.sets == sets
+    assert any(len(s) == 2 for s in sets) and any(len(s) == 3 for s in sets)
 
 
 def test_system_roundtrip(tmp_path):

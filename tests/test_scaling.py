@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,42 @@ def test_stream_extended_in_pieces_matches_one_call(case, block, monkeypatch):
         assert grown.trials == total
         assert grown.sets == once.sets
         assert grown.p_hat.tobytes() == once.p_hat.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
+def test_sampler_output_ignores_the_block_budget(case, monkeypatch):
+    # one-trial blocks, and each extension in a single block, give the sets
+    # and p_hat of the default budget
+    arr = SAMPLER_CASES[case]()
+    seeds = (0, 5, 17)
+    want = [sample_admissible(arr, trials=300, seed=seed) for seed in seeds]
+    for budget, cap in [(1, None), (64 << 20, 1 << 20)]:
+        with monkeypatch.context() as patch:
+            patch.setattr(sgcert.scaling, "_BLOCK_BYTES", budget)
+            if cap is not None:
+                patch.setattr(sgcert.scaling, "_TRIAL_BLOCK", cap)
+            block = _SampleStream(arr, 0, DEFAULT_TOL).block
+            assert block == 1 if cap is None else block >= 300
+            for seed, expected in zip(seeds, want):
+                got = sample_admissible(arr, trials=300, seed=seed)
+                assert got.sets == expected.sets, (budget, seed)
+                assert got.p_hat.tobytes() == expected.p_hat.tobytes(), (budget, seed)
+
+
+def test_sampler_peak_memory_follows_the_block_budget():
+    # the per-trial byte formula bounds what a block keeps live, so one
+    # sampler call peaks below _BLOCK_BYTES plus its sample arrays (the
+    # picks are held twice while the blocks are joined)
+    arr = generate_grouped(k=2, delta=0.25, n=64, ambient=16, seed=0)
+    assert _SampleStream(arr, 0, DEFAULT_TOL).block < 4096  # several blocks
+    tracemalloc.start()
+    try:
+        sample = sample_admissible(arr, trials=4096, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = sgcert.scaling._BLOCK_BYTES + 2 * sample.picks.nbytes + sample.p_hat.nbytes
+    assert peak < limit, (peak, limit)
 
 
 def test_sampler_cutoff_follows_rank_tol():
