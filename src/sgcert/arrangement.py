@@ -159,33 +159,52 @@ def k_bounded_check(arr: Arrangement, k: int) -> bool:
     return all(v.dim <= k for v in arr.spaces)
 
 
+def _runs(rows: np.ndarray) -> tuple:
+    """(order, starts): a stable lexicographic sort of ``rows`` and the first
+    row of each run of equal rows in it (sorted by hand: numpy's unique
+    imports numpy.ma, about 1 MB, on its first call)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, np.flatnonzero(fresh)
+
+
 def _set_stacks(arr: Arrangement, sets: np.ndarray, width: int):
     """Yield (idx, stacks): the stacked bases of the sets ``sets[idx]``.
 
-    ``sets`` is an (m, size) index array.  ``stacks[q]`` holds the basis rows
-    of the members of ``sets[idx[q]]``, in the order the set lists them,
-    gathered by row index from the arrangement's stacked basis.  Sets are
-    grouped by their dimension signature (the dimensions of their members,
-    in order) by sorting the signature rows, which needs no memory beyond
-    the signatures however long the sets are; within a group they keep
-    their order in ``sets``.  Each group is cut so that a float array of
-    shape (len(idx), rows of a stack, ``width``) stays within CHUNK_BYTES.
+    ``sets`` is an (m, size) index array, and ``idx`` indexes its rows, not
+    the spaces.  ``stacks[q]`` holds the basis rows of the members of
+    ``sets[idx[q]]``, in the order the set lists them, gathered by row
+    index from the arrangement's stacked basis.  Sets are grouped by their
+    dimension signature (the dimensions of their members, in order) by
+    sorting the signature rows with :func:`_runs`, which needs no memory
+    beyond the signatures however long the sets are; within a group they
+    keep their order in ``sets``.  Each group is cut so that a float array
+    of shape (len(idx), rows of a stack, ``width``) stays within CHUNK_BYTES.
     """
     if not len(sets):
         return
     dims = np.array(arr.dims(), dtype=int)
     rows, starts = arr.stacked_basis(), np.cumsum(dims) - dims
-    signatures = dims.astype(np.min_scalar_type(dims.max()))[sets]
-    order = np.lexsort(signatures.T)
-    ordered = signatures[order]
-    cuts = np.flatnonzero((ordered[1:] != ordered[:-1]).any(axis=1)) + 1
-    for members in np.split(order, cuts):
+    order, runs = _runs(dims.astype(np.min_scalar_type(dims.max()))[sets])
+    for members in np.split(order, runs[1:]):
         signature = dims[sets[members[0]]]
         for part in chunk_slices(members.size, 8 * max(int(signature.sum()), 1) * width):
             idx = members[part]
             index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
                                     for c, d in enumerate(signature)], axis=1)
             yield idx, rows[index]
+
+
+def _space_stacks(arr: Arrangement, keep=None):
+    """:func:`_set_stacks` of the nonzero spaces where ``keep`` is true (all by
+    default) as 1-member sets: (idx, stacks) per chunk of one dimension,
+    ascending, with ``idx`` the space indices, ascending."""
+    dims = np.array(arr.dims(), dtype=int)
+    chosen = np.flatnonzero((dims > 0) if keep is None else (dims > 0) & keep)
+    for pos, stacks in _set_stacks(arr, chosen[:, None], arr.ambient):
+        yield chosen[pos], stacks
 
 
 def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -23,7 +23,7 @@ from math import ceil, floor, isnan
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, tau_separated
+from .arrangement import Arrangement, Subspace, _space_stacks, tau_separated
 from .dependency import (
     TripleSystem,
     as_fraction,
@@ -47,7 +47,7 @@ from .linalg import (
     spectral_norm,
 )
 from .scaling import (
-    _dimension_groups,
+    _orthonormal_images,
     _pick_tuples,
     _SampleStream,
     admissible_hull_vector,
@@ -293,14 +293,14 @@ def _harvest_from_run(arr: Arrangement, run, t_pref: int, tol: Tolerance):
     A nonzero space meets the span when the smallest singular value of its
     residual off the span is within residual_tol; its vector is the basis
     combination of the last left singular vector.  The residuals take one
-    stacked SVD per space dimension; indices come ascending.
+    stacked SVD per group of :func:`_space_stacks`; indices come ascending.
     """
     prefix = list(run[:t_pref])
     rows = np.vstack([arr.spaces[i].basis for i in prefix])
     span = orthonormalize(rows, tol)
     proj = span.T @ span
     found = {}
-    for idx, stack in _dimension_groups([v.basis for v in arr.spaces]):
+    for idx, stack in _space_stacks(arr):
         u_left, svals, _ = np.linalg.svd(stack - stack @ proj, full_matrices=False)
         for q in np.flatnonzero(svals[:, -1] <= tol.residual_tol).tolist():
             found[int(idx[q])] = u_left[q, :, -1] @ stack[q]
@@ -457,11 +457,9 @@ def decompose_step(arr: Arrangement, sys: TripleSystem, beta: float,
                 f"scaling diverged: {scaling.obstruction}",
                 diagnostics={**diagnostics, "obstruction": str(scaling.obstruction)},
             )
-        scaled = [
-            Subspace(model.d, orthonormalize(
-                model.arrangement.spaces[i].basis @ scaling.M.T, tol))
-            for i in range(n)
-        ]
+        images = _orthonormal_images(model.arrangement, scaling.M, tol,
+                                     np.arange(model.arrangement.n) < n)
+        scaled = [Subspace(model.d, images.get(i, np.zeros((0, model.d)))) for i in range(n)]
         return _collapse_from_scaled(arr, sys, scaled, beta, d, tol)
     except InconclusiveError as exc:
         if not entry_check and Fraction(d) <= threshold:
@@ -513,18 +511,22 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     ceil(20 alpha k / delta) rounds.  Only the input system is validated here;
     map_and_clean validates each later round's system as it makes it.  Each
     round's dimension d_t is the one its decomposition step measured.  The
-    budget's trials (>= 1), seed (>= 0) and wall clock (not NaN) and a given
-    beta (in (0, 1)) are checked before any round, as round 0 may end on the
-    entry bound without sampling.
+    budget's trials (>= 1), seed (>= 0), round count (>= 0) and wall clock
+    (>= 0, not NaN) and a given beta (in (0, 1)) are checked before any
+    round, as round 0 may end on the entry bound without sampling.
     """
     budget = budget or CertifyBudget()
     if budget.trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {budget.trials}")
     if budget.seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {budget.seed}")
+    if budget.max_rounds is not None and budget.max_rounds < 0:
+        raise PreconditionError(f"max rounds must be >= 0, got {budget.max_rounds}")
     if budget.wall_clock is not None and isnan(budget.wall_clock):
         raise PreconditionError(
             f"wall clock budget must be a number of seconds, got {budget.wall_clock}")
+    if budget.wall_clock is not None and budget.wall_clock < 0:
+        raise PreconditionError(f"wall clock budget must be >= 0 seconds, got {budget.wall_clock}")
     if beta is not None and not 0 < beta < 1:  # NaN fails this too
         raise PreconditionError(f"beta must be in (0, 1), got {beta}")
     report = validate_system(arr, sys, tol)

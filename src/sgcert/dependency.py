@@ -19,6 +19,8 @@ from .arrangement import (
     Arrangement,
     Subspace,
     _read_lines,
+    _runs,
+    _space_stacks,
     _stacked_set_ranks,
     pairwise_zero_intersection,
 )
@@ -36,7 +38,6 @@ from .linalg import (
     orthonormalize,
     rank,
 )
-from .scaling import _dimension_groups
 
 
 def as_fraction(x) -> Fraction:
@@ -69,8 +70,14 @@ class TripleSystem:
         return len(self.sets)
 
     def degrees(self) -> list:
-        return np.bincount(np.fromiter(chain.from_iterable(self.sets), dtype=np.intp),
-                           minlength=self.n).tolist()
+        return np.bincount(self._flat()[0], minlength=self.n).tolist()
+
+    def _flat(self) -> tuple:
+        """(flat, sizes): the indices of every set, set after set, and each set's size."""
+        sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets))
+        flat = np.fromiter(chain.from_iterable(self.sets), dtype=np.intp,
+                           count=int(sizes.sum()))
+        return flat, sizes
 
     def pair_counts(self) -> Counter:
         return Counter(chain.from_iterable(combinations(s, 2) for s in self.sets))
@@ -208,17 +215,6 @@ def _pair_members(arr: Arrangement, tol: Tolerance):
                 yield np.column_stack([np.full(m, a), b]), inside
 
 
-def _first_rows(a: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row of ``a``, the rows
-    in lexicographic order (sorted by hand: numpy's unique imports numpy.ma,
-    about 1 MB, on its first call)."""
-    order = np.lexsort(a.T[::-1])
-    ordered = a[order]
-    fresh = np.ones(len(a), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order[fresh]
-
-
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
     """Special spaces and dependent triples, read off one pass over the pair members.
 
@@ -237,7 +233,8 @@ def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = Tru
         big = np.flatnonzero(members.sum(axis=1) >= 3)
         if big.size:
             # pairs with the same members, found once: distinct packed rows
-            for q in big[_first_rows(np.packbits(members[big], axis=1))]:
+            order, starts = _runs(np.packbits(members[big], axis=1))
+            for q in big[order[starts]]:
                 key = tuple(np.flatnonzero(members[q]).tolist())
                 pair = tuple(pairs[q].tolist())
                 if key not in first or pair < first[key]:
@@ -253,7 +250,8 @@ def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = Tru
     if not triples:
         return specials, None
     rows = np.sort(np.concatenate(found or [np.zeros((0, 3), dtype=int)]), axis=1)
-    return specials, [tuple(t) for t in rows[_first_rows(rows)].tolist()]
+    order, starts = _runs(rows)
+    return specials, [tuple(t) for t in rows[order[starts]].tolist()]
 
 
 def find_special_spaces(arr: Arrangement, k: int,
@@ -427,8 +425,7 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
         v.append(f"system indexes {sys.n} spaces, arrangement has {arr.n}")
         return report
     n, sets = arr.n, sys.sets
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    flat = np.fromiter(chain.from_iterable(sets), dtype=np.int64, count=int(sizes.sum()))
+    flat, sizes = sys._flat()
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(sets)), sizes)
     in_range = np.bincount(owner[(flat < 0) | (flat >= n)], minlength=len(sets)) == 0
@@ -552,16 +549,17 @@ def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta,
     return sub_arr, sub_sys, index_map
 
 
-def _project_spaces(spaces, p: np.ndarray, tol: Tolerance) -> dict:
+def _project_spaces(arr: Arrangement, p: np.ndarray, tol: Tolerance) -> dict:
     """``{i: image basis}`` of the spaces whose image under a linear map is nonzero.
 
     Basis rows are unit vectors, so singular values of an image below
     rank_tol relative to max(largest, 1) are genuine zeros, not small
-    surviving directions.  One stacked SVD per space dimension; each image
-    equals the one an SVD of that space's image alone gives, bit for bit.
+    surviving directions.  One stacked SVD per group of :func:`_space_stacks`;
+    each image equals the one an SVD of that space's image alone gives, bit
+    for bit.
     """
     images = {}
-    for idx, stack in _dimension_groups([v.basis for v in spaces]):
+    for idx, stack in _space_stacks(arr):
         _, s, vt = np.linalg.svd(stack @ p.T, full_matrices=False)
         ranks = np.count_nonzero(s >= tol.rank_tol * np.maximum(s[:, :1], 1.0), axis=1)
         for i, r, v in zip(idx.tolist(), ranks.tolist(), vt):
@@ -586,15 +584,14 @@ def map_and_clean(arr: Arrangement, sys: TripleSystem, p,
         raise PreconditionError(
             f"map must be {arr.ambient}x{arr.ambient}, got {p.shape}"
         )
-    images = _project_spaces(arr.spaces, p, tol)
+    images = _project_spaces(arr, p, tol)
     n_prime = len(images)
     if n_prime == 0:
         raise PreconditionError("the map killed every space in the arrangement")
     kept = [Subspace(arr.ambient, images[i]) for i in sorted(images)]
     survives = np.zeros(arr.n, dtype=bool)
     survives[list(images)] = True
-    sizes = np.fromiter(map(len, sys.sets), dtype=np.intp, count=len(sys.sets))
-    flat = np.fromiter(chain.from_iterable(sys.sets), dtype=np.intp, count=int(sizes.sum()))
+    flat, sizes = sys._flat()
     owner = np.repeat(np.arange(len(sizes)), sizes)
     in_range = (flat >= 0) & (flat < arr.n)
     alive = np.zeros(flat.size, dtype=bool)

@@ -56,16 +56,14 @@ def chunk_slices(count: int, item_bytes: int) -> list:
 
 
 def stacked_ranks(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Ranks under the rule of :func:`rank` from stacked singular values.
+    """Ranks from stacked singular values: the rank rule of every decision.
 
     ``s`` has shape (..., r), each row sorted descending as returned by
-    ``np.linalg.svd``; an all-zero row, or r = 0, has rank 0.
+    ``np.linalg.svd``; a row's rank counts its values at least ``rank_tol``
+    times its largest, and an all-zero row, or r = 0, has rank 0.
     """
-    if s.shape[-1] == 0:
-        return np.zeros(s.shape[:-1], dtype=int)
     top = s[..., :1]
-    return np.where(top[..., 0] == 0.0, 0,
-                    np.count_nonzero(s >= tol.rank_tol * top, axis=-1))
+    return np.add.reduce((s >= tol.rank_tol * top) & (top > 0.0), axis=-1)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -81,13 +79,7 @@ def rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
 
     A matrix with no rows (or all-zero entries) has rank 0.
     """
-    a = as_matrix(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s >= tol.rank_tol * s[0]))
+    return int(stacked_ranks(np.linalg.svd(as_matrix(m), compute_uv=False), tol))
 
 
 def orthonormalize(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -96,14 +88,8 @@ def orthonormalize(m, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Row count of the result equals the numerical rank; an all-zero or
     0-row input yields a 0-row matrix representing the zero space.
     """
-    a = as_matrix(m)
-    if a.shape[0] == 0:
-        return a.reshape(0, a.shape[1])
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, a.shape[1]))
-    r = int(np.count_nonzero(s >= tol.rank_tol * s[0]))
-    return vt[:r].copy()
+    _, s, vt = np.linalg.svd(as_matrix(m), full_matrices=False)
+    return vt[:int(stacked_ranks(s, tol))].copy()
 
 
 def is_orthonormal(u, tol: Tolerance = DEFAULT_TOL) -> bool:

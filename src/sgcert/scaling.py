@@ -19,7 +19,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, _stacked_set_ranks
+from .arrangement import Arrangement, Subspace, _runs, _space_stacks, _stacked_set_ranks
 from .errors import (
     DegenerateStateError,
     OptimizeTimeoutError,
@@ -112,11 +112,8 @@ def _set_runs(picks: np.ndarray) -> tuple:
     the order of the sets as sorted tuples.
     """
     keys = np.sort(picks - 1, axis=1) + 1  # the padding wraps to the top and back
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    fresh = np.ones(len(keys), dtype=bool)
-    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    return keys, order, np.flatnonzero(fresh)
+    order, starts = _runs(keys)
+    return keys[order], order, starts
 
 
 @dataclass
@@ -228,32 +225,27 @@ class _SampleStream:
     ``extend(total)`` scans only the trials not drawn yet, so a stream
     grown in pieces holds the sets one call for the whole count gives: the
     keys of each block of trials are the generator's next rows, drawn in
-    trial order.  When the spaces span d < l dimensions of R^l, the trials
-    scan their isometric images in R^d (coordinates on the orthonormal
-    ``span_rows`` of the sum, as :func:`spanning_model` takes them), so a
-    trial leaves as soon as its span has d rows; the clearance cutoff stays
-    the one of R^l.  ``span`` is the pair (span_rows, images), images None
-    when the trials scan R^l.  The picks are kept as the rows of
-    ``picks`` (see :class:`AdmissibleSample`), and each distinct set is
-    re-verified once against the original arrangement, by stacked ranks,
-    when it first occurs.
+    trial order.  The trials scan the isometric images of the spaces in
+    R^d, d the dimension of their sum (coordinates on the orthonormal
+    ``span_rows`` of the sum), so a trial leaves as soon as its span has d
+    rows; the clearance cutoff stays the one of R^l.  ``span`` is the pair
+    (span_rows, images of :func:`_orthonormal_images`), never without the
+    images; :func:`spanning_model` reuses both.  The picks are kept as the
+    rows of ``picks`` (see :class:`AdmissibleSample`), and each distinct
+    set is re-verified once against the original arrangement, by stacked
+    ranks, when it first occurs.
     """
 
     def __init__(self, arr: Arrangement, seed: int, tol: Tolerance, span_rows=None):
         if span_rows is None:
             span_rows = orthonormalize(arr.stacked_basis(), tol)
-        dim, bases, images = arr.ambient, [v.basis for v in arr.spaces], None
-        if 0 < span_rows.shape[0] < dim:
-            dim = span_rows.shape[0]
-            images = _orthonormal_images(bases, span_rows, tol)
-            bases = [images.get(i, np.zeros((0, dim))) for i in range(arr.n)]
-        sampled_dims = np.array([len(b) for b in bases], dtype=np.intp)
-        self.nonzero = np.flatnonzero(sampled_dims)
-        self.dims = sampled_dims[self.nonzero]
+        dim, images = span_rows.shape[0], _orthonormal_images(arr, span_rows, tol)
+        self.nonzero = np.array([i for i in sorted(images) if len(images[i])], dtype=np.intp)
+        self.dims = np.array([len(images[i]) for i in self.nonzero], dtype=np.intp)
         kmax, n = int(self.dims.max(initial=0)), self.nonzero.size
         self.bases = np.zeros((n, kmax, dim))
         for p, i in enumerate(self.nonzero):
-            self.bases[p, :self.dims[p]] = bases[i]
+            self.bases[p, :self.dims[p]] = images[i]
         self.index_type = np.min_scalar_type(max(n - 1, 0))
         # per trial, live while a block is scanned: the span twice (the
         # survivors are copied out when trials leave), a window with two
@@ -261,7 +253,7 @@ class _SampleStream:
         # their argsort (16 n) live only before the scan
         scan = (8 * (2 * (dim + kmax) + 3 * _SCAN_WINDOW * kmax) * dim
                 + (self.index_type.itemsize + 1) * n)
-        self.block = int(np.clip(_BLOCK_BYTES // max(scan, 16 * n), 1, _TRIAL_BLOCK))
+        self.block = int(np.clip(_BLOCK_BYTES // max(scan, 16 * n, 1), 1, _TRIAL_BLOCK))
         self.cutoff = _eligible_min_sv(arr.ambient, tol)
         # each pick adds at least the smallest dimension to a span of at most dim rows
         self.width = min(n, dim // int(self.dims.min())) if n else 1
@@ -329,9 +321,9 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
     trials of any count are the sets ``a`` trials give.  A residual is
     clear when its smallest singular value exceeds
     :func:`_eligible_min_sv`, so a pick keeps every row of its space under
-    the rank rule of ``tol``.  When the spaces span d < l dimensions, the
-    trials scan their isometric images in R^d and leave once their span has
-    d rows, with the cutoff of R^l.  Every distinct emitted set is verified
+    the rank rule of ``tol``.  The trials scan the isometric images of the
+    spaces in R^d, d the dimension of their sum, and leave once their span
+    has d rows, with the cutoff of R^l.  Every distinct emitted set is verified
     once against the exact admissibility equation dim(sum) = sum(dim) of
     the spaces given, by stacked ranks per dimension signature.  This is
     one extension of a fresh :class:`_SampleStream`.
@@ -373,7 +365,7 @@ class ScalingState:
     gamma: np.ndarray    # gamma_(i,j) = p_i
     t: np.ndarray
     R: list              # orthogonal k_i x k_i factors
-    groups: list         # (indices, stacked bases, x row slots) per space dimension
+    groups: list         # (indices, stacked bases, x row slots), see _space_stacks
     x_rows: np.ndarray = field(default=None)  # row s = x_(i,j)
     X: np.ndarray = field(default=None)
     M: np.ndarray = field(default=None)
@@ -428,6 +420,8 @@ def make_state(arr: Arrangement, p, t=None, rotations=None,
     p = np.asarray(p, dtype=float)
     if p.shape != (arr.n,):
         raise PreconditionError(f"p must have length {arr.n}")
+    if not arr.n:
+        raise PreconditionError("scaling requires at least one space")
     bases = [v.basis for v in arr.spaces]
     dims = [b.shape[0] for b in bases]
     if any(d == 0 for d in dims):
@@ -438,9 +432,8 @@ def make_state(arr: Arrangement, p, t=None, rotations=None,
     t = np.zeros(m) if t is None else np.asarray(t, dtype=float).copy()
     rotations = ([np.eye(d) for d in dims] if rotations is None
                  else [np.asarray(r, dtype=float).copy() for r in rotations])
-    groups = [(idx.tolist(), stack,
-               (np.asarray(offsets)[idx, None] + np.arange(stack.shape[1])).ravel())
-              for idx, stack in _dimension_groups(bases)]
+    groups = [(idx, stack, (np.asarray(offsets)[idx, None] + np.arange(stack.shape[1])).ravel())
+              for idx, stack in _space_stacks(arr)]
     state = ScalingState(bases=bases, p=p, offsets=offsets, gamma=gamma,
                          t=t, R=rotations, groups=groups)
     return _refresh(state, tol)
@@ -497,28 +490,16 @@ def t_gradient(state: ScalingState) -> np.ndarray:
     return state.grad.copy()
 
 
-def _dimension_groups(bases, keep=None):
-    """(indices, stacked bases) for each basis dimension, ascending.
+def _orthonormal_images(arr: Arrangement, x, tol: Tolerance, keep=None) -> dict:
+    """``{i: orthonormalize(arr.spaces[i].basis @ x.T, tol)}`` over the kept
+    nonzero spaces, keyed by space index.
 
-    Only the bases where ``keep`` is true take part (all by default), and
-    zero-dimensional ones never do.
-    """
-    dims = np.array([b.shape[0] for b in bases], dtype=int)
-    if keep is not None:
-        dims = np.where(keep, dims, 0)
-    for k in sorted(set(dims.tolist()) - {0}):
-        idx = np.flatnonzero(dims == k)
-        yield idx, np.stack([bases[i] for i in idx])
-
-
-def _orthonormal_images(bases, x, tol: Tolerance, keep=None) -> dict:
-    """``{i: orthonormalize(bases[i] @ x.T, tol)}`` over the kept nonzero bases.
-
-    One stacked SVD per basis dimension instead of one per basis; each
-    image equals the one :func:`orthonormalize` gives bit for bit.
+    One stacked SVD per group of :func:`_space_stacks` instead of one per
+    space; each image equals the one :func:`orthonormalize` gives bit for
+    bit.
     """
     images = {}
-    for idx, stack in _dimension_groups(bases, keep):
+    for idx, stack in _space_stacks(arr, keep):
         _, s, vt = np.linalg.svd(as_matrix(stack @ x.T), full_matrices=False)
         for i, r, v in zip(idx.tolist(), stacked_ranks(s, tol), vt):
             images[i] = v[:r].copy()
@@ -534,7 +515,7 @@ def projector_gap(arr: Arrangement, p, m_factor, tol: Tolerance = DEFAULT_TOL) -
     a per-space loop over :func:`orthonormalize` gives.
     """
     p = np.asarray(p, dtype=float)
-    images = _orthonormal_images([v.basis for v in arr.spaces], m_factor, tol, p != 0.0)
+    images = _orthonormal_images(arr, m_factor, tol, p != 0.0)
     total = -np.eye(arr.ambient)
     for i in sorted(images):
         total += p[i] * (images[i].T @ images[i])
@@ -634,16 +615,17 @@ def _normalize(state: ScalingState, tol: Tolerance) -> None:
     g, V the eigendecomposition of the Gram matrix of B_i M this reads
     R_i = V, t_i = ln p_i - ln g.  Zero-weight spaces are left to the t
     step.  A numerically singular update is undone.  The Gram matrices
-    are decomposed with one stacked ``eigh`` per space dimension.
+    are decomposed with one stacked ``eigh`` per group of ``state.groups``.
     """
     t0, r0 = state.t.copy(), list(state.R)
     try:
-        for idx, stack in _dimension_groups(state.bases, state.p > 0.0):
-            bm = stack @ state.M
+        for idx, stack, _ in state.groups:
+            weighted = state.p[idx] > 0.0
+            bm = stack[weighted] @ state.M
             g, v = np.linalg.eigh(bm @ bm.transpose(0, 2, 1))
             if (g[:, 0] <= 0.0).any():
                 raise DegenerateStateError("space collapsed under the scaling map")
-            for i, gi, vi in zip(idx.tolist(), g, v):
+            for i, gi, vi in zip(idx[weighted].tolist(), g, v):
                 state.R[i] = vi
                 state.t[state.slots(i)] = np.log(state.p[i]) - np.log(gi)
         _refresh(state, tol)
@@ -668,8 +650,11 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
     leaves [-t_cap, t_cap] before that, an obstruction diagnostic is
     returned instead of a guarantee (p sits on or outside the admissible
     hull boundary).  Exhausting max_iter raises OptimizeTimeoutError.
-    eps_target and t_cap must be finite and positive.
+    eps_target and t_cap must be finite and positive, max_iter >= 0, and
+    the arrangement must have a space.
     """
+    if max_iter < 0:
+        raise PreconditionError(f"max_iter must be >= 0, got {max_iter}")
     p = np.asarray(p, dtype=float)
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-9):
         raise PreconditionError("weights must lie in [0, 1]")
@@ -759,8 +744,8 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     isometry sending the span basis to coordinates.  The input p is a
     prefix of the returned p.
 
-    The images of the input spaces are orthonormalized with one stacked SVD
-    per dimension, and all hull terms are ranked at once on the model
+    The images of the input spaces are the ones the sampler scans (see
+    ``span`` below), and all hull terms are ranked at once on the model
     arrangement by :func:`_stacked_set_ranks`, one group per term length:
     its Cholesky screen certifies a term of d rows that spans R^d without an
     SVD.  Only the terms of rank below d are orthonormalized and extended,
@@ -769,17 +754,19 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     in one count.
 
     ``span`` is the ``span`` of a :class:`_SampleStream` on ``arr`` and
-    ``tol``, whose span rows (and images, when it has them) are reused.
+    ``tol``, whose span rows and images are reused; without it, both are
+    computed here as the stream computes them.
     """
     if hull is None or not isinstance(hull, HullCertificate):
         raise PreconditionError("a hull certificate from admissible_hull_vector is required")
-    span_rows, images = span or (orthonormalize(arr.stacked_basis(), tol), None)
+    if span is None:
+        rows = orthonormalize(arr.stacked_basis(), tol)
+        span = rows, _orthonormal_images(arr, rows, tol)
+    span_rows, images = span
     d = span_rows.shape[0]
     if d == 0:
         raise PreconditionError("arrangement sum is the zero space")
     # isometric on the span
-    if images is None:
-        images = _orthonormal_images([v.basis for v in arr.spaces], span_rows, tol)
     model_spaces = [Subspace(d, images.get(i, np.zeros((0, d)))) for i in range(arr.n)]
     eye = np.eye(d)
     aux = [Subspace(d, eye[[s]]) for s in range(d)]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgcert.arrangement import (
     Arrangement,
     ComplexSubspace,
     InvariantViolation,
     Subspace,
+    _runs,
     _stacked_set_ranks,
     complex_to_real,
     generate,
@@ -61,6 +64,24 @@ def test_pairwise_zero_intersection_examples():
     # coordinate-pair planes sharing an axis intersect in that axis
     grid = Arrangement(3, [Subspace(3, e[[0, 1]]), Subspace(3, e[[0, 2]])])
     assert pairwise_zero_intersection(grid) == [(0, 1)]
+
+
+_INT_ROWS = st.integers(1, 3).flatmap(lambda cols: st.lists(
+    st.lists(st.integers(-2, 2), min_size=cols, max_size=cols), max_size=12).map(
+    lambda rows: np.array(rows, dtype=int).reshape(-1, cols)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_INT_ROWS)
+def test_runs_sort_stably_and_mark_each_run(rows):
+    # oracle: Python's sort is stable, and a run starts where the row changes
+    tuples = [tuple(r) for r in rows.tolist()]
+    want = sorted(range(len(tuples)), key=tuples.__getitem__)
+    want_starts = [q for q, i in enumerate(want)
+                   if q == 0 or tuples[i] != tuples[want[q - 1]]]
+    order, starts = _runs(rows)
+    assert order.tolist() == want
+    assert starts.tolist() == want_starts
 
 
 def test_stacked_set_ranks_long_mixed_sets():

@@ -299,13 +299,40 @@ def test_bad_tolerance_exit_code_one_line(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--eps", "0"], ["--eps", "-1"], ["--eps", "nan"], ["--eps", "inf"],
-    ["--tcap", "nan"], ["--tcap", "0"], ["--tcap", "inf"],
+    ["--tcap", "nan"], ["--tcap", "0"], ["--tcap", "inf"], ["--max-iter", "-3"],
 ])
 def test_scale_bad_targets_exit_code_one_line(tmp_path, capsys, flags):
     arr_path, out_path = tmp_path / "s.arr", tmp_path / "s.mat"
     arr_path.write_text(_GOOD_ARR)
     assert run("scale", arr_path, "--trials", 16, *flags, "--out", out_path) == 1
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_path.exists()
+
+
+def test_scale_zero_iteration_budget_is_exhausted(tmp_path, capsys):
+    # a budget of 0 iterations is valid: it runs out, it is not rejected
+    arr_path, out_path = tmp_path / "s.arr", tmp_path / "s.mat"
+    arr_path.write_text(_GOOD_ARR)
+    assert run("scale", arr_path, "--trials", 16, "--max-iter", 0, "--out", out_path) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("budget exceeded:")
+
+
+@pytest.mark.parametrize("text", [
+    "arrangement v1\nfield real\nambient 0\nn 0\n",
+    "arrangement v1\nfield real\nambient 0\nn 1\nspace 0 dim 0\n",
+    "arrangement v1\nfield real\nambient 2\nn 2\nspace 0 dim 0\nspace 1 dim 0\n",
+], ids=["ambient0-n0", "ambient0-zero-space", "ambient2-zero-spaces"])
+def test_scale_without_a_nonzero_space_one_line(tmp_path, capsys, text):
+    # block sizing divided by a zero per-trial size, and no spaces at all
+    # reached numpy's concatenate with nothing to join
+    arr_path, out_path = tmp_path / "z.arr", tmp_path / "z.mat"
+    arr_path.write_text(text)
+    assert run("scale", arr_path, "--trials", 16, "--out", out_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out_path.exists()
 
@@ -379,6 +406,8 @@ def test_gen_grouped_rejects_bad_delta_one_line(tmp_path, capsys, delta):
     (["--beta", "nan"], "error: beta must be in (0, 1), got nan"),
     (["--trials", "0"], "error: trials must be >= 1, got 0"),
     (["--seed", "-3"], "error: seed must be >= 0, got -3"),
+    (["--max-rounds", "-1"], "error: max rounds must be >= 0, got -1"),
+    (["--wall-clock", "-1"], "error: wall clock budget must be >= 0 seconds, got -1.0"),
 ])
 def test_certify_rejects_bad_budget_flags_one_line(tmp_path, capsys, flags, message):
     # round 0 of this instance ends on the entry bound without sampling, so

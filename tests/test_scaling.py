@@ -427,7 +427,9 @@ def test_stream_scans_the_span_of_its_spaces(case, dim, monkeypatch):
     sample = sample_admissible(arr, trials=40, seed=2, tol=Tolerance(rank_tol=1e-3))
     assert set(scanned) == {(dim, dim, _eligible_min_sv(arr.ambient, Tolerance(rank_tol=1e-3)))}
     stream = _SampleStream(arr, 2, DEFAULT_TOL)
-    assert (stream.span[1] is None) == (dim == arr.ambient)
+    # the images are always there, keyed by the nonzero spaces, in R^d
+    assert sorted(stream.span[1]) == [i for i, v in enumerate(arr.spaces) if v.dim]
+    assert {image.shape[1] for image in stream.span[1].values()} == {dim}
     assert np.array_equal(stream.span[0], orthonormalize(arr.stacked_basis()))
     for h in sample.sets:
         assert_maximal_admissible(arr, h)
@@ -731,6 +733,28 @@ def test_normalize_matches_per_space_loop():
     _normalize(state, sgcert.scaling.DEFAULT_TOL)
     assert np.array_equal(state.t, t)
     assert all(np.array_equal(a, b) for a, b in zip(state.R, rotations))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1], ids=["one-chunk", "chunk-per-space"])
+def test_orthonormal_images_are_keyed_by_space_index(chunk_bytes, monkeypatch):
+    # dimensions 0-3 interleaved and a keep mask with gaps: each image sits
+    # under its own space's index and is the per-space orthonormalize, bit
+    # for bit, also when every dimension group is cut into many chunks
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sgcert.linalg, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(45)
+    dims = (2, 0, 3, 1, 0, 2, 3, 1, 2, 0, 1, 3)
+    arr = Arrangement(7, [Subspace(7, orthonormalize(rng.standard_normal((d, 7))))
+                          for d in dims])
+    x = rng.standard_normal((5, 7))
+    keep = np.array([True, True, False, True, True, True, False, True, False, True, True, True])
+    for mask in (None, keep):
+        images = sgcert.scaling._orthonormal_images(arr, x, DEFAULT_TOL, mask)
+        want = [i for i, d in enumerate(dims) if d and (mask is None or mask[i])]
+        assert sorted(images) == want
+        for i in want:
+            assert images[i].tobytes() == orthonormalize(arr.spaces[i].basis @ x.T).tobytes()
+            assert images[i].shape == (min(dims[i], 5), 5)
 
 
 # ---------------------------------------------------------------------------
