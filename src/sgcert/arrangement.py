@@ -7,6 +7,7 @@ survives past this module.
 """
 
 from dataclasses import InitVar, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -170,6 +171,19 @@ def _runs(rows: np.ndarray) -> tuple:
     return order, np.flatnonzero(fresh)
 
 
+def _index_array(sets) -> tuple:
+    """(flat, sizes): the indices of a list of index tuples, set after set,
+    and each set's size."""
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+    return flat, sizes
+
+
+def _set_rows(flat: np.ndarray, starts: np.ndarray, which: np.ndarray, size: int) -> np.ndarray:
+    """The (len(which), size) rows of the sets ``which``, cut from ``flat`` at ``starts``."""
+    return flat[starts[which][:, None] + np.arange(size)]
+
+
 def _set_stacks(arr: Arrangement, sets: np.ndarray, width: int):
     """Yield (idx, stacks): the stacked bases of the sets ``sets[idx]``.
 
@@ -207,6 +221,23 @@ def _space_stacks(arr: Arrangement, keep=None):
         yield chosen[pos], stacks
 
 
+def _full_rank(stacks: np.ndarray, ambient: int, tol: Tolerance) -> bool:
+    """Whether one stacked Cholesky factorisation proves every stack of full
+    row rank with a margin (the screen of :func:`_stacked_set_ranks`)."""
+    size = stacks.shape[1]
+    if not 0 < size <= ambient:
+        return False
+    shift = 4 * tol.rank_tol**2 + (ambient + size + 4) * np.finfo(float).eps
+    diagonal = (slice(None), range(size), range(size))
+    gram = stacks @ stacks.transpose(0, 2, 1)
+    gram[diagonal] -= shift * gram[diagonal].sum(axis=1, keepdims=True)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Rank of the stacked bases of each row of ``sets`` (an (m, size) index array).
 
@@ -214,9 +245,9 @@ def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np
     of :func:`rank`, one chunk at a time.
 
     A chunk whose stacks have s <= l rows (l the ambient dimension) is
-    first screened for full rank without an SVD: with G the Gram matrix
-    of a stack and T its trace, one stacked Cholesky factorisation of
-    G - tau I is tried, where
+    first screened for full rank without an SVD (:func:`_full_rank`): with
+    G the Gram matrix of a stack and T its trace, one stacked Cholesky
+    factorisation of G - tau I is tried, where
 
         tau = 4 rank_tol^2 T + (l + s + 4) eps T    (eps = 2^-52).
 
@@ -234,21 +265,10 @@ def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np
     """
     out = np.zeros(len(sets), dtype=int)
     for idx, stacks in _set_stacks(arr, sets, arr.ambient):
-        size = stacks.shape[1]
-        if not size:
-            continue
-        if size <= arr.ambient:
-            shift = 4 * tol.rank_tol**2 + (arr.ambient + size + 4) * np.finfo(float).eps
-            diagonal = (slice(None), range(size), range(size))
-            gram = stacks @ stacks.transpose(0, 2, 1)
-            gram[diagonal] -= shift * gram[diagonal].sum(axis=1, keepdims=True)
-            try:
-                np.linalg.cholesky(gram)
-                out[idx] = size
-                continue
-            except np.linalg.LinAlgError:
-                pass
-        out[idx] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
+        if _full_rank(stacks, arr.ambient, tol):
+            out[idx] = stacks.shape[1]
+        elif stacks.shape[1]:
+            out[idx] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
     return out
 
 
@@ -360,10 +380,11 @@ def generate_grouped(k: int, delta: float, n: int, ambient=None,
         for _ in range(size):
             for _ in range(100):
                 cand = _draw_inside(frame, k, rng, tol)
-                if all(
-                    rank(np.vstack([cand.basis, other.basis]), tol) == 2 * k
-                    for other in block
-                ):
+                # each pair (cand, member) of the block in one call
+                pairs = np.column_stack([np.full(len(block), len(block)),
+                                         np.arange(len(block))])
+                if (_stacked_set_ranks(Arrangement(ambient, block + [cand]), pairs, tol)
+                        == 2 * k).all():
                     block.append(cand)
                     break
             else:

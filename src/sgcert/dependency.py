@@ -10,7 +10,7 @@ rational arithmetic so that ceil/floor decisions never flip on float noise.
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, starmap
 from math import ceil, isfinite
 
 import numpy as np
@@ -18,8 +18,12 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     Subspace,
+    _full_rank,
+    _index_array,
     _read_lines,
     _runs,
+    _set_rows,
+    _set_stacks,
     _space_stacks,
     _stacked_set_ranks,
     pairwise_zero_intersection,
@@ -53,31 +57,63 @@ def as_fraction(x) -> Fraction:
     return Fraction(x).limit_denominator(10**9)
 
 
-@dataclass
 class TripleSystem:
-    """Multiset of dependency sets with declared parameters (alpha, delta)."""
+    """Multiset of dependency sets with declared parameters (alpha, delta).
 
-    n: int
-    sets: list
-    alpha: int
-    delta: float
+    The sets are held as one index array: each set's indices ascending, set
+    after set, and each set's size (:meth:`_flat`).  ``sets`` lists them as
+    sorted tuples, built when first read.  Sets of any size, with repeated
+    or out-of-range indices, are held as given, for :func:`validate_system`
+    to report.
+    """
 
-    def __post_init__(self):
-        self.sets = [tuple(sorted(s)) for s in self.sets]
+    def __init__(self, n: int, sets, alpha: int, delta: float):
+        self._init(n, *_index_array(sets), alpha, delta)
+
+    @classmethod
+    def _of_arrays(cls, n: int, flat: np.ndarray, sizes: np.ndarray, alpha: int,
+                   delta: float) -> "TripleSystem":
+        """The system of the sets cut from ``flat`` by ``sizes``, in any order within a set."""
+        sys = cls.__new__(cls)
+        sys._init(n, flat, sizes, alpha, delta)
+        return sys
+
+    def _init(self, n, flat, sizes, alpha, delta):
+        self.n, self.alpha, self.delta = n, alpha, delta
+        flat, self._sizes = flat.astype(np.intp, copy=False), sizes.astype(np.intp, copy=False)
+        self._indices = flat[np.lexsort((flat, np.repeat(np.arange(sizes.size), sizes)))]
+        self._sets = None
+
+    def __eq__(self, other):
+        if not isinstance(other, TripleSystem):
+            return NotImplemented
+        return ((self.n, self.alpha, self.delta) == (other.n, other.alpha, other.delta)
+                and np.array_equal(self._sizes, other._sizes)
+                and np.array_equal(self._indices, other._indices))
+
+    def __repr__(self):
+        return (f"TripleSystem(n={self.n!r}, sets={self.sets!r}, alpha={self.alpha!r}, "
+                f"delta={self.delta!r})")
+
+    @property
+    def sets(self) -> list:
+        """The sets as sorted tuples.  The list is a cache of the index
+        array: edits to it are not seen by the system."""
+        if self._sets is None:
+            flat = iter(self._indices.tolist())
+            self._sets = [tuple(islice(flat, size)) for size in self._sizes.tolist()]
+        return self._sets
 
     @property
     def w(self) -> int:
-        return len(self.sets)
+        return self._sizes.size
 
     def degrees(self) -> list:
-        return np.bincount(self._flat()[0], minlength=self.n).tolist()
+        return np.bincount(self._indices, minlength=self.n).tolist()
 
     def _flat(self) -> tuple:
-        """(flat, sizes): the indices of every set, set after set, and each set's size."""
-        sizes = np.fromiter(map(len, self.sets), dtype=np.intp, count=len(self.sets))
-        flat = np.fromiter(chain.from_iterable(self.sets), dtype=np.intp,
-                           count=int(sizes.sum()))
-        return flat, sizes
+        """(flat, sizes): each set's indices ascending, set after set, and each set's size."""
+        return self._indices, self._sizes
 
     def pair_counts(self) -> Counter:
         return Counter(chain.from_iterable(combinations(s, 2) for s in self.sets))
@@ -316,23 +352,25 @@ def build_triple_family(r: int) -> list:
     Built as {x, y, x*y} over all ordered pairs of an idempotent
     quasigroup, which forces the counts; the postcondition re-verifies.
     """
+    return list(map(tuple, _triple_family(r).tolist()))
+
+
+def _triple_family(r: int) -> np.ndarray:
+    """:func:`build_triple_family` as an (r^2 - r, 3) array, each row ascending."""
     if r < 3:
         raise PreconditionError(f"triple family needs r >= 3, got {r}")
-    table = _idempotent_quasigroup(r)
-    family = []
-    for x in range(r):
-        for y in range(r):
-            if x != y:
-                family.append(tuple(sorted((x, y, table[x][y]))))
+    table = np.array(_idempotent_quasigroup(r))
+    x, y = np.nonzero(~np.eye(r, dtype=bool))  # the ordered pairs x != y, row by row
+    family = np.sort(np.column_stack([x, y, table[x, y]]), axis=1)
     if len(family) != r * r - r:
         raise SgcertError("triple family has wrong size")
-    for t in family:
-        if len(set(t)) != 3:
-            raise SgcertError(f"degenerate triple {t}")
-    counts = TripleSystem(r, family, alpha=6, delta=0.0)
-    if any(d != 3 * (r - 1) for d in counts.degrees()):
+    degenerate = np.flatnonzero((family[:, 0] == family[:, 1]) | (family[:, 1] == family[:, 2]))
+    if degenerate.size:
+        raise SgcertError(f"degenerate triple {tuple(family[degenerate[0]].tolist())}")
+    if (np.bincount(family.ravel(), minlength=r) != 3 * (r - 1)).any():
         raise SgcertError("triple family element counts are off")
-    if any(c > 6 for c in counts.pair_counts().values()):
+    pairs = np.concatenate([family[:, i] * r + family[:, j] for i, j in ((0, 1), (0, 2), (1, 2))])
+    if (np.bincount(pairs) > 6).any():
         raise SgcertError("triple family pair multiplicity exceeds 6")
     return family
 
@@ -341,20 +379,19 @@ def build_sg_system(arr: Arrangement, k: int,
                     tol: Tolerance = DEFAULT_TOL) -> TripleSystem:
     """Union of triple families over every special space's member list.
 
-    The family of each member count r is built once.  Returns alpha = 6
-    and delta measured from the construction: the largest value such that
-    every index lies in at least delta * n sets (zero when there are no
-    special spaces).
+    The family of each member count r is built once, as an (r^2 - r, 3)
+    array, and each special space gathers its members by that array.
+    Returns alpha = 6 and delta measured from the construction: the largest
+    value such that every index lies in at least delta * n sets (zero when
+    there are no special spaces).
     """
     specials = find_special_spaces(arr, k, tol)
-    families = {r: build_triple_family(r) for r in {sp.size for sp in specials}}
-    sets = []
-    for sp in specials:
-        members = sp.member_indices
-        for t in families[sp.size]:
-            sets.append(tuple(sorted(members[e] for e in t)))
-    sys = TripleSystem(arr.n, sets, alpha=6, delta=0.0)
-    if sets and arr.n:
+    families = {r: _triple_family(r) for r in {sp.size for sp in specials}}
+    rows = [np.array(sp.member_indices)[families[sp.size]] for sp in specials]
+    flat = np.concatenate(rows).ravel() if rows else np.zeros(0, dtype=np.intp)
+    sys = TripleSystem._of_arrays(arr.n, flat, np.full(flat.size // 3, 3), alpha=6,
+                                  delta=0.0)
+    if rows and arr.n:
         sys.delta = min(sys.degrees()) / arr.n
     return sys
 
@@ -365,6 +402,57 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) > 0]
 
 
+def _spans_third(arr: Arrangement, triples: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Which rows (a, b, c) of ``triples`` are proven dependent without an SVD.
+
+    Let M = [P; K] be a row's stacked bases (s rows, l columns), P the
+    p = d_a + d_b rows of a and b.  A chunk of :func:`_set_stacks` is tried
+    only if its P pass the Cholesky screen of :func:`_full_rank`, which
+    proves rank(P) = p under the rule of :func:`rank` and sigma_p(P) >
+    2 rank_tol |P|_F.  One stacked Householder QR of P^T gives Q; then
+    Y = M Q, F = M - Y Q^T and, with eps = 2^-52,
+
+        r = |F|_F + (p + 2) eps |Y|_F |Q|_F,    eta = 2 l s eps |M|_F.
+
+    A row is proven when |M|_F^2 <= 3 |P|_F^2, 16 eta <= rank_tol |M|_F
+    and r <= rank_tol |M|_F / (2 sqrt(s)) - 2 eta: the rule then gives M
+    the pair's rank p, so the triple is dependent.
+
+    Proof.  Y Q^T, of the computed Y and Q, has rank <= p, and r bounds
+    |M - Y Q^T|_F to first order (the rounding of the product and of the
+    subtraction), however accurate Q is; by Weyl, sigma_{p+1}(M) <= r.  P
+    is a row block of M, so by interlacing sigma_p(M) >= sigma_p(P) >
+    (2 / sqrt(3)) rank_tol |M|_F; and |M|_F / sqrt(s) <= sigma_1(M) <=
+    |M|_F.  The SVD's singular values are within eta of these: twice the
+    error allowed in :func:`_stacked_set_ranks`, which also covers the
+    rounding of the norms.  So the computed sigma_{p+1} <= r + eta <
+    rank_tol (sigma_1 - eta) is below rank_tol times the computed sigma_1,
+    and the computed sigma_p >= (2 / sqrt(3)) rank_tol |M|_F - eta >=
+    rank_tol (|M|_F + eta) is not.  Rows not proven are left to the SVD.
+    """
+    out = np.zeros(len(triples), dtype=bool)
+    dims = np.array(arr.dims(), dtype=int)
+    eps = np.finfo(float).eps
+    for idx, stacks in _set_stacks(arr, triples, arr.ambient):
+        _, s, l = stacks.shape
+        p = int(dims[triples[idx[0], :2]].sum())
+        pair = stacks[:, :p]
+        if not _full_rank(pair, l, tol):
+            continue
+        q = np.linalg.qr(pair.transpose(0, 2, 1))[0]
+        y = stacks @ q
+        resid = stacks - y @ q.transpose(0, 2, 1)
+        norm_m = np.sqrt(np.einsum("qsl,qsl->q", stacks, stacks))
+        norm_p2 = np.einsum("qsl,qsl->q", pair, pair)
+        r = (np.sqrt(np.einsum("qsl,qsl->q", resid, resid))
+             + (p + 2) * eps * np.sqrt(np.einsum("qsp,qsp->q", y, y)
+                                       * np.einsum("qlp,qlp->q", q, q)))
+        eta = 2 * l * s * eps * norm_m
+        out[idx] = ((norm_m**2 <= 3 * norm_p2) & (16 * eta <= tol.rank_tol * norm_m)
+                    & (r <= tol.rank_tol * norm_m / (2 * np.sqrt(s)) - 2 * eta))
+    return out
+
+
 def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
                     tol: Tolerance) -> tuple:
     """Whether each 3-set and each 2-set (rows of distinct in-range indices) holds.
@@ -372,9 +460,11 @@ def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
     A 3-set must be a dependent triple (the test of
     :func:`is_dependent_triple`: some pair's rank equals the triple's), a
     2-set two equal spaces (equal dimension d and pair rank d).  Each
-    distinct 3-set and each distinct pair is ranked once: they are found
+    distinct 3-set and each distinct pair is decided once: they are found
     by sorting integer keys, (i n + j) n + k and i n + j, and every set
-    reads its answer back from its key.
+    reads its answer back from its key.  A 3-set that :func:`_spans_third`
+    proves dependent is not ranked; the others, and the pairs, are ranked
+    by :func:`_stacked_set_ranks`.
     """
     dims = np.array(arr.dims(), dtype=int)
     n, triple_pairs = arr.n, ((0, 1), (0, 2), (1, 2))
@@ -382,7 +472,9 @@ def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
     distinct3 = _distinct(three_keys)
     ij, k = np.divmod(distinct3, n)
     triples = np.column_stack([*np.divmod(ij, n), k])
-    distinct2 = _distinct(np.concatenate([triples[:, i] * n + triples[:, j]
+    dependent = _spans_third(arr, triples, tol)
+    rest = triples[~dependent]
+    distinct2 = _distinct(np.concatenate([rest[:, i] * n + rest[:, j]
                                           for i, j in triple_pairs]
                                          + [twos[:, 0] * n + twos[:, 1]]))
     ranks = _stacked_set_ranks(arr, np.column_stack(np.divmod(distinct2, n)), tol)
@@ -390,18 +482,12 @@ def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
     def pair_rank(i, j):
         return ranks[np.searchsorted(distinct2, i * n + j)]
 
-    total = _stacked_set_ranks(arr, triples, tol)
-    dependent = np.zeros(len(triples), dtype=bool)
-    for i, j in triple_pairs:
-        dependent |= pair_rank(triples[:, i], triples[:, j]) == total
+    total = _stacked_set_ranks(arr, rest, tol)
+    dependent[~dependent] = np.any([pair_rank(rest[:, i], rest[:, j]) == total
+                                    for i, j in triple_pairs], axis=0)
     d = dims[twos]
     equal = (d[:, 0] == d[:, 1]) & (pair_rank(twos[:, 0], twos[:, 1]) == d[:, 0])
     return dependent[np.searchsorted(distinct3, three_keys)], equal
-
-
-def _set_rows(flat: np.ndarray, starts: np.ndarray, which: np.ndarray, size: int) -> np.ndarray:
-    """The (len(which), size) rows of the sets ``which``, cut from ``flat`` at ``starts``."""
-    return flat[starts[which][:, None] + np.arange(size)]
 
 
 def validate_system(arr: Arrangement, sys: TripleSystem,
@@ -424,26 +510,26 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
     if sys.n != arr.n:
         v.append(f"system indexes {sys.n} spaces, arrangement has {arr.n}")
         return report
-    n, sets = arr.n, sys.sets
+    n, w = arr.n, sys.w
     flat, sizes = sys._flat()
     starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(len(sets)), sizes)
-    in_range = np.bincount(owner[(flat < 0) | (flat >= n)], minlength=len(sets)) == 0
-    ordered = flat[np.lexsort((flat, owner))]  # each set's indices ascending
-    repeats = np.bincount(owner[1:][(ordered[1:] == ordered[:-1]) & (owner[1:] == owner[:-1])],
-                          minlength=len(sets))
+    owner = np.repeat(np.arange(w), sizes)
+    in_range = np.bincount(owner[(flat < 0) | (flat >= n)], minlength=w) == 0
+    # each set's indices are ascending, so a repeat is a neighbour
+    repeats = np.bincount(owner[1:][(flat[1:] == flat[:-1]) & (owner[1:] == owner[:-1])],
+                          minlength=w)
     well_formed = ((sizes == 2) | (sizes == 3)) & (repeats == 0)
-    bad_sets = {j: f"set {j}: size must be 2 or 3 with distinct indices, got {sets[j]}"
+    bad_sets = {j: f"set {j}: size must be 2 or 3 with distinct indices, got {sys.sets[j]}"
                 for j in np.flatnonzero(~well_formed).tolist()}
-    bad_sets.update((j, f"set {j}: index out of range in {sets[j]}")
+    bad_sets.update((j, f"set {j}: index out of range in {sys.sets[j]}")
                     for j in np.flatnonzero(well_formed & ~in_range).tolist())
     checked = well_formed & in_range
     by_size = {size: np.flatnonzero(checked & (sizes == size)) for size in (2, 3)}
     dependent, equal = _semantics_hold(arr, _set_rows(flat, starts, by_size[3], 3),
                                        _set_rows(flat, starts, by_size[2], 2), tol)
-    bad_sets.update((j, f"set {j}: {sets[j]} is not a dependent triple")
+    bad_sets.update((j, f"set {j}: {sys.sets[j]} is not a dependent triple")
                     for j in by_size[3][~dependent].tolist())
-    bad_sets.update((j, f"set {j}: spaces {sets[j][0]} and {sets[j][1]} are not equal")
+    bad_sets.update((j, f"set {j}: spaces {sys.sets[j][0]} and {sys.sets[j][1]} are not equal")
                     for j in by_size[2][~equal].tolist())
     v.extend(bad_sets[j] for j in sorted(bad_sets))
     delta = as_fraction(sys.delta)
@@ -455,8 +541,7 @@ def validate_system(arr: Arrangement, sys: TripleSystem,
             f"index {i} lies in {deg[i]} sets, fewer than delta*n = {float(delta * n):g}"
         )
     v.extend(f"pair ({a},{b}) appears in {c} sets, more than alpha = {sys.alpha}"
-             for a, b, c in _pairs_above(ordered, starts, sizes, in_range, n, sys.alpha))
-    w = sys.w
+             for a, b, c in _pairs_above(flat, starts, sizes, in_range, n, sys.alpha))
     if Fraction(3 * w) < delta * n * n:
         v.append(f"count bound failed: w = {w} < delta*n^2/3 = {float(delta * n * n / 3):g}")
     if Fraction(2 * w) > Fraction(sys.alpha) * n * n:
@@ -609,13 +694,12 @@ def map_and_clean(arr: Arrangement, sys: TripleSystem, p,
             f"set {j}: one of two equal spaces was killed but not the other"
         )
     # the new index of a surviving space is the number of survivors before it
-    relabeled = iter((np.cumsum(survives) - 1)[flat[alive & (count[owner] >= 2)]].tolist())
-    new_sets = [tuple(islice(relabeled, c)) for c in count[count >= 2].tolist()]
+    relabeled = (np.cumsum(survives) - 1)[flat[alive & (count[owner] >= 2)]]
     delta = as_fraction(sys.delta)
     delta_prime = delta * sys.n / n_prime
     new_arr = Arrangement(arr.ambient, kept, field_tag=arr.field_tag)
-    new_sys = TripleSystem(n_prime, new_sets, alpha=sys.alpha,
-                           delta=float(delta_prime))
+    new_sys = TripleSystem._of_arrays(n_prime, relabeled, count[count >= 2],
+                                      alpha=sys.alpha, delta=float(delta_prime))
     report = validate_system(new_arr, new_sys, tol)
     if not report.ok:
         raise InconsistentSystemError(
@@ -633,21 +717,37 @@ def map_and_clean(arr: Arrangement, sys: TripleSystem, p,
 
 
 def write_system(path, sys: TripleSystem) -> None:
-    lines = ["system v1", f"n {sys.n} alpha {sys.alpha} delta {sys.delta:.17g}"]
-    for s in sys.sets:
-        lines.append(f"{len(s)} " + " ".join(str(i) for i in s))
+    """Write a system file; each set's line is formatted from the index array,
+    one format per set size, and the lines are joined once."""
+    flat, sizes = sys._flat()
+    starts = np.cumsum(sizes) - sizes
+    lines = np.empty(sizes.size, dtype=object)
+    for size in set(sizes.tolist()):
+        which = np.flatnonzero(sizes == size)
+        line = f"{size} " + " ".join(["{}"] * size)
+        lines[which] = list(starmap(line.format, _set_rows(flat, starts, which, size).tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["system v1", f"n {sys.n} alpha {sys.alpha} delta {sys.delta:.17g}",
+                            *lines.tolist()]) + "\n")
 
 
 def read_system(path) -> TripleSystem:
-    raw = [ln.strip() for ln in _read_lines(path)]
-    lines = [(no + 1, ln) for no, ln in enumerate(raw) if ln]
-    if not lines or lines[0][1] != "system v1":
-        raise ParseError("expected 'system v1' header", lines[0][0] if lines else 1)
-    if len(lines) < 2:
+    """Parse a system file.
+
+    The set lines are parsed in bulk: one split per line, one integer
+    conversion of all their tokens, and array checks of each line's size,
+    token count and index range.  A file that fails any of these is parsed
+    again one line at a time, which raises the ParseError of its first bad
+    line.
+    """
+    raw = _read_lines(path)
+    nonblank = ((no, ln.strip()) for no, ln in enumerate(raw, 1) if ln.strip())
+    head = list(islice(nonblank, 2))
+    if not head or head[0][1] != "system v1":
+        raise ParseError("expected 'system v1' header", head[0][0] if head else 1)
+    if len(head) < 2:
         raise ParseError("missing parameter line", 2)
-    no, params = lines[1]
+    no, params = head[1]
     parts = params.split()
     if len(parts) != 6 or parts[0] != "n" or parts[2] != "alpha" or parts[4] != "delta":
         raise ParseError(f"bad parameter line {params!r}", no)
@@ -657,8 +757,23 @@ def read_system(path) -> TripleSystem:
         raise ParseError(str(exc), no) from None
     if n < 0 or alpha < 1 or not (isfinite(delta) and delta >= 0):
         raise ParseError(f"need n >= 0, alpha >= 1 and a finite delta >= 0 in {params!r}", no)
+    cells = list(map(str.split, raw[no:]))
+    tokens = list(chain.from_iterable(cells))
+    digits = "".join(tokens)
+    # tokens of ASCII digits only read the same in C as under int(); a value
+    # that overflows reads as the largest int64, and is sent on below
+    if digits.isascii() and digits.isdigit():
+        values = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
+        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+        counts = counts[counts > 0]  # blank lines hold no tokens
+        starts = np.cumsum(counts) - counts
+        sizes = values[starts]
+        idx = np.delete(values, starts)
+        if (((sizes == 2) | (sizes == 3)) & (counts == sizes + 1)).all() \
+                and (idx < min(n, np.iinfo(np.int64).max)).all():
+            return TripleSystem._of_arrays(n, idx, sizes, alpha=alpha, delta=delta)
     sets = []
-    for no, ln in lines[2:]:
+    for no, ln in nonblank:  # the set lines, one at a time
         cells = ln.split()
         try:
             size = int(cells[0])

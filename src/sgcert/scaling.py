@@ -19,7 +19,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arrangement import Arrangement, Subspace, _runs, _space_stacks, _stacked_set_ranks
+from .arrangement import (Arrangement, Subspace, _index_array, _runs, _set_rows,
+                          _space_stacks, _stacked_set_ranks)
 from .errors import (
     DegenerateStateError,
     OptimizeTimeoutError,
@@ -83,8 +84,8 @@ class AdmissibleSample:
 
 def _pick_rows(sets) -> np.ndarray:
     """The ``picks`` array of a list of index tuples (see AdmissibleSample)."""
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    tags = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum())) + 1
+    tags, sizes = _index_array(sets)
+    tags += 1
     return _padded(tags, sizes, int(sizes.max(initial=1)),
                    np.min_scalar_type(tags.max(initial=0)))
 
@@ -634,6 +635,16 @@ def _normalize(state: ScalingState, tol: Tolerance) -> None:
         _refresh(state, tol)
 
 
+def _check_targets(eps_target: float, max_iter: int, t_cap: float) -> None:
+    """Raise PreconditionError unless max_iter >= 0 and eps_target and t_cap
+    are finite and positive (the budget checks of :func:`optimize`)."""
+    if max_iter < 0:
+        raise PreconditionError(f"max_iter must be >= 0, got {max_iter}")
+    for name, value in (("eps_target", eps_target), ("t_cap", t_cap)):
+        if not (0 < value < np.inf):
+            raise PreconditionError(f"{name} must be finite and positive, got {value}")
+
+
 def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
              max_iter: int = 10000, t_cap: float = 60.0,
              tol: Tolerance = DEFAULT_TOL) -> ScalingMap:
@@ -653,14 +664,10 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
     eps_target and t_cap must be finite and positive, max_iter >= 0, and
     the arrangement must have a space.
     """
-    if max_iter < 0:
-        raise PreconditionError(f"max_iter must be >= 0, got {max_iter}")
+    _check_targets(eps_target, max_iter, t_cap)
     p = np.asarray(p, dtype=float)
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-9):
         raise PreconditionError("weights must lie in [0, 1]")
-    for name, value in (("eps_target", eps_target), ("t_cap", t_cap)):
-        if not (0 < value < np.inf):
-            raise PreconditionError(f"{name} must be finite and positive, got {value}")
     if arr.dimension(tol) != arr.ambient:
         raise PreconditionError(
             "arrangement does not span its ambient space; apply spanning_model first"
@@ -774,9 +781,7 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
 
     # the terms as one index array: term t holds members[starts[t]:][:lengths[t]]
     count = len(hull.terms)
-    lengths = np.fromiter((len(h) for h, _ in hull.terms), dtype=np.intp, count=count)
-    members = np.fromiter(chain.from_iterable(h for h, _ in hull.terms), dtype=np.intp,
-                          count=int(lengths.sum()))
+    members, lengths = _index_array([h for h, _ in hull.terms])
     starts = np.cumsum(lengths) - lengths
     weights = np.fromiter((q for _, q in hull.terms), dtype=float, count=count)
     model_dims = np.array(model_arr.dims(), dtype=np.intp)
@@ -784,7 +789,7 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     term_dims = np.zeros(count, dtype=np.intp)
     for size in sorted(set(lengths.tolist()) - {0}):
         which = np.flatnonzero(lengths == size)
-        sets = members[starts[which][:, None] + np.arange(size)]
+        sets = _set_rows(members, starts, which, size)
         spans[which] = _stacked_set_ranks(model_arr, sets, tol) == d
         term_dims[which] = model_dims[sets].sum(axis=1)
     extensions = {t: _extend_to_basis(model_spaces, hull.terms[t][0], d, tol)

@@ -310,6 +310,21 @@ def test_scale_bad_targets_exit_code_one_line(tmp_path, capsys, flags):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flags", [["--eps", "0"], ["--tcap", "nan"], ["--max-iter", "-3"]])
+def test_scale_rejects_bad_targets_before_sampling(tmp_path, capsys, monkeypatch, flags):
+    # the flags are checked before any trial is drawn, with the same message
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample_admissible was called")
+
+    monkeypatch.setattr(sgcert.cli, "sample_admissible", no_sampling)
+    arr_path, out_path = tmp_path / "s.arr", tmp_path / "s.mat"
+    arr_path.write_text(_GOOD_ARR)
+    assert run("scale", arr_path, "--trials", 40000, *flags, "--out", out_path) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out_path.exists()
+
+
 def test_scale_zero_iteration_budget_is_exhausted(tmp_path, capsys):
     # a budget of 0 iterations is valid: it runs out, it is not rejected
     arr_path, out_path = tmp_path / "s.arr", tmp_path / "s.mat"

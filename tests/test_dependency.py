@@ -292,11 +292,13 @@ def test_build_sg_system_builds_each_family_once(monkeypatch):
 
     sizes = []
 
+    family = sgcert.dependency._triple_family
+
     def counting(r):
         sizes.append(r)
-        return build_triple_family(r)
+        return family(r)
 
-    monkeypatch.setattr(sgcert.dependency, "build_triple_family", counting)
+    monkeypatch.setattr(sgcert.dependency, "_triple_family", counting)
     arr = generate_grouped(k=1, delta=0.25, n=18, seed=4)
     sys = build_sg_system(arr, 1)
     assert sorted(sizes) == [4, 5]
@@ -675,3 +677,102 @@ def test_system_roundtrip(tmp_path):
     assert back.n == sys.n and back.alpha == sys.alpha
     assert back.delta == sys.delta
     assert back.sets == sys.sets
+
+
+def test_system_holds_one_index_array():
+    # malformed sets (sizes 0, 1 and 4, repeats, out of range) are held as
+    # given, each set's indices ascending; the arrays are stored, not rebuilt
+    sets = [(2, 0, 1), (5,), (), (3, 1, 3, 0), (4, -1), (1, 0)]
+    sys = TripleSystem(5, sets, alpha=6, delta=0.5)
+    assert sys.sets == [tuple(sorted(s)) for s in sets]
+    assert sys.w == 6
+    flat, sizes = sys._flat()
+    assert flat.tolist() == [0, 1, 2, 5, 0, 1, 3, 3, -1, 4, 0, 1]
+    assert sizes.tolist() == [3, 1, 0, 4, 2, 2]
+    assert sys._flat()[0] is flat and sys._flat()[1] is sizes
+    with pytest.raises(AttributeError):
+        sys.sets = []
+    sys.delta = 0.25
+    assert sys.delta == 0.25
+    assert TripleSystem(4, [(3, 1, 2), (0, 3, 1)], alpha=6, delta=0.0).degrees() == [1, 2, 1, 2]
+
+
+def test_systems_compare_by_value():
+    sys = TripleSystem(4, [(2, 0, 1), (3, 1)], alpha=6, delta=0.5)
+    assert sys == TripleSystem(4, [(0, 1, 2), (1, 3)], alpha=6, delta=0.5)
+    assert sys != TripleSystem(4, [(1, 3), (0, 1, 2)], alpha=6, delta=0.5)
+    assert sys != TripleSystem(4, [(0, 1, 2), (1, 3)], alpha=6, delta=0.25)
+    assert sys != TripleSystem(4, [(0, 1, 2, 3)], alpha=6, delta=0.5)
+    assert repr(sys) == "TripleSystem(n=4, sets=[(0, 1, 2), (1, 3)], alpha=6, delta=0.5)"
+
+
+def _off_span(rng, pair, dim, ambient, offset):
+    """``dim`` orthonormal rows inside the span of the orthonormal rows ``pair``
+    but for a component of norm about ``offset`` per row off it."""
+    rows = rng.standard_normal((dim, pair.shape[0])) @ pair
+    normal = rng.standard_normal((dim, ambient))
+    normal -= normal @ pair.T @ pair
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return orthonormalize(rows + offset * normal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), ambient=st.integers(5, 8))
+def test_triple_check_agrees_with_the_svd(seed, n, ambient):
+    # spaces of dimension 0..3 (a zero space among them); some are redrawn
+    # 0.1, 1 or 10 rank_tol off the span of two earlier ones, or through a
+    # row of one of them (an intersecting pair).  Every 3-set and 2-set must
+    # get the same answer with and without the SVD-free triple check.
+    import sgcert.dependency
+
+    rng = np.random.default_rng(seed)
+    tol = DEFAULT_TOL
+    dims = [int(d) for d in rng.integers(0, 4, size=n)]
+    dims[int(rng.integers(n))] = 0
+    bases = [orthonormalize(rng.standard_normal((d, ambient))) for d in dims]
+    for c in range(2, n):
+        a, b = (int(i) for i in rng.choice(c, size=2, replace=False))
+        pair = orthonormalize(np.vstack([bases[a], bases[b]]))
+        kind = int(rng.integers(5))
+        if kind < 3 and 0 < pair.shape[0] < ambient:
+            offset = tol.rank_tol * (0.1, 1.0, 10.0)[kind]
+            bases[c] = _off_span(rng, pair, min(dims[c], pair.shape[0]) or 1, ambient, offset)
+        elif kind == 3 and bases[a].shape[0] and dims[c] >= 2:
+            rows = np.vstack([bases[a][:1], rng.standard_normal((dims[c] - 1, ambient))])
+            bases[c] = orthonormalize(rows)
+    arr = Arrangement(ambient, [Subspace(ambient, q) for q in bases])
+    threes = np.array(list(combinations(range(n), 3)))
+    twos = np.array(list(combinations(range(n), 2)))
+    proven = sgcert.dependency._spans_third(arr, threes, tol)
+    with_check = sgcert.dependency._semantics_hold(arr, threes, twos, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgcert.dependency, "_spans_third",
+                   lambda arr, triples, tol: np.zeros(len(triples), dtype=bool))
+        without = sgcert.dependency._semantics_hold(arr, threes, twos, tol)
+    assert with_check[0].tolist() == without[0].tolist()
+    assert with_check[1].tolist() == without[1].tolist()
+    assert not (proven & ~without[0]).any()
+
+
+def test_triple_check_certifies_the_grouped_benchmark_system(monkeypatch):
+    # the dependency-scan benchmark's grouped instance at seed 0 (k = 2,
+    # n = 128 in R^16): every distinct triple is proven without an SVD, and
+    # validate_system ranks no 3-set
+    import sgcert.dependency
+
+    seed = int(np.random.SeedSequence([0, 3]).generate_state(3)[1])
+    arr = generate_grouped(k=2, delta=0.25, n=128, ambient=16, seed=seed)
+    sys = build_sg_system(arr, 2)
+    triples = np.unique(sys._flat()[0].reshape(-1, 3), axis=0)
+    assert len(triples) == 2108
+    assert sgcert.dependency._spans_third(arr, triples, DEFAULT_TOL).all()
+    ranked = []
+
+    def recording(a, sets, tol):
+        ranked.append(sets.shape)
+        return _stacked_set_ranks(a, sets, tol)
+
+    monkeypatch.setattr(sgcert.dependency, "_stacked_set_ranks", recording)
+    assert validate_system(arr, sys).ok
+    assert [m for m, size in ranked if size == 3] == [0]

@@ -8,6 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +17,13 @@ from sgcert.arrangement import (
     ComplexArrangement,
     ComplexSubspace,
     Subspace,
+    _read_lines,
     read_arrangement,
     write_arrangement,
 )
 from sgcert.cli import main
 from sgcert.dependency import TripleSystem, read_system, write_system
+from sgcert.errors import ParseError
 
 
 def rewritten_bytes(write, read, obj):
@@ -92,3 +95,85 @@ def test_verify_survives_one_bad_token_or_missing_line(corrupt_system, data):
             code = main(["verify", str(arr_path), "--system", str(sys_path)])
     assert code in (0, 1, 2)
     assert len(err.getvalue().splitlines()) <= 1
+
+
+def read_system_per_line(path):
+    """(n, alpha, delta, sets) of a system file, parsed one line at a time."""
+    raw = [ln.strip() for ln in _read_lines(path)]
+    lines = [(no + 1, ln) for no, ln in enumerate(raw) if ln]
+    if not lines or lines[0][1] != "system v1":
+        raise ParseError("expected 'system v1' header", lines[0][0] if lines else 1)
+    if len(lines) < 2:
+        raise ParseError("missing parameter line", 2)
+    no, params = lines[1]
+    parts = params.split()
+    if len(parts) != 6 or parts[0] != "n" or parts[2] != "alpha" or parts[4] != "delta":
+        raise ParseError(f"bad parameter line {params!r}", no)
+    try:
+        n, alpha, delta = int(parts[1]), int(parts[3]), float(parts[5])
+    except ValueError as exc:
+        raise ParseError(str(exc), no) from None
+    if n < 0 or alpha < 1 or not (np.isfinite(delta) and delta >= 0):
+        raise ParseError(f"need n >= 0, alpha >= 1 and a finite delta >= 0 in {params!r}", no)
+    sets = []
+    for no, ln in lines[2:]:
+        cells = ln.split()
+        try:
+            size = int(cells[0])
+            idx = [int(c) for c in cells[1:]]
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"bad set line: {exc}", no) from None
+        if size not in (2, 3) or len(idx) != size:
+            raise ParseError(f"set line declares size {size} but has {len(idx)} indices", no)
+        if any(i < 0 or i >= n for i in idx):
+            raise ParseError(f"set index out of range [0, {n}) in {ln!r}", no)
+        sets.append(tuple(sorted(idx)))
+    return n, alpha, delta, sets
+
+
+_SET_TOKENS = (st.sampled_from(["inf", "nan", "-1", "+1", "0", "2", "3", "7", "1e400", "1_0",
+                                "\u0663", "99999999999999999999", "9223372036854775807"])
+               | st.text(string.ascii_letters + string.digits + string.punctuation,
+                         min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 9), data=st.data())
+def test_bulk_read_system_matches_per_line_reference(n, data):
+    # a valid file with unsorted indices, blank lines and uneven spacing,
+    # then maybe one token replaced, added or deleted, or one line dropped:
+    # the bulk parse gives the reference's sets, or its ParseError with the
+    # same line number
+    candidates = list(combinations(range(n), 2)) + list(combinations(range(n), 3))
+    sets = data.draw(st.lists(st.sampled_from(candidates), max_size=12)) if candidates else []
+    lines = ["system v1", f"n {n} alpha 6 delta 0.5"]
+    for s in sets:
+        idx = data.draw(st.permutations(s))
+        lines.append(data.draw(st.sampled_from([" ", "  ", "\t"])).join(map(str, [len(s), *idx])))
+        if data.draw(st.integers(0, 5)) == 0:
+            lines.append(data.draw(st.sampled_from(["", "  "])))
+    change = data.draw(st.sampled_from(["none", "token", "extra", "cut", "drop"]))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[at].split()
+    if change == "drop":
+        del lines[at]
+    elif change != "none" and tokens:
+        # replace a token, add one, or delete one
+        where = data.draw(st.integers(0, len(tokens) - 1))
+        if change == "cut":
+            del tokens[where]
+        else:
+            tokens[where:where + (change == "token")] = [data.draw(_SET_TOKENS)]
+        lines[at] = " ".join(tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.sys"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            want = read_system_per_line(path)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                read_system(path)
+            assert (str(got.value), got.value.line) == (str(exc), exc.line)
+        else:
+            got = read_system(path)
+            assert (got.n, got.alpha, got.delta, got.sets) == want
