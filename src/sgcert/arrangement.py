@@ -57,6 +57,15 @@ class Subspace:
                     f"basis rows are not orthonormal (Gram residual {err:.3e})"
                 )
 
+    @classmethod
+    def _checked(cls, ambient: int, basis: np.ndarray) -> "Subspace":
+        """The subspace of a finite (k, ambient) float basis, k <= ambient,
+        whose orthonormality was already checked (:func:`read_arrangement`)."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "ambient", ambient)
+        object.__setattr__(v, "basis", basis)
+        return v
+
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -219,6 +228,18 @@ def _space_stacks(arr: Arrangement, keep=None):
     chosen = np.flatnonzero((dims > 0) if keep is None else (dims > 0) & keep)
     for pos, stacks in _set_stacks(arr, chosen[:, None], arr.ambient):
         yield chosen[pos], stacks
+
+
+def _basis_drift(rows: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """max |B B^T - I| for the basis B of each space, as computed, by one
+    stacked Gram per dimension; ``rows`` stacks the bases, of ``dims`` rows."""
+    starts = np.cumsum(dims) - dims
+    drift = np.zeros(len(dims))
+    for d in set(dims.tolist()) - {0}:
+        spaces = np.flatnonzero(dims == d)
+        block = rows[starts[spaces][:, None] + np.arange(d)]
+        drift[spaces] = np.abs(block @ block.transpose(0, 2, 1) - np.eye(d)).max(axis=(1, 2))
+    return drift
 
 
 def _full_rank(stacks: np.ndarray, ambient: int, tol: Tolerance) -> bool:
@@ -501,15 +522,11 @@ def write_arrangement(path, arr) -> None:
              f"n {arr.n}"]
     for idx, v in enumerate(arr.spaces):
         lines.append(f"space {idx} dim {v.dim}")
-        for r in range(v.dim):
-            if complex_mode:
-                row = " ".join(
-                    f"{_fmt(v.basis_re[r, c])},{_fmt(v.basis_im[r, c])}"
-                    for c in range(arr.ambient)
-                )
-            else:
-                row = " ".join(_fmt(v.basis[r, c]) for c in range(arr.ambient))
-            lines.append(row)
+        if complex_mode:
+            lines.extend(" ".join(f"{_fmt(re)},{_fmt(im)}" for re, im in zip(row_re, row_im))
+                         for row_re, row_im in zip(v.basis_re.tolist(), v.basis_im.tolist()))
+        else:
+            lines.extend(" ".join(map(_fmt, row)) for row in v.basis.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -570,7 +587,14 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
     """Parse an arrangement file; returns Arrangement or ComplexArrangement.
 
     Basis rows must be orthonormal within ``tol.residual_tol``, and only
-    blank lines may follow the last declared space.
+    blank lines may follow the last declared space.  After the header the
+    rows are read in bulk: one split per line, one walk over the space
+    lines, and one ``float`` of every row token; the bases of a real
+    arrangement are checked by one stacked Gram per dimension, and a space
+    within rounding of the bound, or failing it, by :class:`Subspace`
+    itself.  A file whose rows fail the bulk reading is read again one line
+    at a time (:func:`_read_spaces`), which raises the error of its first
+    bad line or space.
     """
     reader = _LineReader(path)
     _expect(reader, "arrangement", "v1")
@@ -579,6 +603,58 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
         raise ParseError(f"unknown field {field_kind!r}", reader.lineno)
     ambient = _parse_count(_expect(reader, "ambient", None)[1], reader.lineno)
     count = _parse_count(_expect(reader, "n", None)[1], reader.lineno)
+    cells = [c for c in map(str.split, reader.lines[reader.pos:]) if c]
+    try:
+        dims, tokens = _space_rows(cells, ambient, count)
+        if field_kind == "complex":
+            parts = [c.split(",") for c in tokens]
+            re = np.array([float(p[0]) for p in parts]).reshape(-1, ambient)
+            im = np.array([float(p[1]) for p in parts]).reshape(-1, ambient)
+        else:
+            rows = np.array(list(map(float, tokens))).reshape(-1, ambient)
+    except (ParseError, ValueError, IndexError):
+        spaces = _read_spaces(reader, field_kind, ambient, count, tol)
+        return (ComplexArrangement if field_kind == "complex" else Arrangement)(ambient, spaces)
+    ends = np.cumsum(dims).tolist()
+    if field_kind == "complex":
+        return ComplexArrangement(ambient, [ComplexSubspace(ambient, re[e - d:e], im[e - d:e], tol)
+                                            for d, e in zip(dims.tolist(), ends)])
+    # a row sum rounds within ambient eps of its exact value, so a space whose
+    # stacked Gram is within twice that of the bound is left to Subspace
+    margin = 2 * ambient * np.finfo(float).eps * (1 + tol.residual_tol)
+    checked = (np.isfinite(rows).all() and (dims <= ambient).all()
+               and (_basis_drift(rows, dims) <= tol.residual_tol - margin).all())
+    make = (lambda basis: Subspace._checked(ambient, basis)) if checked else (
+        lambda basis: Subspace(ambient, basis, tol))
+    return Arrangement(ambient, [make(rows[e - d:e]) for d, e in zip(dims.tolist(), ends)])
+
+
+def _space_rows(cells: list, ambient: int, count: int) -> tuple:
+    """(dims, tokens) of the spaces after the header, from the split non-blank
+    lines ``cells``: each space's dimension, and the tokens of all rows.
+
+    Raises ValueError or IndexError where :func:`_read_spaces` would raise.
+    """
+    dims, rows, at = [], [], 0
+    for idx in range(count):
+        head = cells[at]
+        if len(head) < 4 or head[0] != "space" or head[2] != "dim" or int(head[1]) != idx:
+            raise ValueError(f"bad space line {head}")
+        dim = int(head[3])
+        block = cells[at + 1:at + 1 + dim]
+        if dim < 0 or len(block) != dim or any(len(row) != ambient for row in block):
+            raise ValueError(f"bad rows of space {idx}")
+        dims.append(dim)
+        rows.extend(block)
+        at += 1 + dim
+    if at != len(cells):
+        raise ValueError("content after the last declared space")
+    return np.array(dims, dtype=int), list(chain.from_iterable(rows))
+
+
+def _read_spaces(reader: _LineReader, field_kind: str, ambient: int, count: int,
+                 tol: Tolerance) -> list:
+    """The spaces after the header, read one line at a time."""
     spaces = []
     for idx in range(count):
         parts = _expect(reader, "space", None, "dim", None)
@@ -608,6 +684,4 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
         else:
             spaces.append(Subspace(ambient, np.array(rows_re).reshape(dim, ambient), tol))
     reader.expect_end()
-    if field_kind == "complex":
-        return ComplexArrangement(ambient, spaces)
-    return Arrangement(ambient, spaces)
+    return spaces

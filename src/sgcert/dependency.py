@@ -26,7 +26,6 @@ from .arrangement import (
     _set_stacks,
     _space_stacks,
     _stacked_set_ranks,
-    pairwise_zero_intersection,
 )
 from .errors import (
     InconsistentSystemError,
@@ -38,10 +37,10 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    chunk_slices,
     orthonormalize,
     rank,
 )
+from .pairscan import _PairScan
 
 
 def as_fraction(x) -> Fraction:
@@ -160,129 +159,30 @@ def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
     return False
 
 
-def _rows_inside(quot: np.ndarray, cut: np.ndarray, q: np.ndarray, own: np.ndarray,
-                 tol: Tolerance) -> tuple:
-    """(p, x): the rows x of ``quot`` within residual_tol of the row span of ``q[p]``.
-
-    ``q`` is an (m, d, l) stack of orthonormal rows, and the rows ``own[p]``
-    of ``quot`` span q[p]: they are left out.  One product gives every
-    coefficient vector q[p] x; a row is screened out when its squared norm
-    is below ``cut[x]``, and otherwise decided by its explicit residual.
-    The pairs (p, x) come sorted.
-    """
-    m, d, ambient = q.shape
-    coef = (q.reshape(m * d, ambient) @ quot.T).reshape(m, d, len(quot))
-    screen = np.einsum("qdn,qdn->qn", coef, coef) >= cut
-    screen[np.arange(m)[:, None], own] = False
-    p, x = np.divmod(np.flatnonzero(screen), len(quot))
-    keep = np.zeros(p.size, dtype=bool)
-    for piece in chunk_slices(p.size, 8 * d * ambient):
-        pp, xp = p[piece], x[piece]
-        resid = quot.take(xp, axis=0) - np.einsum("cd,cdl->cl", coef[pp, :, xp],
-                                                  q.take(pp, axis=0))
-        keep[piece] = np.einsum("cl,cl->c", resid, resid) <= tol.residual_tol**2
-    return p[keep], x[keep]
-
-
-def _pair_members(arr: Arrangement, tol: Tolerance):
-    """Yield (pairs, inside) for the pairs a < b, one space a at a time.
-
-    ``pairs`` is an (m, 2) index array whose rows share one a;
-    ``inside[q, i]`` is True when every basis row of space i is within
-    residual_tol of V_a + V_b (always for a zero space, and for a and b).
-    The spaces a come in index order; their partners b > a are grouped by
-    dimension d, in index order within a group, and cut into chunks as
-    :func:`chunk_slices` sizes them.
-
-    The test is made in the quotient by V_a.  Every basis row x is
-    projected off V_a once, to x'; the residual of x off V_a + V_b is that
-    of x' off the image of V_b, whose d rows are orthonormalized by one
-    stacked Householder QR per group of partners (no SVD).  A row with
-    |x'| <= residual_tol is inside for every b, since a residual off a
-    larger space is never larger.  The others go to :func:`_rows_inside`,
-    whose screen drops the rows with |x'|^2 - |Q x'|^2 (the squared
-    residual up to rounding) clearly above residual_tol^2.  Zero spaces
-    take part.  Before yielding anything, raises naming the
-    lexicographically first pair that :func:`pairwise_zero_intersection`
-    finds intersecting nontrivially.
-    """
-    bad = pairwise_zero_intersection(arr, tol)
-    if bad:
-        raise PreconditionError(
-            f"spaces {bad[0][0]} and {bad[0][1]} intersect nontrivially; "
-            "special spaces are ill-defined"
-        )
-    n = arr.n
-    rows = arr.stacked_basis()
-    norms2 = np.einsum("ij,ij->i", rows, rows)
-    # with this slack the screen only discards rows that are clearly outside
-    slack = 4 * tol.residual_tol**2 + 1e-12 * norms2
-    dims = np.array(arr.dims(), dtype=int)
-    starts = np.cumsum(dims) - dims
-    owner = np.repeat(np.arange(n), dims)
-    by_dim = [(d, np.flatnonzero(dims == d)) for d in sorted(set(dims.tolist()))]
-    width = max(arr.ambient, len(rows))
-    for a in range(n - 1):
-        rows_a = slice(starts[a], starts[a] + dims[a])
-        quot = rows - (rows @ rows[rows_a].T) @ rows[rows_a]
-        quot2 = np.einsum("ij,ij->i", quot, quot)
-        near = quot2 <= tol.residual_tol**2
-        near[rows_a] = True
-        base = np.bincount(owner[near], minlength=n)
-        # a row near V_a is never screened again
-        cut = np.where(near, np.inf, quot2 - slack)
-        for d, spaces in by_dim:
-            partners = spaces[np.searchsorted(spaces, a, side="right"):]
-            rows_b = starts[partners][:, None] + np.arange(d)
-            q = np.linalg.qr(quot[rows_b].transpose(0, 2, 1))[0].transpose(0, 2, 1)
-            for part in chunk_slices(partners.size, 8 * max(d, 1) * width):
-                b = partners[part]
-                m = b.size
-                # a space is inside when all of its rows are (a zero space has none)
-                inside = np.repeat((base == dims)[None], m, axis=0)
-                inside[np.arange(m), b] = True
-                p, x = _rows_inside(quot, cut, q[part], rows_b[part], tol)
-                if p.size:
-                    # the rows come sorted by (pair, owner): count each run
-                    key = p * n + owner[x]
-                    first = np.flatnonzero(np.diff(key, prepend=-1))
-                    pk, ck = np.divmod(key[first], n)
-                    inside[pk, ck] |= np.diff(first, append=key.size) + base[ck] == dims[ck]
-                yield np.column_stack([np.full(m, a), b]), inside
-
-
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
     """Special spaces and dependent triples, read off one pass over the pair members.
 
-    A special space is a pair span holding >= 3 nonzero members, listed by
-    the lexicographically first pair that spans it, from the masks of
-    :func:`_pair_members`; its ``span_basis`` is computed once, at the end,
-    by :func:`orthonormalize` of that pair's stacked bases.  A dependent
-    triple {a, b, c} has c inside span(a, b) (zero spaces included).  The
-    triples come back as sorted tuples in lexicographic order, or as None
-    when ``triples`` is false.
+    A special space is a pair span holding >= 3 nonzero members.  The scan
+    of :func:`pairscan._pair_members` stores each once, with the lexicographically
+    first pair that spans it, and they are listed in the order of those
+    pairs; a ``span_basis`` is computed once, at the end, by
+    :func:`orthonormalize` of that pair's stacked bases.  A dependent
+    triple {a, b, c} has c inside span(a, b) (zero spaces included), read
+    off the masks.  The triples come back as sorted tuples in lexicographic
+    order, or as None when ``triples`` is false.
     """
-    first, found = {}, []
-    nonzero = np.array(arr.dims()) > 0
-    for pairs, inside in _pair_members(arr, tol):
-        members = inside & nonzero
-        big = np.flatnonzero(members.sum(axis=1) >= 3)
-        if big.size:
-            # pairs with the same members, found once: distinct packed rows
-            order, starts = _runs(np.packbits(members[big], axis=1))
-            for q in big[order[starts]]:
-                key = tuple(np.flatnonzero(members[q]).tolist())
-                pair = tuple(pairs[q].tolist())
-                if key not in first or pair < first[key]:
-                    first[key] = pair
+    scan, found = _PairScan(arr, tol), []
+    for pairs, inside in scan:
         if triples:
             inside[np.arange(len(pairs))[:, None], pairs] = False
             q, c = np.divmod(np.flatnonzero(inside), arr.n)
             if q.size:
                 found.append(np.column_stack([pairs[q], c]))
     specials = [SpecialSpace(orthonormalize(np.vstack([arr.spaces[a].basis,
-                                                       arr.spaces[b].basis]), tol), key)
-                for key, (a, b) in sorted(first.items(), key=lambda kv: kv[1])]
+                                                       arr.spaces[b].basis]), tol),
+                             tuple(members.tolist()))
+                for (a, b), (members, _) in sorted(zip(scan.first, scan.found),
+                                                   key=lambda f: f[0])]
     if not triples:
         return specials, None
     rows = np.sort(np.concatenate(found or [np.zeros((0, 3), dtype=int)]), axis=1)
@@ -588,7 +488,9 @@ def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta,
     Requires w >= delta * n^2 (with requirements 1, 2, 4 assumed to hold).
     Returns (sub_arrangement, sub_system, index_map) where index_map sends
     new positions to original ones and the sub-system is a validated
-    (alpha, delta/2)-system of the sub-arrangement.
+    (alpha, delta/2)-system of the sub-arrangement.  Each round counts the
+    degrees over the living sets' index array, compares them with the
+    threshold in integers, and relabels the kept sets on the same array.
     """
     delta = as_fraction(delta)
     n = arr.n
@@ -596,36 +498,28 @@ def prune_low_degree(arr: Arrangement, sys: TripleSystem, delta,
         raise PreconditionError(
             f"pruning needs w >= delta*n^2 = {float(delta * n * n):g}, got {sys.w}"
         )
-    threshold = delta * n / 2
-    alive_sets = list(range(sys.w))
-    alive = [True] * n
+    flat, sizes = sys._flat()
+    owner = np.repeat(np.arange(sys.w), sizes)
+    # deg < delta n / 2 for an integer deg means deg < ceil(delta n / 2)
+    cut = ceil(delta * n / 2)
+    alive, live = np.ones(n, dtype=bool), np.ones(sys.w, dtype=bool)
     while True:
-        deg = [0] * n
-        for j in alive_sets:
-            for i in sys.sets[j]:
-                deg[i] += 1
-        doomed = [i for i in range(n) if alive[i] and Fraction(deg[i]) < threshold]
-        if not doomed:
+        doomed = alive & (np.bincount(flat[live[owner]], minlength=n) < cut)
+        if not doomed.any():
             break
-        for i in doomed:
-            alive[i] = False
-        doomed_set = set(doomed)
-        alive_sets = [j for j in alive_sets
-                      if not doomed_set.intersection(sys.sets[j])]
-    index_map = [i for i in range(n) if alive[i]]
+        alive &= ~doomed
+        # a set lives while all of its members do
+        live = np.bincount(owner[~alive[flat]], minlength=sys.w) == 0
+    index_map = np.flatnonzero(alive).tolist()
     if Fraction(len(index_map)) * 2 * sys.alpha < delta * n:
         raise InconsistentSystemError(
             "pruning kept fewer spaces than delta*n/(2*alpha); input system was inconsistent"
         )
-    renum = {old: new for new, old in enumerate(index_map)}
     sub_arr = Arrangement(arr.ambient, [arr.spaces[i] for i in index_map],
                           field_tag=arr.field_tag)
-    sub_sys = TripleSystem(
-        len(index_map),
-        [tuple(renum[i] for i in sys.sets[j]) for j in alive_sets],
-        alpha=sys.alpha,
-        delta=float(delta / 2),
-    )
+    # the new index of a kept space is the number of kept spaces before it
+    sub_sys = TripleSystem._of_arrays(len(index_map), (np.cumsum(alive) - 1)[flat[live[owner]]],
+                                      sizes[live], alpha=sys.alpha, delta=float(delta / 2))
     report = validate_system(sub_arr, sub_sys, tol)
     if not report.ok:
         raise InconsistentSystemError(

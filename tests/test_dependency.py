@@ -20,7 +20,7 @@ from sgcert.arrangement import (
 )
 from sgcert.dependency import (
     TripleSystem,
-    _pair_members,
+    as_fraction,
     build_sg_system,
     build_triple_family,
     dependent_triples,
@@ -34,6 +34,7 @@ from sgcert.dependency import (
 )
 from sgcert.errors import InconsistentSystemError, PreconditionError
 from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, projector, rank
+from sgcert.pairscan import _pair_members
 
 
 def line(ambient, direction):
@@ -259,6 +260,92 @@ def test_pair_members_match_contains_oracle_near_degenerate(tol, angle):
                                                      arr.spaces[j].basis]), arr.ambient)
             assert row.tolist() == [span.contains(v, tol) for v in arr.spaces], (da, db, i, j)
         assert masks[pair][half] and not masks[pair][double]
+
+
+def _planted_special(rng, ambient, extra, displaced, tol):
+    """Bases of a special space W: a pair spanning it and ``extra`` generic
+    members inside it, of the smaller dimension; then one member each moved
+    off W by factor * residual_tol for each factor in ``displaced``."""
+    da, db = (int(d) for d in rng.permutation(rng.choice([(1, 1), (1, 2), (2, 2), (1, 3)])))
+    frame = orthonormalize(rng.standard_normal((ambient, ambient)))
+    span, normal = frame[:da + db], frame[da + db]
+    bases = [span[:da], span[da:]]
+    d = min(da, db)
+    for factor in [0.0] * extra + list(displaced):
+        u = orthonormalize(rng.standard_normal((d, da + db)) @ span)
+        eps = factor * tol.residual_tol
+        u[-1] = (u[-1] + eps * normal) / np.hypot(1.0, eps)
+        bases.append(u)
+    return bases
+
+
+@pytest.mark.parametrize("tol", _TOLS)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(2, 4),
+       displaced=st.sampled_from([(0.5, 2.0), (0.02, 1.05)]))
+def test_pair_members_inherit_only_what_the_scan_would_find(tol, seed, extra, displaced):
+    # a clean special space, one with a member displaced inside (by 0.5 or
+    # 0.02 residual_tol) and one outside (by 2 or 1.05), two zero spaces and
+    # a generic space, in a random order: every pair's mask, inherited or
+    # tested, agrees with Subspace.contains
+    rng = np.random.default_rng(seed)
+    ambient = 10
+    clean = _planted_special(rng, ambient, extra, (), tol)
+    moved = _planted_special(rng, ambient, extra, displaced, tol)
+    far = orthonormalize(rng.standard_normal((int(rng.integers(1, 3)), ambient)))
+    bases = clean + moved + [far, np.zeros((0, ambient)), np.zeros((0, ambient))]
+    order = rng.permutation(len(bases))
+    arr = Arrangement(ambient, [Subspace(ambient, bases[i], tol) for i in order])
+    assume(not pairwise_zero_intersection(arr, tol))
+    masks = {tuple(p): row for pairs, rows in _pair_members(arr, tol)
+             for p, row in zip(pairs.tolist(), rows)}
+    assert sorted(masks) == list(combinations(range(arr.n), 2))
+    for (i, j), row in masks.items():
+        span = Subspace.from_spanning(np.vstack([arr.spaces[i].basis, arr.spaces[j].basis]),
+                                      arr.ambient)
+        assert row.tolist() == [span.contains(v, tol) for v in arr.spaces], (i, j)
+
+
+def test_pair_scan_tests_each_grouped_special_space_once(monkeypatch):
+    # the dependency-scan benchmark's grouped instance at seed 0: four
+    # special spaces of 32 planes in R^16.  One pair of each is decided by
+    # its residuals; the 30 others in its chunk share its screen but take
+    # its mask, and so do the other pairs of its members, untested, save the
+    # few whose stacked bases are too close to singular for the margin
+    from sgcert.pairscan import _PairScan
+
+    seed = int(np.random.SeedSequence([0, 3]).generate_state(3)[1])
+    arr = generate_grouped(k=2, delta=0.25, n=128, ambient=16, seed=seed)
+    screened, decided = set(), set()
+    tested, decide = _PairScan._tested, _PairScan._decide
+
+    def screening(self, b, q, rows_b):
+        screened.update((self.a, v) for v in b.tolist())
+        return tested(self, b, q, rows_b)
+
+    def deciding(self, inside, b, q, coef, p, x):
+        decided.update((self.a, v) for v in b[np.unique(p)].tolist())
+        return decide(self, inside, b, q, coef, p, x)
+
+    monkeypatch.setattr(_PairScan, "_tested", screening)
+    monkeypatch.setattr(_PairScan, "_decide", deciding)
+    specials = find_special_spaces(arr, 2)
+    assert [sp.size for sp in specials] == [32] * 4
+    refused = set()
+    for sp in specials:
+        pairs = set(combinations(sp.member_indices, 2))
+        finder = sp.member_indices[:2]
+        assert finder in decided
+        refused |= pairs & decided - {finder}
+        first_row = {(finder[0], v) for v in sp.member_indices[1:]}
+        assert pairs & screened == first_row | (pairs & decided)
+    assert not decided - refused - {sp.member_indices[:2] for sp in specials}
+    assert len(refused) <= 0.03 * 4 * 496
+    for u, v in refused:
+        stacked = np.vstack([arr.spaces[u].basis, arr.spaces[v].basis])
+        assert np.linalg.svd(stacked, compute_uv=False)[-1] < 1e-2
+    assert len(screened) == 128 * 127 // 2 - 4 * (496 - 31) + len(refused - {
+        (sp.member_indices[0], v) for sp in specials for v in sp.member_indices})
 
 
 def test_validate_system_ranks_each_distinct_set_once(monkeypatch):
@@ -551,6 +638,75 @@ def test_prune_cascade_terminates():
     assert sub_sys.w == 16
     # at least delta*n/(2*alpha) spaces survive
     assert len(idx) >= Fraction(1, 2) * 6 / (2 * 16)
+
+
+def prune_low_degree_per_set(arr, sys, delta, tol=DEFAULT_TOL):
+    """prune_low_degree by a nested loop over the sets, one round at a time."""
+    delta = as_fraction(delta)
+    n = arr.n
+    if Fraction(sys.w) < delta * n * n:
+        raise PreconditionError(
+            f"pruning needs w >= delta*n^2 = {float(delta * n * n):g}, got {sys.w}")
+    threshold = delta * n / 2
+    alive_sets = list(range(sys.w))
+    alive = [True] * n
+    while True:
+        deg = [0] * n
+        for j in alive_sets:
+            for i in sys.sets[j]:
+                deg[i] += 1
+        doomed = [i for i in range(n) if alive[i] and Fraction(deg[i]) < threshold]
+        if not doomed:
+            break
+        for i in doomed:
+            alive[i] = False
+        alive_sets = [j for j in alive_sets if not set(doomed).intersection(sys.sets[j])]
+    index_map = [i for i in range(n) if alive[i]]
+    if Fraction(len(index_map)) * 2 * sys.alpha < delta * n:
+        raise InconsistentSystemError(
+            "pruning kept fewer spaces than delta*n/(2*alpha); input system was inconsistent")
+    renum = {old: new for new, old in enumerate(index_map)}
+    sub_arr = Arrangement(arr.ambient, [arr.spaces[i] for i in index_map],
+                          field_tag=arr.field_tag)
+    sub_sys = TripleSystem(len(index_map), [tuple(renum[i] for i in sys.sets[j])
+                                            for j in alive_sets],
+                           alpha=sys.alpha, delta=float(delta / 2))
+    report = validate_system(sub_arr, sub_sys, tol)
+    if not report.ok:
+        raise InconsistentSystemError(
+            "pruned system failed re-validation: " + "; ".join(report.violations[:3]))
+    return sub_arr, sub_sys, index_map
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 9), alpha=st.integers(1, 12),
+       scale=st.fractions(0, Fraction(5, 4), max_denominator=8), data=st.data())
+def test_prune_matches_per_set_reference(n, alpha, scale, data):
+    # coplanar lines, so every 3-set is a dependent triple: random multisets
+    # of 3-sets in any order, most inside a core of the spaces and a few
+    # reaching out of it, and delta up to 5/4 of w / n^2, so that pruning
+    # cascades, stops, or is refused
+    arr = coplanar_lines(n, seed=n)
+    core = data.draw(st.integers(3, n))
+
+    def triples(m, most):
+        return st.lists(st.permutations(range(m)).map(lambda p: tuple(p[:3])), max_size=most)
+
+    sets = data.draw(triples(core, 40)) + data.draw(triples(n, 3))
+    sets = data.draw(st.permutations(sets))
+    sys = TripleSystem(n, sets, alpha=alpha, delta=0.0)
+    delta = scale * len(sets) / (n * n)
+    try:
+        want = prune_low_degree_per_set(arr, sys, delta)
+    except (PreconditionError, InconsistentSystemError) as exc:
+        with pytest.raises(type(exc)) as got:
+            prune_low_degree(arr, sys, delta)
+        assert str(got.value) == str(exc)
+    else:
+        sub_arr, sub_sys, index_map = prune_low_degree(arr, sys, delta)
+        assert index_map == want[2]
+        assert sub_sys == want[1]
+        assert sub_arr.spaces == want[0].spaces
 
 
 def test_prune_precondition():

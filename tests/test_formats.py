@@ -16,6 +16,7 @@ from sgcert.arrangement import (
     Arrangement,
     ComplexArrangement,
     ComplexSubspace,
+    InvariantViolation,
     Subspace,
     _read_lines,
     read_arrangement,
@@ -24,6 +25,7 @@ from sgcert.arrangement import (
 from sgcert.cli import main
 from sgcert.dependency import TripleSystem, read_system, write_system
 from sgcert.errors import ParseError
+from sgcert.linalg import DEFAULT_TOL
 
 
 def rewritten_bytes(write, read, obj):
@@ -177,3 +179,137 @@ def test_bulk_read_system_matches_per_line_reference(n, data):
         else:
             got = read_system(path)
             assert (got.n, got.alpha, got.delta, got.sets) == want
+
+
+def read_arrangement_per_line(path, tol=DEFAULT_TOL):
+    """(field, ambient, bases) of an arrangement file, parsed one line at a
+    time; a complex field's bases are (re, im) pairs."""
+    raw = _read_lines(path)
+    lines = [(no + 1, ln.strip()) for no, ln in enumerate(raw) if ln.strip()]
+    pos = 0
+
+    def take(*words):
+        nonlocal pos
+        if pos == len(lines):
+            raise ParseError("unexpected end of file", len(raw))
+        no, ln = lines[pos]
+        pos += 1
+        parts = ln.split()
+        if len(parts) < len(words) or any(p != w for p, w in zip(parts, words) if w is not None):
+            raise ParseError(f"expected {' '.join(w or '<value>' for w in words)!r}, got {ln!r}",
+                             no)
+        return no, parts
+
+    def count(no, text):
+        try:
+            if int(text) >= 0:
+                return int(text)
+        except ValueError:
+            pass
+        raise ParseError(f"expected a non-negative integer, got {text!r}", no)
+
+    take("arrangement", "v1")
+    no, parts = take("field", None)
+    if parts[1] not in ("real", "complex"):
+        raise ParseError(f"unknown field {parts[1]!r}", no)
+    field = parts[1]
+    no, parts = take("ambient", None)
+    ambient = count(no, parts[1])
+    no, parts = take("n", None)
+    bases = []
+    for idx in range(count(no, parts[1])):
+        no, parts = take("space", None, "dim", None)
+        if count(no, parts[1]) != idx:
+            raise ParseError(f"expected space {idx}, got {parts[1]}", no)
+        dim = count(no, parts[3])
+        re, im = [], []
+        for _ in range(dim):
+            no, cells = take()
+            if len(cells) != ambient:
+                raise ParseError(f"row has {len(cells)} entries, ambient is {ambient}", no)
+            try:
+                if field == "complex":
+                    re.append([float(c.split(",")[0]) for c in cells])
+                    im.append([float(c.split(",")[1]) for c in cells])
+                else:
+                    re.append([float(c) for c in cells])
+            except (ValueError, IndexError) as exc:
+                raise ParseError(f"bad numeric row: {exc}", no) from None
+        if field == "complex":
+            v = ComplexSubspace(ambient, np.array(re).reshape(dim, ambient),
+                                np.array(im).reshape(dim, ambient), tol)
+            bases.append((v.basis_re, v.basis_im))
+        else:
+            bases.append(Subspace(ambient, np.array(re).reshape(dim, ambient), tol).basis)
+    if pos < len(lines):
+        raise ParseError("content after the last declared space", lines[pos][0])
+    return field, ambient, bases
+
+
+_ROW_TOKENS = (st.sampled_from(["inf", "nan", "-1", "0", "2", "1e400", "1_0", "1,2", "1,",
+                                "space", "dim", "\u0663"])
+               | st.floats(-2, 2).map(repr)
+               | st.text(string.ascii_letters + string.digits + string.punctuation,
+                         min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(1, 4),
+       dims=st.lists(st.integers(0, 4), max_size=4), complex_field=st.booleans(),
+       data=st.data())
+def test_bulk_read_arrangement_matches_per_line_reference(seed, ambient, dims, complex_field,
+                                                          data):
+    # a valid file with blank lines and uneven spacing, then maybe one token
+    # replaced, added or deleted, one line dropped, or one appended: the
+    # bulk parse gives the reference's bases, or its error (a ParseError
+    # with the same line)
+    rng = np.random.default_rng(seed)
+    lines = ["arrangement v1", f"field {'complex' if complex_field else 'real'}",
+             f"ambient {ambient}", f"n {len(dims)}"]
+    for idx, d in enumerate(min(d, ambient) for d in dims):
+        lines.append(f"space {idx} dim {d}")
+        if complex_field:
+            re, im = rng.standard_normal((2, d, ambient))
+            rows = [[f"{x!r},{y!r}" for x, y in zip(r, i)]
+                    for r, i in zip(re.tolist(), im.tolist())]
+        else:
+            basis = Subspace.from_spanning(rng.standard_normal((d, ambient)), ambient).basis
+            rows = [list(map(repr, r)) for r in basis.tolist()]
+        for row in rows:
+            lines.append(data.draw(st.sampled_from([" ", "  ", "\t"])).join(row))
+            if data.draw(st.integers(0, 5)) == 0:
+                lines.append(data.draw(st.sampled_from(["", "  "])))
+    change = data.draw(st.sampled_from(["none", "token", "extra", "cut", "drop", "append"]))
+    # half of the changes fall after the header
+    at = data.draw(st.integers(0, len(lines) - 1) | st.integers(min(4, len(lines) - 1),
+                                                                 len(lines) - 1))
+    tokens = lines[at].split()
+    if change == "drop":
+        del lines[at]
+    elif change == "append":
+        lines.append(" ".join(data.draw(st.lists(_ROW_TOKENS, min_size=1, max_size=4))))
+    elif change != "none" and tokens:
+        where = data.draw(st.integers(0, len(tokens) - 1))
+        if change == "cut":
+            del tokens[where]
+        else:
+            tokens[where:where + (change == "token")] = [data.draw(_ROW_TOKENS)]
+        lines[at] = " ".join(tokens)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.arr"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            field, ambient, want = read_arrangement_per_line(path)
+        except (ParseError, InvariantViolation, ValueError) as exc:
+            with pytest.raises(type(exc)) as got:
+                read_arrangement(path)
+            assert str(got.value) == str(exc)
+            assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+        else:
+            arr = read_arrangement(path)
+            assert isinstance(arr, ComplexArrangement if field == "complex" else Arrangement)
+            assert arr.ambient == ambient and arr.n == len(want)
+            for v, basis in zip(arr.spaces, want):
+                got = (v.basis_re, v.basis_im) if field == "complex" else (v.basis,)
+                for g, w in zip(got, basis if field == "complex" else (basis,)):
+                    assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
