@@ -540,6 +540,13 @@ def _read_lines(path) -> list:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _split_lines(path) -> tuple:
+    """(lines, cells): the lines of a text file (:func:`_read_lines`), and the
+    (line number, tokens) of each non-blank one, numbered from 1."""
+    lines = _read_lines(path)
+    return lines, [(no, tokens) for no, tokens in enumerate(map(str.split, lines), 1) if tokens]
+
+
 def _parse_count(text, lineno) -> int:
     try:
         value = int(text)
@@ -550,138 +557,101 @@ def _parse_count(text, lineno) -> int:
     raise ParseError(f"expected a non-negative integer, got {text!r}", lineno)
 
 
-class _LineReader:
-    def __init__(self, path):
-        self.lines = _read_lines(path)
-        self.pos = 0
-
-    def next(self) -> str:
-        while self.pos < len(self.lines):
-            ln = self.lines[self.pos]
-            self.pos += 1
-            if ln.strip():
-                return ln.strip()
-        raise ParseError("unexpected end of file", self.pos)
-
-    def expect_end(self) -> None:
-        """Raise ParseError at the first non-blank line not yet read."""
-        for no in range(self.pos, len(self.lines)):
-            if self.lines[no].strip():
-                raise ParseError("content after the last declared space", no + 1)
-
-    @property
-    def lineno(self) -> int:
-        return self.pos
-
-
-def _expect(reader: _LineReader, *words):
-    ln = reader.next()
-    parts = ln.split()
-    if len(parts) < len(words) or any(p != w for p, w in zip(parts, words) if w is not None):
-        raise ParseError(f"expected {' '.join(w or '<value>' for w in words)!r}, got {ln!r}",
-                         reader.lineno)
-    return parts
+def _row_floats(tokens, complex_field: bool) -> list:
+    """The floats of row tokens; of ``re,im`` tokens, every real part, then
+    every imaginary part.  Raises ValueError or IndexError on a bad token."""
+    if not complex_field:
+        return list(map(float, tokens))
+    parts = [c.split(",") for c in tokens]
+    return [float(p[0]) for p in parts] + [float(p[1]) for p in parts]
 
 
 def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
     """Parse an arrangement file; returns Arrangement or ComplexArrangement.
 
     Basis rows must be orthonormal within ``tol.residual_tol``, and only
-    blank lines may follow the last declared space.  After the header the
-    rows are read in bulk: one split per line, one walk over the space
-    lines, and one ``float`` of every row token; the bases of a real
-    arrangement are checked by one stacked Gram per dimension, and a space
-    within rounding of the bound, or failing it, by :class:`Subspace`
-    itself.  A file whose rows fail the bulk reading is read again one line
-    at a time (:func:`_read_spaces`), which raises the error of its first
-    bad line or space.
+    blank lines may follow the last declared space.  The file is read in
+    one pass: one walk over the tokens of the non-blank lines stops at the
+    first line out of place, and one ``float`` converts every row token
+    before it (if one fails, the rows are converted again one at a time to
+    name the first bad one).  The spaces whose rows all come before the
+    first bad line are then built in order, so that a bad basis raises
+    first, as reading line by line would; a real space is checked by one
+    stacked Gram per dimension, or by :class:`Subspace` itself when within
+    rounding of the bound or failing it.
     """
-    reader = _LineReader(path)
-    _expect(reader, "arrangement", "v1")
-    field_kind = _expect(reader, "field", None)[1]
-    if field_kind not in ("real", "complex"):
-        raise ParseError(f"unknown field {field_kind!r}", reader.lineno)
-    ambient = _parse_count(_expect(reader, "ambient", None)[1], reader.lineno)
-    count = _parse_count(_expect(reader, "n", None)[1], reader.lineno)
-    cells = [c for c in map(str.split, reader.lines[reader.pos:]) if c]
+    lines, cells = _split_lines(path)
+
+    def expect(at, *words):
+        """(line number, tokens) of non-blank line ``at``, which must begin
+        with ``words`` (None matches any token)."""
+        if at == len(cells):
+            raise ParseError("unexpected end of file", len(lines))
+        no, parts = cells[at]
+        if len(parts) < len(words) or any(p != w for p, w in zip(parts, words) if w is not None):
+            raise ParseError(f"expected {' '.join(w or '<value>' for w in words)!r}, "
+                             f"got {lines[no - 1].strip()!r}", no)
+        return no, parts
+
+    expect(0, "arrangement", "v1")
+    no, parts = expect(1, "field", None)
+    if parts[1] not in ("real", "complex"):
+        raise ParseError(f"unknown field {parts[1]!r}", no)
+    complex_field = parts[1] == "complex"
+    no, parts = expect(2, "ambient", None)
+    ambient = _parse_count(parts[1], no)
+    no, parts = expect(3, "n", None)
+    count = _parse_count(parts[1], no)
+    # the walk: the rows up to the first line out of place, the end of each
+    # whole space's rows among them, and that line's error
+    rows, ends, at, error = [], [], 4, None
     try:
-        dims, tokens = _space_rows(cells, ambient, count)
-        if field_kind == "complex":
-            parts = [c.split(",") for c in tokens]
-            re = np.array([float(p[0]) for p in parts]).reshape(-1, ambient)
-            im = np.array([float(p[1]) for p in parts]).reshape(-1, ambient)
-        else:
-            rows = np.array(list(map(float, tokens))).reshape(-1, ambient)
-    except (ParseError, ValueError, IndexError):
-        spaces = _read_spaces(reader, field_kind, ambient, count, tol)
-        return (ComplexArrangement if field_kind == "complex" else Arrangement)(ambient, spaces)
-    ends = np.cumsum(dims).tolist()
-    if field_kind == "complex":
-        return ComplexArrangement(ambient, [ComplexSubspace(ambient, re[e - d:e], im[e - d:e], tol)
-                                            for d, e in zip(dims.tolist(), ends)])
-    # a row sum rounds within ambient eps of its exact value, so a space whose
-    # stacked Gram is within twice that of the bound is left to Subspace
-    margin = 2 * ambient * np.finfo(float).eps * (1 + tol.residual_tol)
-    checked = (np.isfinite(rows).all() and (dims <= ambient).all()
-               and (_basis_drift(rows, dims) <= tol.residual_tol - margin).all())
-    make = (lambda basis: Subspace._checked(ambient, basis)) if checked else (
-        lambda basis: Subspace(ambient, basis, tol))
-    return Arrangement(ambient, [make(rows[e - d:e]) for d, e in zip(dims.tolist(), ends)])
-
-
-def _space_rows(cells: list, ambient: int, count: int) -> tuple:
-    """(dims, tokens) of the spaces after the header, from the split non-blank
-    lines ``cells``: each space's dimension, and the tokens of all rows.
-
-    Raises ValueError or IndexError where :func:`_read_spaces` would raise.
-    """
-    dims, rows, at = [], [], 0
-    for idx in range(count):
-        head = cells[at]
-        if len(head) < 4 or head[0] != "space" or head[2] != "dim" or int(head[1]) != idx:
-            raise ValueError(f"bad space line {head}")
-        dim = int(head[3])
-        block = cells[at + 1:at + 1 + dim]
-        if dim < 0 or len(block) != dim or any(len(row) != ambient for row in block):
-            raise ValueError(f"bad rows of space {idx}")
-        dims.append(dim)
-        rows.extend(block)
-        at += 1 + dim
-    if at != len(cells):
-        raise ValueError("content after the last declared space")
-    return np.array(dims, dtype=int), list(chain.from_iterable(rows))
-
-
-def _read_spaces(reader: _LineReader, field_kind: str, ambient: int, count: int,
-                 tol: Tolerance) -> list:
-    """The spaces after the header, read one line at a time."""
-    spaces = []
-    for idx in range(count):
-        parts = _expect(reader, "space", None, "dim", None)
-        if _parse_count(parts[1], reader.lineno) != idx:
-            raise ParseError(f"expected space {idx}, got {parts[1]}", reader.lineno)
-        dim = _parse_count(parts[3], reader.lineno)
-        rows_re, rows_im = [], []
-        for _ in range(dim):
-            ln = reader.next()
-            cells = ln.split()
-            if len(cells) != ambient:
-                raise ParseError(f"row has {len(cells)} entries, ambient is {ambient}",
-                                 reader.lineno)
+        for idx in range(count):
+            no, parts = expect(at, "space", None, "dim", None)
+            if _parse_count(parts[1], no) != idx:
+                raise ParseError(f"expected space {idx}, got {parts[1]}", no)
+            dim = _parse_count(parts[3], no)
+            block = cells[at + 1:at + 1 + dim]
+            for no, row in block:
+                if len(row) != ambient:
+                    raise ParseError(f"row has {len(row)} entries, ambient is {ambient}", no)
+                rows.append((no, row))
+            if len(block) < dim:
+                raise ParseError("unexpected end of file", len(lines))
+            ends.append(len(rows))
+            at += 1 + dim
+        if at < len(cells):
+            raise ParseError("content after the last declared space", cells[at][0])
+    except ParseError as exc:
+        error = exc
+    try:
+        values = _row_floats(chain.from_iterable(row for _, row in rows), complex_field)
+    except (ValueError, IndexError):
+        for k, (no, row) in enumerate(rows):
             try:
-                if field_kind == "complex":
-                    pairs = [c.split(",") for c in cells]
-                    rows_re.append([float(p[0]) for p in pairs])
-                    rows_im.append([float(p[1]) for p in pairs])
-                else:
-                    rows_re.append([float(c) for c in cells])
+                _row_floats(row, complex_field)
             except (ValueError, IndexError) as exc:
-                raise ParseError(f"bad numeric row: {exc}", reader.lineno) from None
-        if field_kind == "complex":
-            spaces.append(ComplexSubspace(ambient,
-                                          np.array(rows_re).reshape(dim, ambient),
-                                          np.array(rows_im).reshape(dim, ambient), tol))
-        else:
-            spaces.append(Subspace(ambient, np.array(rows_re).reshape(dim, ambient), tol))
-    reader.expect_end()
-    return spaces
+                error, rows = ParseError(f"bad numeric row: {exc}", no), rows[:k]
+                break
+        values = _row_floats(chain.from_iterable(row for _, row in rows), complex_field)
+    values = np.array(values).reshape(1 + complex_field, len(rows), ambient)
+    ends = np.array([e for e in ends if e <= len(rows)], dtype=int)
+    dims = np.diff(ends, prepend=0)
+    if complex_field:
+        re, im = values
+        spaces = [ComplexSubspace(ambient, re[e - d:e], im[e - d:e], tol)
+                  for d, e in zip(dims.tolist(), ends.tolist())]
+    else:
+        stacked = values[0]
+        # a row sum rounds within ambient eps of its exact value, so a space whose
+        # stacked Gram is within twice that of the bound is left to Subspace, as
+        # is one with a non-finite entry (whose drift is inf or NaN)
+        margin = 2 * ambient * np.finfo(float).eps * (1 + tol.residual_tol)
+        with np.errstate(invalid="ignore", over="ignore"):
+            fit = (dims <= ambient) & (_basis_drift(stacked, dims) <= tol.residual_tol - margin)
+        spaces = [Subspace._checked(ambient, stacked[e - d:e]) if ok
+                  else Subspace(ambient, stacked[e - d:e], tol)
+                  for d, e, ok in zip(dims.tolist(), ends.tolist(), fit.tolist())]
+    if error is not None:
+        raise error
+    return (ComplexArrangement if complex_field else Arrangement)(ambient, spaces)

@@ -276,6 +276,9 @@ def main(argv=None) -> int:
     except (SgcertError, InvariantViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_FAIL
+    except OSError as exc:  # reads fail as ParseError, so this is the output
+        print(f"error: cannot write {getattr(args, 'out', '-')}: {exc.strerror}", file=sys.stderr)
+        return _EXIT_USAGE
 
 
 if __name__ == "__main__":

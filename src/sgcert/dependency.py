@@ -7,7 +7,6 @@ member of a triple).  Degree and counting thresholds are compared in exact
 rational arithmetic so that ceil/floor decisions never flip on float noise.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, islice, starmap
@@ -20,11 +19,11 @@ from .arrangement import (
     Subspace,
     _full_rank,
     _index_array,
-    _read_lines,
     _runs,
     _set_rows,
     _set_stacks,
     _space_stacks,
+    _split_lines,
     _stacked_set_ranks,
 )
 from .errors import (
@@ -113,9 +112,6 @@ class TripleSystem:
     def _flat(self) -> tuple:
         """(flat, sizes): each set's indices ascending, set after set, and each set's size."""
         return self._indices, self._sizes
-
-    def pair_counts(self) -> Counter:
-        return Counter(chain.from_iterable(combinations(s, 2) for s in self.sets))
 
 
 @dataclass(frozen=True)
@@ -628,21 +624,19 @@ def write_system(path, sys: TripleSystem) -> None:
 def read_system(path) -> TripleSystem:
     """Parse a system file.
 
-    The set lines are parsed in bulk: one split per line, one integer
-    conversion of all their tokens, and array checks of each line's size,
-    token count and index range.  A file that fails any of these is parsed
-    again one line at a time, which raises the ParseError of its first bad
-    line.
+    The set lines are parsed in bulk: the tokens of each non-blank line
+    (:func:`_split_lines`), one integer conversion of all of theirs, and
+    array checks of each line's size, token count and index range.  A file
+    that fails any of these is parsed again one line at a time, which
+    raises the ParseError of its first bad line.
     """
-    raw = _read_lines(path)
-    nonblank = ((no, ln.strip()) for no, ln in enumerate(raw, 1) if ln.strip())
-    head = list(islice(nonblank, 2))
-    if not head or head[0][1] != "system v1":
-        raise ParseError("expected 'system v1' header", head[0][0] if head else 1)
-    if len(head) < 2:
+    lines, cells = _split_lines(path)
+    if not cells or lines[cells[0][0] - 1].strip() != "system v1":
+        raise ParseError("expected 'system v1' header", cells[0][0] if cells else 1)
+    if len(cells) < 2:
         raise ParseError("missing parameter line", 2)
-    no, params = head[1]
-    parts = params.split()
+    no, parts = cells[1]
+    params = lines[no - 1].strip()
     if len(parts) != 6 or parts[0] != "n" or parts[2] != "alpha" or parts[4] != "delta":
         raise ParseError(f"bad parameter line {params!r}", no)
     try:
@@ -651,15 +645,14 @@ def read_system(path) -> TripleSystem:
         raise ParseError(str(exc), no) from None
     if n < 0 or alpha < 1 or not (isfinite(delta) and delta >= 0):
         raise ParseError(f"need n >= 0, alpha >= 1 and a finite delta >= 0 in {params!r}", no)
-    cells = list(map(str.split, raw[no:]))
-    tokens = list(chain.from_iterable(cells))
+    cells = cells[2:]
+    tokens = list(chain.from_iterable(parts for _, parts in cells))
     digits = "".join(tokens)
     # tokens of ASCII digits only read the same in C as under int(); a value
     # that overflows reads as the largest int64, and is sent on below
     if digits.isascii() and digits.isdigit():
         values = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
-        counts = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
-        counts = counts[counts > 0]  # blank lines hold no tokens
+        counts = np.fromiter((len(parts) for _, parts in cells), dtype=np.intp, count=len(cells))
         starts = np.cumsum(counts) - counts
         sizes = values[starts]
         idx = np.delete(values, starts)
@@ -667,16 +660,15 @@ def read_system(path) -> TripleSystem:
                 and (idx < min(n, np.iinfo(np.int64).max)).all():
             return TripleSystem._of_arrays(n, idx, sizes, alpha=alpha, delta=delta)
     sets = []
-    for no, ln in nonblank:  # the set lines, one at a time
-        cells = ln.split()
+    for no, parts in cells:  # the set lines, one at a time
         try:
-            size = int(cells[0])
-            idx = [int(c) for c in cells[1:]]
-        except (ValueError, IndexError) as exc:
+            size = int(parts[0])
+            idx = [int(c) for c in parts[1:]]
+        except ValueError as exc:
             raise ParseError(f"bad set line: {exc}", no) from None
         if size not in (2, 3) or len(idx) != size:
             raise ParseError(f"set line declares size {size} but has {len(idx)} indices", no)
         if any(i < 0 or i >= n for i in idx):
-            raise ParseError(f"set index out of range [0, {n}) in {ln!r}", no)
+            raise ParseError(f"set index out of range [0, {n}) in {lines[no - 1].strip()!r}", no)
         sets.append(tuple(idx))
     return TripleSystem(n, sets, alpha=alpha, delta=delta)

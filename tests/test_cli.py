@@ -439,3 +439,24 @@ def test_certify_rejects_bad_budget_flags_one_line(tmp_path, capsys, flags, mess
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "triples", "system", "scale", "certify", "reduce"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_exit_code_one_line(tmp_path, capsys, command, target):
+    # an --out in a missing directory, or naming a directory, used to end
+    # in a traceback (certify's only after its whole run)
+    real, complex_path = tmp_path / "g.arr", tmp_path / "c.arr"
+    assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
+               "--n", 8, "--seed", 1, "--out", real) == 0
+    write_arrangement(complex_path, generate_complex_planted(n=4, k=1, ambient=3,
+                                                             triple_count=1, seed=7))
+    capsys.readouterr()
+    out = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
+    argv = {"gen": ["--kind", "grid", "--l", 3], "triples": [real], "system": [real],
+            "scale": [real, "--trials", 64], "certify": [real, "--trials", 64],
+            "reduce": [complex_path]}[command]
+    assert run(command, *argv, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert not (tmp_path / "missing").exists()

@@ -259,10 +259,11 @@ _ROW_TOKENS = (st.sampled_from(["inf", "nan", "-1", "0", "2", "1e400", "1_0", "1
        data=st.data())
 def test_bulk_read_arrangement_matches_per_line_reference(seed, ambient, dims, complex_field,
                                                           data):
-    # a valid file with blank lines and uneven spacing, then maybe one token
-    # replaced, added or deleted, one line dropped, or one appended: the
-    # bulk parse gives the reference's bases, or its error (a ParseError
-    # with the same line)
+    # a valid file with blank lines and uneven spacing, then one to three
+    # changes, each maybe a token replaced, added or deleted, a line dropped,
+    # or one appended: the bulk parse gives the reference's bases, or its
+    # first error (a ParseError with the same line), which pins the order
+    # of errors across defects
     rng = np.random.default_rng(seed)
     lines = ["arrangement v1", f"field {'complex' if complex_field else 'real'}",
              f"ambient {ambient}", f"n {len(dims)}"]
@@ -279,22 +280,23 @@ def test_bulk_read_arrangement_matches_per_line_reference(seed, ambient, dims, c
             lines.append(data.draw(st.sampled_from([" ", "  ", "\t"])).join(row))
             if data.draw(st.integers(0, 5)) == 0:
                 lines.append(data.draw(st.sampled_from(["", "  "])))
-    change = data.draw(st.sampled_from(["none", "token", "extra", "cut", "drop", "append"]))
-    # half of the changes fall after the header
-    at = data.draw(st.integers(0, len(lines) - 1) | st.integers(min(4, len(lines) - 1),
-                                                                 len(lines) - 1))
-    tokens = lines[at].split()
-    if change == "drop":
-        del lines[at]
-    elif change == "append":
-        lines.append(" ".join(data.draw(st.lists(_ROW_TOKENS, min_size=1, max_size=4))))
-    elif change != "none" and tokens:
-        where = data.draw(st.integers(0, len(tokens) - 1))
-        if change == "cut":
-            del tokens[where]
-        else:
-            tokens[where:where + (change == "token")] = [data.draw(_ROW_TOKENS)]
-        lines[at] = " ".join(tokens)
+    for _ in range(data.draw(st.integers(1, 3))):
+        change = data.draw(st.sampled_from(["none", "token", "extra", "cut", "drop", "append"]))
+        # half of the changes fall after the header
+        at = data.draw(st.integers(0, len(lines) - 1) | st.integers(min(4, len(lines) - 1),
+                                                                     len(lines) - 1))
+        tokens = lines[at].split()
+        if change == "drop":
+            del lines[at]
+        elif change == "append":
+            lines.append(" ".join(data.draw(st.lists(_ROW_TOKENS, min_size=1, max_size=4))))
+        elif change != "none" and tokens:
+            where = data.draw(st.integers(0, len(tokens) - 1))
+            if change == "cut":
+                del tokens[where]
+            else:
+                tokens[where:where + (change == "token")] = [data.draw(_ROW_TOKENS)]
+            lines[at] = " ".join(tokens)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "a.arr"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -313,3 +315,26 @@ def test_bulk_read_arrangement_matches_per_line_reference(seed, ambient, dims, c
                 got = (v.basis_re, v.basis_im) if field == "complex" else (v.basis,)
                 for g, w in zip(got, basis if field == "complex" else (basis,)):
                     assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("edits, kind, line", [
+    ({6: "2 0", 8: "x 1"}, InvariantViolation, None),        # a bad basis before a bad token
+    ({6: "2 0", 9: "space 7 dim 1"}, InvariantViolation, None),  # ... and before a layout error
+    ({6: "x 0", 9: "space 7 dim 1"}, ParseError, 6),         # a bad token before a layout error
+    ({8: "x 1", 10: "3 4"}, ParseError, 8),                  # a bad token before a later bad basis
+    ({7: "space 1 dim 2", 10: "3 4"}, ParseError, 9),        # a next header read as a row
+])
+def test_read_arrangement_first_of_several_errors(tmp_path, edits, kind, line):
+    # each file has two defects; the reader raises the one a line-by-line
+    # reading meets first, as the per-line reference does
+    lines = _ARR.splitlines()
+    for no, text in edits.items():
+        lines[no - 1] = text
+    path = tmp_path / "two.arr"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(kind) as want:
+        read_arrangement_per_line(path)
+    with pytest.raises(kind) as got:
+        read_arrangement(path)
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "line", None) == getattr(want.value, "line", None) == line
