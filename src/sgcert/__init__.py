@@ -18,7 +18,6 @@ from .certifier import (
     CertifyResult,
     certify,
     decompose_step,
-    diagdom_rank_bound,
     separated_certificate,
 )
 from .dependency import (

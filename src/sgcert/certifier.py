@@ -91,74 +91,6 @@ class Certificate:
     w_dim: int = None
 
 
-def coefficient_expand(u, v1: Subspace, v2: Subspace, tau: float,
-                       tol: Tolerance = DEFAULT_TOL) -> tuple:
-    """Expand a unit vector of V1 + V2 over the two orthonormal bases.
-
-    Returns (lam, mu) with u = lam . B1 + mu . B2 and, because the spaces
-    are tau-separated, squared coefficient mass at most 1/tau.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(u) - 1.0) > tol.residual_tol:
-        raise PreconditionError("expansion requires a unit vector")
-    if not tau_separated(v1, v2, tau):
-        raise PreconditionError(f"spaces are not {tau}-separated")
-    stacked = np.vstack([v1.basis, v2.basis])
-    coeff, *_ = np.linalg.lstsq(stacked.T, u, rcond=None)
-    resid = np.linalg.norm(u - coeff @ stacked)
-    if resid > tol.residual_tol:
-        raise MembershipError(
-            f"vector lies outside V1 + V2 (residual {resid:.3e})"
-        )
-    mass = float(coeff @ coeff)
-    if mass > 1.0 / tau + 1e-9 * max(1.0, 1.0 / tau):
-        raise CertificationError(
-            f"coefficient mass {mass:.6f} exceeds 1/tau = {1.0 / tau:.6f}"
-        )
-    return coeff[: v1.dim].copy(), coeff[v1.dim:].copy()
-
-
-def separation_witness(v: Subspace, w: Subspace, tau: float,
-                       tol: Tolerance = DEFAULT_TOL):
-    """Basis direction of v with a large projection onto w, if any.
-
-    Returns None when the spaces are tau-separated; otherwise a pair
-    (j, norm_sq) with norm_sq >= (1 - tau)^2 / dim(v).
-    """
-    if tau_separated(v, w, tau):
-        return None
-    overlaps = v.basis @ w.basis.T
-    norms_sq = np.einsum("ij,ij->i", overlaps, overlaps)
-    j = int(np.argmax(norms_sq))
-    bound = (1.0 - tau) ** 2 / v.dim
-    if norms_sq[j] < bound - tol.residual_tol:
-        raise CertificationError(
-            f"witness projection {norms_sq[j]:.6f} below guaranteed {bound:.6f}"
-        )
-    return j, float(norms_sq[j])
-
-
-def diagdom_rank_bound(d_mat) -> tuple:
-    """Rank lower bound ceil(m - K/L^2) for a constant-diagonal matrix.
-
-    L is the common diagonal value (must be positive), K the off-diagonal
-    squared mass.  Floored at zero when the bound is vacuous.
-    """
-    d_mat = np.asarray(d_mat, dtype=float)
-    m = d_mat.shape[0]
-    if d_mat.shape != (m, m) or m == 0:
-        raise PreconditionError("rank bound needs a nonempty square matrix")
-    diag = np.diag(d_mat)
-    l_val = float(diag[0])
-    if l_val <= 0:
-        raise PreconditionError("diagonal value must be positive")
-    if np.abs(diag - l_val).max() > 1e-8 * max(1.0, abs(l_val)):
-        raise PreconditionError("diagonal entries are not constant")
-    k_val = float(np.sum(d_mat**2) - np.sum(diag**2))
-    bound = max(0, ceil(m - k_val / l_val**2 - 1e-12))
-    return bound, l_val, k_val
-
-
 def _unseparated_pairs(spaces: list, sets, tau: float):
     """Yield each set's first pair of members that is not tau-separated, or None.
 
@@ -181,6 +113,9 @@ def separated_certificate(arr: Arrangement, sys: TripleSystem, tau: float,
     the bound are re-verified.
     Expects a system that already passed :func:`validate_system`.
     """
+    # checked here too: tau_separated only runs on the pairs of 3-sets
+    if not (0.0 < tau <= 1.0):
+        raise PreconditionError(f"tau must be in (0, 1], got {tau}")
     three_sets = (s if len(s) == 3 else () for s in sys.sets)
     for j, bad in enumerate(_unseparated_pairs(arr.spaces, three_sets, tau)):
         if bad is not None:

@@ -6,6 +6,8 @@ invariant or certificate failure, 2 usage/parse error, 3 budget exceeded.
 """
 
 import argparse
+import errno
+import os
 import sys
 from contextlib import nullcontext
 
@@ -266,6 +268,12 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
+        # an unwritable --out fails before the work, not after it; stat raises
+        # as opening would when the directory is missing or is not one
+        if getattr(args, "out", "-") != "-":
+            os.stat(os.path.join(os.path.dirname(args.out) or ".", ""))
+            if os.path.isdir(args.out):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -199,16 +199,6 @@ def find_special_spaces(arr: Arrangement, k: int,
     return _special_and_dependent(arr, tol, triples=False)[0]
 
 
-def dependent_triples(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Sorted triples (a, b, c) with one member inside the sum of the other two.
-
-    The test of :func:`is_dependent_triple`, read off one pass over the pair
-    spans, so any dimensions (zero included) are handled; requires pairwise
-    zero intersections, like :func:`find_special_spaces`.
-    """
-    return _special_and_dependent(arr, tol)[1]
-
-
 # ---------------------------------------------------------------------------
 # triple family over [r]
 

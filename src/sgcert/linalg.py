@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: rank decisions, projectors, factor roots, norms.
+"""Dense linear-algebra kernel: rank decisions, projectors, norms.
 
 Every operation is a pure function on ndarrays.  Matrices are real,
 row-major, with subspace bases stored as rows.  Exact-arithmetic statements
@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateStateError, PreconditionError, SizeLimitError
+from .errors import PreconditionError, SizeLimitError
 
 # Largest middle dimension accepted by cauchy_binet_check; C(12, 6) = 924
 # subsets is still instant, 13 starts to be pointless.
@@ -114,26 +114,6 @@ def projector(u, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.shape[0] == 0:
         return np.zeros((a.shape[1], a.shape[1]))
     return a.T @ a
-
-
-def inv_sqrt_factor(x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric positive-definite root M with M^T M = X^{-1}.
-
-    Requires X symmetric positive definite (smallest eigenvalue above
-    ``rank_tol`` times the largest); raises DegenerateStateError otherwise.
-    The symmetric root is chosen for determinism across runs.
-    """
-    a = as_matrix(x)
-    if a.shape[0] != a.shape[1]:
-        raise DegenerateStateError("inv_sqrt_factor requires a square matrix")
-    if np.abs(a - a.T).max() > tol.residual_tol * max(1.0, np.abs(a).max()):
-        raise DegenerateStateError("inv_sqrt_factor requires a symmetric matrix")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    if w[-1] <= 0 or w[0] <= tol.rank_tol * w[-1]:
-        raise DegenerateStateError(
-            f"matrix is not positive definite (eigenvalue range [{w[0]:.3e}, {w[-1]:.3e}])"
-        )
-    return (v * (1.0 / np.sqrt(w))) @ v.T
 
 
 def spectral_norm(m) -> float:

@@ -388,8 +388,8 @@ def _refresh(state: ScalingState, tol: Tolerance) -> ScalingState:
     The x rows R_i^T B_i come from one stacked product per space dimension
     (``state.groups``).
 
-    Unlike inv_sqrt_factor this tolerates extreme (but still positive)
-    conditioning: trajectories drifting toward the admissible-hull
+    Only a non-positive eigenvalue of X is rejected; extreme (but still
+    positive) conditioning is tolerated: trajectories drifting toward the admissible-hull
     boundary make X nearly singular, and the optimizer needs to see that
     as a measured condition number, not an exception.
     """

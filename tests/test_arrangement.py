@@ -16,7 +16,6 @@ from sgcert.arrangement import (
     generate_grid,
     generate_grouped,
     generate_random_planted,
-    k_bounded_check,
     pairwise_zero_intersection,
     planted_triples,
     principal_cosine,
@@ -24,7 +23,7 @@ from sgcert.arrangement import (
     tau_separated,
     write_arrangement,
 )
-from sgcert.dependency import dependent_triples
+from sgcert.dependency import _special_and_dependent
 from sgcert.errors import ParseError, PreconditionError
 from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank
 
@@ -48,11 +47,11 @@ def test_subspace_zero_space():
 
 def test_k_bounded_check():
     lines = Arrangement(3, [line(3, [1]), line(3, [0, 1])])
-    assert k_bounded_check(lines, 1)
+    assert lines.max_dim() == 1
     full = Arrangement(3, [Subspace(3, np.eye(3))])
-    assert not k_bounded_check(full, 2)
-    grid = generate_grid(4)
-    assert k_bounded_check(grid, 2)
+    assert full.max_dim() == 3
+    assert generate_grid(4).max_dim() == 2
+    assert Arrangement(3, [Subspace(3, np.zeros((0, 3)))]).max_dim() == 0
 
 
 def test_pairwise_zero_intersection_examples():
@@ -182,7 +181,7 @@ def test_pairwise_zero_intersection_matches_per_pair_rank(seed, tol):
     tighter = _pair_oracle(arr, Tolerance(rank_tol=tol.rank_tol * 1e-3))
     assert set(tighter) < set(expected)
     with pytest.raises(PreconditionError) as err:
-        dependent_triples(arr, tol)
+        _special_and_dependent(arr, tol)
     i, j = expected[0]
     assert str(err.value).startswith(f"spaces {i} and {j} intersect")
 
@@ -192,7 +191,7 @@ def test_pairwise_zero_intersection_matches_per_pair_rank(seed, tol):
 def test_pairwise_zero_intersection_without_pairs(spaces):
     arr = Arrangement(3, [Subspace(3, b) for b in spaces])
     assert pairwise_zero_intersection(arr) == _pair_oracle(arr, DEFAULT_TOL) == []
-    assert dependent_triples(arr) == []
+    assert _special_and_dependent(arr, DEFAULT_TOL)[1] == []
 
 
 def test_tau_separated_examples():

@@ -21,17 +21,16 @@ from sgcert.arrangement import (
     generate_complex_planted,
     generate_grouped,
     generate_random_planted,
+    principal_cosine,
+    tau_separated,
 )
 from sgcert import certifier
 from sgcert.certifier import (
     CertifyBudget,
     _collapse_from_scaled,
     certify,
-    coefficient_expand,
     decompose_step,
-    diagdom_rank_bound,
     separated_certificate,
-    separation_witness,
     verify_certificate,
 )
 from sgcert.dependency import (
@@ -57,113 +56,84 @@ def line(ambient, direction):
 
 
 # ---------------------------------------------------------------------------
-# coefficient expansion and separation witnesses
+# coefficient expansions and separation witnesses, as separated_certificate
+# makes them: a line's row of D is e_u minus u's coefficients over the
+# other two lines of its set
+
+
+def one_set_certificate(directions, tau):
+    """The separated certificate of lines in R^2 forming the one 3-set (0, 1, 2)."""
+    arr = Arrangement(2, [line(2, d) for d in directions])
+    sys = TripleSystem(3, [(0, 1, 2)], alpha=1, delta=0.3)  # ceil(delta n) = 1
+    return separated_certificate(arr, sys, tau=tau)
+
+
+def off_diagonal_mass(d_mat):
+    return (d_mat**2).sum(axis=1) - np.diag(d_mat) ** 2
 
 
 def test_coefficient_expand_orthogonal():
-    v1 = Subspace(4, np.eye(4)[[0, 1]])
-    v2 = Subspace(4, np.eye(4)[[2]])
-    u = np.array([0.6, 0.8, 0.0, 0.0])
-    lam, mu = coefficient_expand(u, v1, v2, tau=0.5)
-    assert np.allclose(lam, [0.6, 0.8])
-    assert np.allclose(mu, [0.0])
-    assert lam @ lam + mu @ mu == pytest.approx(1.0)
+    # u = 0.6 e0 + 0.8 e1 over the orthogonal lines e0 and e1
+    cert = one_set_certificate([[0.6, 0.8], [1.0, 0.0], [0.0, 1.0]], tau=0.15)
+    d_mat = cert.evidence[0].D
+    assert np.allclose(np.abs(d_mat[0]), [1.0, 0.6, 0.8])
+    assert off_diagonal_mass(d_mat)[0] == pytest.approx(1.0)
 
 
 def test_coefficient_expand_sixty_degrees():
     # unit bisector of two lines at 60 degrees: coefficients 1/sqrt(3) each
-    # (solving the 2x2 system by hand gives lam = mu = 1/sqrt(3))
-    v1 = Subspace(2, [[1.0, 0.0]])
-    v2 = Subspace(2, [[0.5, np.sqrt(3.0) / 2.0]])
-    u = v1.basis[0] + v2.basis[0]
-    u /= np.linalg.norm(u)
-    lam, mu = coefficient_expand(u, v1, v2, tau=0.5)
-    mass = lam @ lam + mu @ mu
-    assert mass == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert mass <= 2.0
+    # (solving the 2x2 system by hand gives lam = mu = 1/sqrt(3)); the lines
+    # themselves expand with mass 4 over the bisector and the other line
+    t = np.deg2rad([30.0, 0.0, 60.0])
+    cert = one_set_certificate(np.column_stack([np.cos(t), np.sin(t)]), tau=0.1)
+    mass = off_diagonal_mass(cert.evidence[0].D)
+    assert mass[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert mass[1:] == pytest.approx([4.0, 4.0], abs=1e-9)
+    assert mass.max() <= 1.0 / 0.1
 
 
 def test_coefficient_expand_boundary_mass():
-    # at inner product exactly -(1 - tau) the 1/tau bound is tight
-    v1 = Subspace(2, [[1.0, 0.0]])
-    v2 = Subspace(2, [[-0.5, np.sqrt(3.0) / 2.0]])
-    u = v1.basis[0] + v2.basis[0]
-    lam, mu = coefficient_expand(u, v1, v2, tau=0.5)
-    assert lam @ lam + mu @ mu == pytest.approx(2.0, rel=1e-9)
+    # at inner product exactly -(1 - tau) the 1/tau bound is tight: lines at
+    # 0, 60 and 120 degrees each expand with coefficients of magnitude 1
+    t = np.deg2rad([60.0, 0.0, 120.0])
+    cert = one_set_certificate(np.column_stack([np.cos(t), np.sin(t)]), tau=0.5)
+    assert off_diagonal_mass(cert.evidence[0].D) == pytest.approx([2.0] * 3, rel=1e-9)
 
 
 def test_coefficient_expand_membership_error():
-    v1 = Subspace(3, np.eye(3)[[0]])
-    v2 = Subspace(3, np.eye(3)[[1]])
-    with pytest.raises(MembershipError):
-        coefficient_expand(np.array([0.0, 0.0, 1.0]), v1, v2, tau=0.5)
-    with pytest.raises(PreconditionError):
-        coefficient_expand(np.array([2.0, 0.0, 0.0]), v1, v2, tau=0.5)
+    arr = Arrangement(3, [line(3, [1.0]), line(3, [0.0, 1.0]), line(3, [0.0, 0.0, 1.0])])
+    sys = TripleSystem(3, [(0, 1, 2)], alpha=1, delta=0.3)
+    with pytest.raises(MembershipError, match=r"^set 0: space 0 lies outside the sum"):
+        separated_certificate(arr, sys, tau=0.5)
 
 
 def test_coefficient_expand_requires_separation():
-    v = line(2, [1.0, 0.0])
-    with pytest.raises(PreconditionError):
-        coefficient_expand(v.basis[0], v, v, tau=0.5)
+    with pytest.raises(PreconditionError, match=r"^set 0: spaces 0 and 1 are not 0.5-separated"):
+        one_set_certificate([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], tau=0.5)
 
 
 def test_separation_witness_equal_spaces():
     v = Subspace(4, np.eye(4)[[0, 1]])
-    j, norm_sq = separation_witness(v, v, tau=0.5)
-    assert norm_sq == pytest.approx(1.0)
-    assert norm_sq >= 0.25 / 2
+    assert principal_cosine(v, v) == pytest.approx(1.0)
+    assert not tau_separated(v, v, 1e-6)
 
 
 def test_separation_witness_orthogonal_none():
     v = Subspace(4, np.eye(4)[[0]])
     w = Subspace(4, np.eye(4)[[1, 2]])
-    assert separation_witness(v, w, tau=0.5) is None
+    assert principal_cosine(v, w) == 0.0
+    assert tau_separated(v, w, 1.0)
 
 
 def test_separation_witness_principal_angles():
-    # plane vs a line 10 degrees off its first axis: cosine 0.985, witness
-    # projection at least (1 - tau)^2 / 2
+    # plane vs a line 10 degrees off its first axis: the smallest principal
+    # angle is 10 degrees, so the pair is tau-separated just up to 1 - cos 10
     v = Subspace(3, np.eye(3)[[0, 1]])
     t = np.deg2rad(10.0)
     w = line(3, [np.cos(t), 0.0, np.sin(t)])
-    j, norm_sq = separation_witness(v, w, tau=0.5)
-    assert j == 0
-    assert norm_sq == pytest.approx(np.cos(t) ** 2, abs=1e-12)
-    assert norm_sq >= 0.125
-
-
-# ---------------------------------------------------------------------------
-# diagonally dominant rank bound
-
-
-def test_diagdom_examples():
-    bound, l_val, k_val = diagdom_rank_bound(2.0 * np.eye(4))
-    assert (bound, l_val, k_val) == (4, 2.0, 0.0)
-    d = 2.0 * np.eye(4)
-    d[0, 1] = d[1, 0] = d[2, 3] = d[3, 2] = 1.0
-    bound, l_val, k_val = diagdom_rank_bound(d)
-    assert bound == 3 and k_val == 4.0
-    assert np.linalg.matrix_rank(d) >= 3
-    weak = np.ones((3, 3))
-    assert diagdom_rank_bound(weak)[0] == 0
-
-
-def test_diagdom_rejects_nonconstant_diagonal():
-    with pytest.raises(PreconditionError):
-        diagdom_rank_bound(np.diag([1.0, 2.0]))
-    with pytest.raises(PreconditionError):
-        diagdom_rank_bound(np.diag([-1.0, -1.0]))
-
-
-def test_diagdom_never_exceeds_rank():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        m = int(rng.integers(2, 21))
-        l_val = float(rng.uniform(0.5, 3.0))
-        d = rng.standard_normal((m, m)) * rng.uniform(0.01, 0.3)
-        np.fill_diagonal(d, l_val)
-        bound, _, _ = diagdom_rank_bound(d)
-        assert bound <= np.linalg.matrix_rank(d)
+    assert principal_cosine(v, w) == pytest.approx(np.cos(t), abs=1e-12)
+    assert tau_separated(v, w, 1.0 - np.cos(t) - 1e-9)
+    assert not tau_separated(v, w, 1.0 - np.cos(t) + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +160,12 @@ def test_separated_certificate_quad_lines():
     assert np.abs(np.diag(dm.D) - 9).max() < 1e-9  # ceil(delta n) = 9
     scale = spectral_norm(dm.D) * spectral_norm(dm.A)
     assert spectral_norm(dm.D @ dm.A) <= 1e-6 * scale
-    # the annihilator is itself certifiably high rank
-    bound, _, _ = diagdom_rank_bound(dm.D)
-    assert np.linalg.matrix_rank(dm.D) >= bound
+    # the rank bound of a constant-diagonal matrix holds: rank(D) >= m - K/L^2,
+    # with L = 9 its diagonal and K its off-diagonal squared mass (here the
+    # bound is 4 - 324/81 = 0, so the annihilator's rank is not forced up)
+    m = len(dm.D)
+    k_val = np.sum(dm.D**2) - m * 9.0**2
+    assert m - k_val / 9.0**2 <= np.linalg.matrix_rank(dm.D)
 
 
 def test_separated_certificate_two_set_mass():
@@ -205,6 +178,16 @@ def test_separated_certificate_two_set_mass():
     off = dm.D - np.diag(np.diag(dm.D))
     assert np.allclose(np.abs(off).max(axis=1), 1.0)
     assert cert.params["measured"] == 1
+
+
+@pytest.mark.parametrize("tau", [0.0, float("nan"), -1.0, 2.0])
+def test_separated_certificate_rejects_tau_outside_unit_interval(tau):
+    # a system of 2-sets never reaches tau_separated, which checks tau too
+    v = line(3, [1.0, 0.0, 0.0])
+    arr = Arrangement(3, [v, Subspace(3, v.basis.copy())])
+    sys = TripleSystem(2, [(0, 1)], alpha=1, delta=0.5)
+    with pytest.raises(PreconditionError, match=r"tau must be in \(0, 1\]"):
+        separated_certificate(arr, sys, tau=tau)
 
 
 def test_separated_certificate_rejects_close_pair():
@@ -242,7 +225,7 @@ def mixed_planes_instance():
     return Arrangement(6, spaces), TripleSystem(4, sets, alpha=6, delta=0.5)
 
 
-def annihilator_by_rows(arr, sys, tau):
+def annihilator_by_rows(arr, sys):
     """D one basis row u at a time: e_u minus u's expansion over each set's others."""
     dims = arr.dims()
     starts = np.cumsum(dims) - dims
@@ -256,8 +239,9 @@ def annihilator_by_rows(arr, sys, tau):
                 row[starts[i] + r] += 1.0
                 others = [b for b in s if b != i]
                 if len(others) == 2:
-                    parts = coefficient_expand(u, arr.spaces[others[0]],
-                                               arr.spaces[others[1]], tau)
+                    stacked = np.vstack([arr.spaces[b].basis for b in others])
+                    coeff = np.linalg.lstsq(stacked.T, u, rcond=None)[0]
+                    parts = np.split(coeff, [dims[others[0]]])
                 else:
                     parts = (arr.spaces[others[0]].basis @ u,)
                 for b, c in zip(others, parts):
@@ -272,7 +256,7 @@ def test_separated_certificate_blocks_match_row_expansions(make, tau):
     arr, sys = make()
     assert validate_system(arr, sys).ok
     d_mat = separated_certificate(arr, sys, tau=tau).evidence[0].D
-    reference = annihilator_by_rows(arr, sys, tau)
+    reference = annihilator_by_rows(arr, sys)
     assert d_mat.shape == reference.shape
     start = 0
     for v in arr.spaces:

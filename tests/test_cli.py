@@ -278,6 +278,21 @@ def test_residual_tol_reaches_the_parser(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "not orthonormal" in err[0]
 
 
+@pytest.mark.parametrize("warnings", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "error"])
+def test_gram_overflow_exit_code_one_line(tmp_path, warnings):
+    # a row of norm 1e300 overflows the Gram: the warning used to print
+    # before the error line, or end in a traceback when it was an error
+    arr_path = tmp_path / "huge.arr"
+    arr_path.write_text("arrangement v1\nfield real\nambient 2\nn 1\nspace 0 dim 2\n1e300 0\n0 1\n")
+    src = str(Path(sgcert.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, *warnings, "-m", "sgcert.cli", "verify", str(arr_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": ""})
+    err = done.stderr.splitlines()
+    assert done.returncode == 1
+    assert len(err) == 1 and err[0].startswith("error:") and "not orthonormal" in err[0]
+
+
 _NON_ORTHONORMAL = _GOOD_ARR.replace("1 0\n", "1 1\n").replace("0 1\n", "3 4\n")
 
 
@@ -443,9 +458,10 @@ def test_certify_rejects_bad_budget_flags_one_line(tmp_path, capsys, flags, mess
 
 @pytest.mark.parametrize("command", ["gen", "triples", "system", "scale", "certify", "reduce"])
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-def test_unwritable_out_exit_code_one_line(tmp_path, capsys, command, target):
+def test_unwritable_out_exit_code_one_line(tmp_path, capsys, monkeypatch, command, target):
     # an --out in a missing directory, or naming a directory, used to end
-    # in a traceback (certify's only after its whole run)
+    # in a traceback (certify's only after its whole run); it now fails
+    # before any subcommand's work starts
     real, complex_path = tmp_path / "g.arr", tmp_path / "c.arr"
     assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
                "--n", 8, "--seed", 1, "--out", real) == 0
@@ -456,6 +472,9 @@ def test_unwritable_out_exit_code_one_line(tmp_path, capsys, command, target):
     argv = {"gen": ["--kind", "grid", "--l", 3], "triples": [real], "system": [real],
             "scale": [real, "--trials", 64], "certify": [real, "--trials", 64],
             "reduce": [complex_path]}[command]
+    for work in ("generate", "_special_and_dependent", "build_sg_system",
+                 "sample_admissible", "certify", "complex_to_real"):
+        monkeypatch.setattr(sgcert.cli, work, lambda *args, **kwargs: pytest.fail("work ran"))
     assert run(command, *argv, "--out", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")

@@ -20,10 +20,10 @@ from sgcert.arrangement import (
 )
 from sgcert.dependency import (
     TripleSystem,
+    _special_and_dependent,
     as_fraction,
     build_sg_system,
     build_triple_family,
-    dependent_triples,
     find_special_spaces,
     is_dependent_triple,
     map_and_clean,
@@ -157,7 +157,7 @@ def test_pair_span_scan_matches_triple_oracle(seed, k, n, slack, mixed):
     assume(not pairwise_zero_intersection(arr))
     oracle = [t for t in combinations(range(arr.n), 3)
               if is_dependent_triple(*(arr.spaces[i] for i in t))]
-    assert dependent_triples(arr) == oracle
+    assert _special_and_dependent(arr, DEFAULT_TOL)[1] == oracle
     specials = find_special_spaces(arr, arr.max_dim())
     want = _special_spaces_oracle(arr)
     assert [sp.member_indices for sp in specials] == list(want)
@@ -180,7 +180,7 @@ def test_pair_scan_names_first_pair_with_mixed_partner_dims(tol):
     arr = Arrangement(6, [Subspace(6, e[[0, 1]]), Subspace(6, np.zeros((0, 6))),
                           Subspace(6, e[[1, 2]]), Subspace(6, e[[0]]), Subspace(6, e[[4]])])
     assert pairwise_zero_intersection(arr, tol) == [(0, 2), (0, 3)]
-    for scan in (lambda: find_special_spaces(arr, 2, tol), lambda: dependent_triples(arr, tol)):
+    for scan in (lambda: find_special_spaces(arr, 2, tol), lambda: _special_and_dependent(arr, tol)):
         with pytest.raises(PreconditionError, match=r"^spaces 0 and 2 intersect"):
             scan()
     # row 0 clean: the same pattern in row 2
@@ -188,7 +188,7 @@ def test_pair_scan_names_first_pair_with_mixed_partner_dims(tol):
                           Subspace(6, e[[1, 2]]), Subspace(6, e[[2, 3]]), Subspace(6, e[[1]])])
     assert pairwise_zero_intersection(arr, tol) == [(2, 3), (2, 4)]
     with pytest.raises(PreconditionError, match=r"^spaces 2 and 3 intersect"):
-        dependent_triples(arr, tol)
+        _special_and_dependent(arr, tol)
 
 
 @pytest.mark.parametrize("tol", _TOLS)
@@ -214,7 +214,7 @@ def test_pair_scan_residual_threshold(tol, factor, inside):
     for (i, j), row in masks.items():
         pair = Subspace.from_spanning(np.vstack([arr.spaces[i].basis, arr.spaces[j].basis]), 6)
         assert row.tolist() == [pair.contains(v, tol) for v in arr.spaces]
-    assert ((0, 1, 2) in dependent_triples(arr, tol)) == inside
+    assert ((0, 1, 2) in _special_and_dependent(arr, tol)[1]) == inside
 
 
 def _near_degenerate_pair(rng, angle, da, db, tol, ambient=9):
@@ -397,14 +397,16 @@ def test_pair_scans_stream_pairs_in_bounded_memory():
     rng = np.random.default_rng(0)
     arr = Arrangement(40, [Subspace(40, orthonormalize(rng.standard_normal((1, 40))))
                            for _ in range(600)])
-    for scan in (pairwise_zero_intersection, dependent_triples):
+    scans = {"pairwise_zero_intersection": pairwise_zero_intersection,
+             "_special_and_dependent": lambda a: _special_and_dependent(a, DEFAULT_TOL)[1]}
+    for name, scan in scans.items():
         tracemalloc.start()
         try:
             assert scan(arr) == []
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000, (scan.__name__, peak)
+        assert peak < 2_000_000, (name, peak)
 
 
 def _equal_copy(v, rng):

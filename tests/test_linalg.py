@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from sgcert.arrangement import Arrangement, Subspace
 from sgcert.errors import DegenerateStateError, PreconditionError, SizeLimitError
 from sgcert.linalg import (
     Tolerance,
     cauchy_binet_check,
-    inv_sqrt_factor,
     orthonormalize,
     projector,
     rank,
     spectral_norm,
 )
+from sgcert.scaling import make_state
 
 TOL = Tolerance()
 
@@ -109,29 +110,39 @@ def test_projector_rejects_non_orthonormal():
         projector([[1.0, 1.0]])
 
 
+def inv_sqrt_factor(spaces, t):
+    """M = X^{-1/2} and X of the scaling state of ``spaces`` at t (identity rotations)."""
+    arr = Arrangement(spaces[0].ambient, spaces)
+    state = make_state(arr, np.ones(len(spaces)), t=t)
+    return state.M, state.X
+
+
 def test_inv_sqrt_factor_identity_and_diagonal():
-    assert np.allclose(inv_sqrt_factor(np.eye(3)), np.eye(3))
-    m = inv_sqrt_factor(np.diag([4.0, 9.0]))
+    axes = [Subspace(3, row) for row in np.eye(3)[:, None]]
+    assert np.allclose(inv_sqrt_factor(axes, np.zeros(3))[0], np.eye(3))
+    m, x = inv_sqrt_factor([Subspace(2, [[1.0, 0.0]]), Subspace(2, [[0.0, 1.0]])],
+                           np.log([4.0, 9.0]))
+    assert np.allclose(x, np.diag([4.0, 9.0]))
     assert np.allclose(m, np.diag([0.5, 1.0 / 3.0]))
 
 
 def test_inv_sqrt_factor_random_spd():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        b = rng.standard_normal((5, 5))
-        x = b.T @ b + np.eye(5)
-        m = inv_sqrt_factor(x)
+        spaces = [Subspace.from_spanning(rng.standard_normal((2, 5)), 5) for _ in range(4)]
+        m, x = inv_sqrt_factor(spaces, rng.uniform(-1.0, 1.0, 8))
+        assert np.abs(m - m.T).max() < 1e-12
         assert np.abs(m.T @ m @ x - np.eye(5)).max() < 1e-8
         assert np.abs(m @ x @ m.T - np.eye(5)).max() < 1e-8
 
 
 def test_inv_sqrt_factor_rejects_non_spd():
-    with pytest.raises(DegenerateStateError):
-        inv_sqrt_factor(np.diag([1.0, -1.0]))
-    with pytest.raises(DegenerateStateError):
-        inv_sqrt_factor(np.diag([1.0, 0.0]))
-    with pytest.raises(DegenerateStateError):
-        inv_sqrt_factor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    # spaces that leave a direction uncovered make X singular
+    with pytest.raises(DegenerateStateError, match="not positive definite"):
+        inv_sqrt_factor([Subspace(2, [[1.0, 0.0]])], np.zeros(1))
+    with pytest.raises(DegenerateStateError, match="not positive definite"):
+        inv_sqrt_factor([Subspace(3, np.eye(3)[[0, 1]]), Subspace(3, [[0.6, 0.8, 0.0]])],
+                        np.zeros(3))
 
 
 def test_spectral_norm_examples():
