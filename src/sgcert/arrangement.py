@@ -199,8 +199,11 @@ def _set_stacks(arr: Arrangement, sets: np.ndarray, width: int):
     dimension signature (the dimensions of their members, in order) by
     sorting the signature rows with :func:`_runs`, which needs no memory
     beyond the signatures however long the sets are; within a group they
-    keep their order in ``sets``.  Each group is cut so that a float array
-    of shape (len(idx), rows of a stack, ``width``) stays within CHUNK_BYTES.
+    keep their order in ``sets``.  A group's row index is its members' first
+    rows, each repeated by its dimension, plus the group's row offsets within
+    each member: one gather per chunk whatever the set size.  Each group is
+    cut so that a float array of shape (len(idx), rows of a stack,
+    ``width``) stays within CHUNK_BYTES.
     """
     if not len(sets):
         return
@@ -209,11 +212,11 @@ def _set_stacks(arr: Arrangement, sets: np.ndarray, width: int):
     order, runs = _runs(dims.astype(np.min_scalar_type(dims.max()))[sets])
     for members in np.split(order, runs[1:]):
         signature = dims[sets[members[0]]]
+        offsets = np.arange(signature.sum()) - np.repeat(np.cumsum(signature) - signature,
+                                                         signature)
         for part in chunk_slices(members.size, 8 * max(int(signature.sum()), 1) * width):
             idx = members[part]
-            index = np.concatenate([starts[sets[idx, c]][:, None] + np.arange(d)
-                                    for c, d in enumerate(signature)], axis=1)
-            yield idx, rows[index]
+            yield idx, rows[np.repeat(starts[sets[idx]], signature, axis=1) + offsets]
 
 
 def _space_stacks(arr: Arrangement, keep=None):

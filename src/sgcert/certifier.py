@@ -47,6 +47,7 @@ from .linalg import (
     spectral_norm,
 )
 from .scaling import (
+    _check_seed,
     _orthonormal_images,
     _pick_tuples,
     _SampleStream,
@@ -453,8 +454,7 @@ def certify(arr: Arrangement, sys: TripleSystem, tol: Tolerance = DEFAULT_TOL,
     budget = budget or CertifyBudget()
     if budget.trials < 1:
         raise PreconditionError(f"trials must be >= 1, got {budget.trials}")
-    if budget.seed < 0:
-        raise PreconditionError(f"seed must be >= 0, got {budget.seed}")
+    _check_seed(budget.seed)
     if budget.max_rounds is not None and budget.max_rounds < 0:
         raise PreconditionError(f"max rounds must be >= 0, got {budget.max_rounds}")
     if budget.wall_clock is not None and isnan(budget.wall_clock):

@@ -38,7 +38,7 @@ from .errors import (
     SgcertError,
 )
 from .linalg import Tolerance
-from .scaling import _check_targets, optimize, sample_admissible
+from .scaling import _check_seed, _check_targets, optimize, sample_admissible
 
 _EXIT_OK = 0
 _EXIT_FAIL = 1
@@ -107,7 +107,8 @@ def cmd_system(args) -> int:
 def cmd_scale(args) -> int:
     tol = _tol_from(args)
     arr = _load_real(args.input, tol)
-    # bad optimizer flags fail before any sampling
+    # bad sampler and optimizer flags fail before any sampling
+    _check_seed(args.seed)
     _check_targets(args.eps, args.max_iter, args.tcap)
     sample = sample_admissible(arr, args.trials, args.seed, tol)
     # the picks hold index + 1 and pad with 0, which reads dimension 0 here

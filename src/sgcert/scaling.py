@@ -19,8 +19,8 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .arrangement import (Arrangement, Subspace, _index_array, _runs, _set_rows,
-                          _space_stacks, _stacked_set_ranks)
+from .arrangement import (Arrangement, Subspace, _index_array, _runs, _space_stacks,
+                          _stacked_set_ranks)
 from .errors import (
     DegenerateStateError,
     OptimizeTimeoutError,
@@ -67,13 +67,16 @@ class AdmissibleSample:
     plus one, padded with zeros: an unsigned array as narrow as the indices
     allow.  ``sets`` lists the same picks as tuples of indices; it is built
     when first read, and a sample made from ``sets`` takes its ``picks``
-    from them.
+    from them.  A sample of :class:`_SampleStream` also carries the stream's
+    distinct sets and their counts (``_runs``, see :func:`_set_runs`), each
+    of them verified admissible; a sample made by hand has none.
     """
 
     def __init__(self, sets=None, p_hat=None, trials=None, seed=None, picks=None):
         self._sets = sets
         self.picks = _pick_rows(sets) if picks is None else picks
         self.p_hat, self.trials, self.seed = p_hat, trials, seed
+        self._runs = None
 
     @property
     def sets(self) -> list:
@@ -117,12 +120,36 @@ def _set_runs(picks: np.ndarray) -> tuple:
     return keys[order], order, starts
 
 
-@dataclass
 class HullCertificate:
-    """A vector p with an explicit convex combination over admissible sets."""
+    """A vector p with an explicit convex combination over admissible sets.
 
-    p: np.ndarray
-    terms: list  # (sorted index tuple, weight), weights sum to 1
+    ``terms`` lists (sorted index tuple, weight) pairs, weights summing to
+    1.  The hull also holds them as arrays: row t of ``rows`` holds the
+    indices of term t plus one, zero-padded (as the rows of
+    ``AdmissibleSample.picks``), and ``weights[t]`` its weight.  A hull made
+    from ``terms`` builds the arrays from them; one made by
+    :func:`admissible_hull_vector` builds ``terms`` from the arrays when
+    first read.
+    """
+
+    def __init__(self, p, terms):
+        self.p, self._terms = p, terms
+        self.rows = _pick_rows([h for h, _ in terms])
+        self.weights = np.fromiter((q for _, q in terms), dtype=float, count=len(terms))
+        self._verified = False  # see spanning_model
+
+    @classmethod
+    def _of_rows(cls, p, rows, weights, verified: bool):
+        hull = cls.__new__(cls)
+        hull.p, hull._terms, hull.rows, hull.weights = p, None, rows, weights
+        hull._verified = verified
+        return hull
+
+    @property
+    def terms(self) -> list:
+        if self._terms is None:
+            self._terms = list(zip(_pick_tuples(self.rows), self.weights.tolist()))
+        return self._terms
 
 
 def _eligible_min_sv(ambient: int, tol: Tolerance) -> float:
@@ -137,28 +164,31 @@ def _eligible_min_sv(ambient: int, tol: Tolerance) -> float:
     return max(_ELIGIBLE_MIN_SV, float(np.sqrt(ambient)) * tol.rank_tol)
 
 
-def _clear(res: np.ndarray, pad: np.ndarray, cutoff: float) -> np.ndarray:
-    """True where a residual block is still clear of the span.
+def _clear(res: np.ndarray, pad, cutoff: float) -> tuple:
+    """(clear, a): True where a residual block is still clear of the span,
+    and the squared norm of each block's first row.
 
     ``res`` is (m, kmax, l) with zero rows past each space's dimension, and
     ``pad`` (m, kmax) is 1 on those rows, which the Gram diagonal then counts
-    as clear.  The smallest Gram eigenvalue is the squared row norm for
-    kmax = 1, the closed form for kmax = 2 and batched ``eigvalsh`` above;
-    it must exceed ``cutoff**2``.
+    as clear; it is not read for kmax = 1, where no space has such rows.
+    The smallest Gram eigenvalue is ``a`` itself for kmax = 1, the closed
+    form for kmax = 2 and batched ``eigvalsh`` above; it must exceed
+    ``cutoff**2``.
     """
     k = res.shape[1]
+    r0 = res[:, 0]
+    a = np.einsum("ml,ml->m", r0, r0)  # a space's first row is never padding
     if k == 1:
-        lam = np.einsum("ml,ml->m", res[:, 0], res[:, 0])
+        lam = a
     elif k == 2:
-        r0, r1 = res[:, 0], res[:, 1]
-        a, c, d = (np.einsum("ml,ml->m", x, y) for x, y in ((r0, r0), (r0, r1), (r1, r1)))
-        a, d = a + pad[:, 0], d + pad[:, 1]
+        r1 = res[:, 1]
+        c, d = np.einsum("ml,ml->m", r0, r1), np.einsum("ml,ml->m", r1, r1) + pad[:, 1]
         lam = (a + d) / 2.0 - np.hypot((a - d) / 2.0, c)
     else:
         gram = res @ res.transpose(0, 2, 1)
         gram[:, range(k), range(k)] += pad
         lam = np.linalg.eigvalsh(gram)[:, 0]
-    return lam > cutoff**2
+    return lam > cutoff**2, a
 
 
 def _greedy_block(bases, dims, order, ambient, cutoff):
@@ -170,52 +200,72 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
     off its span is still clear of it (smallest singular value above
     ``cutoff``).  A window of the order is projected on the span in one
     stacked product, on the span's first rows up to the longest live
-    trial's (the rows past a trial's own are zero); the rows of a kept
-    residual are orthonormalized by Gram-Schmidt applied twice, appended to
-    the span and projected off the rest of the window.  The trials of the
-    block scan in step; one whose span fills R^l leaves at the end of the
-    window, the rest stop when their orders run out.  Returns the (b, n)
-    mask of the kept positions of ``order``.
+    trial's (the rows past a trial's own are zero).  A kept residual's first
+    row is divided by the norm :func:`_clear` took, its further rows are
+    orthonormalized by Gram-Schmidt applied twice; it is appended to the
+    span and projected off the rest of the window, if any.  The trials of
+    the block scan in step; one whose span fills R^l leaves at the end of
+    the window, a live trial from the end of the block moving into its slot,
+    so no span is copied whole; the rest stop when their orders run out.
+    Returns the (b, n) mask of the kept positions of ``order``.
     """
     b, n = order.shape
     kmax = bases.shape[1]
-    pad = (np.arange(kmax) >= dims[:, None]).astype(float)
+    pad = (np.arange(kmax) >= dims[:, None]).astype(float) if kmax > 1 else None
     # rows past a trial's own stay zero; kmax spare rows take the zero
-    # padding of a pick that fills R^l
+    # padding of a pick that fills R^l, or a pick that a span which lost
+    # orthogonality lets through once full (its set then fails re-verification)
     span = np.zeros((b, ambient + kmax, ambient))
     rows = np.zeros(b, dtype=np.intp)
     kept = np.zeros((b, n), dtype=bool)
     live = np.arange(b)
     slots = np.arange(kmax)
+    m = b  # the live trials hold the first m slots of span, rows and live
     for start in range(0, n, _SCAN_WINDOW):
-        cand = order[live, start:start + _SCAN_WINDOW]
-        res = bases[cand]
-        top = rows.max()
+        cand = order[live[:m], start:start + _SCAN_WINDOW]
+        res = np.take(bases, cand, axis=0)
+        top = rows[:m].max()
         if top:  # the rows past every trial's own are zero
-            flat = res.reshape(live.size, -1, ambient)
-            flat -= (flat @ span[:, :top].transpose(0, 2, 1)) @ span[:, :top]
-        for j in range(cand.shape[1]):
-            sel = np.flatnonzero(_clear(res[:, j], pad[cand[:, j]], cutoff))
+            flat = res.reshape(m, -1, ambient)
+            flat -= (flat @ span[:m, :top].transpose(0, 2, 1)) @ span[:m, :top]
+        last = cand.shape[1] - 1
+        hits = np.zeros(cand.shape, dtype=bool)
+        for j in range(last + 1):
+            clear, a = _clear(res[:, j], None if pad is None else pad[cand[:, j]], cutoff)
+            hits[:, j] = clear
+            sel = clear.nonzero()[0]
             if not sel.size:
                 continue
             q = res[sel, j]
-            for i in range(kmax):
+            q[:, 0] /= np.sqrt(a[sel])[:, None]
+            for i in range(1, kmax):
                 v, prev = q[:, i], q[:, :i]
-                for _ in range(2 if i else 0):
+                for _ in range(2):
                     v -= np.einsum("sh,shl->sl", np.einsum("shl,sl->sh", prev, v), prev)
                 norm = np.sqrt(np.einsum("sl,sl->s", v, v))[:, None]
                 np.divide(v, norm, out=v, where=norm > 0.0)  # padded rows stay zero
-            span[sel[:, None], rows[sel, None] + slots] = q
-            rows[sel] += dims[cand[sel, j]]
-            kept[live[sel], start + j] = True
-            rest = res[sel, j + 1:]
-            flat = rest.reshape(sel.size, -1, ambient)
-            flat -= (flat @ q.transpose(0, 2, 1)) @ q
-            res[sel, j + 1:] = rest
-        full = rows >= ambient
+            if kmax == 1:
+                span[sel, rows[sel]] = q[:, 0]
+                rows[sel] += 1
+            else:
+                span[sel[:, None], rows[sel, None] + slots] = q
+                rows[sel] += dims[cand[sel, j]]
+            if j < last:
+                rest = res[sel, j + 1:]
+                flat = rest.reshape(sel.size, -1, ambient)
+                coef = flat @ q.transpose(0, 2, 1)
+                # a line's product with its coefficients is one rounding per
+                # entry, as in matmul, without a matrix product per trial
+                flat -= coef * q if kmax == 1 else coef @ q
+                res[sel, j + 1:] = rest
+        kept[live[:m], start:start + cand.shape[1]] = hits
+        full = rows[:m] >= ambient
         if full.any():
-            live, rows, span = live[~full], rows[~full], span[~full]
-            if not live.size:
+            m -= int(np.count_nonzero(full))
+            # the live trials past the new end move into the slots left below it
+            holes, movers = full[:m].nonzero()[0], m + (~full[m:]).nonzero()[0]
+            span[holes], rows[holes], live[holes] = span[movers], rows[movers], live[movers]
+            if not m:
                 break
     return kept
 
@@ -232,12 +282,15 @@ class _SampleStream:
     rows; the clearance cutoff stays the one of R^l.  ``span`` is the pair
     (span_rows, images of :func:`_orthonormal_images`), never without the
     images; :func:`spanning_model` reuses both.  The picks are kept as the
-    rows of ``picks`` (see :class:`AdmissibleSample`), and each distinct
-    set is re-verified once against the original arrangement, by stacked
-    ranks, when it first occurs.
+    rows of ``picks`` (see :class:`AdmissibleSample`), with the distinct
+    sets so far and their counts (:meth:`_merge`); each distinct set is
+    re-verified once against the original arrangement, by stacked ranks,
+    when it first occurs.  Every sample the stream returns carries the
+    distinct sets, for :func:`admissible_hull_vector`.
     """
 
     def __init__(self, arr: Arrangement, seed: int, tol: Tolerance, span_rows=None):
+        _check_seed(seed)
         if span_rows is None:
             span_rows = orthonormalize(arr.stacked_basis(), tol)
         dim, images = span_rows.shape[0], _orthonormal_images(arr, span_rows, tol)
@@ -248,13 +301,16 @@ class _SampleStream:
         for p, i in enumerate(self.nonzero):
             self.bases[p, :self.dims[p]] = images[i]
         self.index_type = np.min_scalar_type(max(n - 1, 0))
-        # per trial, live while a block is scanned: the span twice (the
-        # survivors are copied out when trials leave), a window with two
-        # product temporaries, the order and the kept mask; the keys and
-        # their argsort (16 n) live only before the scan
-        scan = (8 * (2 * (dim + kmax) + 3 * _SCAN_WINDOW * kmax) * dim
-                + (self.index_type.itemsize + 1) * n)
-        self.block = int(np.clip(_BLOCK_BYTES // max(scan, 16 * n, 1), 1, _TRIAL_BLOCK))
+        item = self.index_type.itemsize
+        # per trial, live while a block is scanned: the span with its kmax
+        # spare rows, a window with two product temporaries, the order, the
+        # kept mask, the window's candidates, the trial's slot and row count;
+        # the keys and their argsort (16 n) live only before the scan.  The
+        # stream's bases and their images take their share of _BLOCK_BYTES.
+        scan = (8 * ((dim + kmax) + 3 * _SCAN_WINDOW * kmax) * dim
+                + (item + 1) * n + _SCAN_WINDOW * item + 16)
+        free = _BLOCK_BYTES - 2 * self.bases.nbytes
+        self.block = int(np.clip(free // max(scan, 16 * n, 1), 1, _TRIAL_BLOCK))
         self.cutoff = _eligible_min_sv(arr.ambient, tol)
         # each pick adds at least the smallest dimension to a span of at most dim rows
         self.width = min(n, dim // int(self.dims.min())) if n else 1
@@ -265,6 +321,10 @@ class _SampleStream:
         self.gen = np.random.default_rng(seed)
         self.picks = np.zeros((0, self.width), dtype=self.tags.dtype)
         self.counts = np.zeros(arr.n, dtype=np.intp)
+        # the distinct sets so far, as the keys of _set_runs in ascending
+        # order, and how many trials drew each
+        self.distinct = self.picks
+        self.occurrences = np.zeros(0, dtype=np.intp)
 
     def extend(self, total: int) -> AdmissibleSample:
         """Draw trials up to ``total`` in all and return the sample so far."""
@@ -273,36 +333,56 @@ class _SampleStream:
         first = drawn = len(self.picks)
         blocks = [self.picks]
         while drawn < total:
-            # the keys are freed once their order exists
-            order = (self.gen.random((min(self.block, total - drawn), self.nonzero.size))
-                     .argsort(axis=1).astype(self.index_type))
-            kept = _greedy_block(self.bases, self.dims, order, self.dim, self.cutoff)
-            blocks.append(_padded(self.tags[order[kept]], kept.sum(axis=1), self.width,
-                                  self.tags.dtype))
-            drawn += len(order)
+            blocks.append(self._scan(min(self.block, total - drawn)))
+            drawn += len(blocks[-1])
         self.picks = np.concatenate(blocks)
-        self._reverify(first)
-        self.counts += np.bincount(self.picks[first:].ravel(), minlength=self.arr.n + 1)[1:]
-        return AdmissibleSample(picks=self.picks, p_hat=self.counts / drawn,
-                                trials=drawn, seed=self.seed)
+        if drawn > first:
+            self._merge(first)
+            self.counts += np.bincount(self.picks[first:].ravel(), minlength=self.arr.n + 1)[1:]
+        sample = AdmissibleSample(picks=self.picks, p_hat=self.counts / drawn,
+                                  trials=drawn, seed=self.seed)
+        sample._runs = self.distinct, self.occurrences
+        return sample
 
-    def _reverify(self, first: int) -> None:
-        """Check ``dim(sum) = sum(dim)`` on the unseen sets of trials ``first`` on.
+    def _scan(self, size: int) -> np.ndarray:
+        """The ``picks`` rows of the next ``size`` trials, scanned as one block."""
+        # the keys are freed once their order exists
+        order = (self.gen.random((size, self.nonzero.size))
+                 .argsort(axis=1).astype(self.index_type))
+        kept = _greedy_block(self.bases, self.dims, order, self.dim, self.cutoff)
+        return _padded(self.tags[order[kept]], kept.sum(axis=1), self.width, self.tags.dtype)
 
-        A set is unseen when its first occurrence is one of those trials; the
-        nonempty unseen sets are ranked in the order of those occurrences.
+    def _merge(self, first: int) -> None:
+        """Add the sets of trials ``first`` on to the distinct sets, checking
+        ``dim(sum) = sum(dim)`` on the unseen ones.
+
+        Only the new trials are sorted (:func:`_set_runs`); their distinct
+        sets are then sorted together with the known ones, which come first
+        among equals, so a set is unseen when its run starts with a new one.
+        The nonempty unseen sets are ranked in the order of their first
+        occurrences.
         """
-        keys, order, starts = _set_runs(self.picks)
-        fresh = starts[(order[starts] >= first) & (keys[starts, 0] > 0)]
-        fresh = fresh[np.argsort(order[fresh])]
-        sizes = np.count_nonzero(keys[fresh], axis=1)
+        keys, order, starts = _set_runs(self.picks[first:])
+        known = len(self.distinct)
+        both = np.concatenate([self.distinct, keys[starts]])
+        merged, runs = _runs(both)
+        heads = merged[runs]
+        counts = np.concatenate([self.occurrences, np.diff(starts, append=len(keys))])
+        self.distinct = both[heads]
+        self.occurrences = np.add.reduceat(counts[merged], runs)
+        fresh = heads[heads >= known] - known
+        fresh = fresh[keys[starts[fresh], 0] > 0]
+        occurs = order[starts[fresh]]  # the first trial of each, counted from first
+        by_trial = np.argsort(occurs)
+        fresh, occurs = fresh[by_trial], occurs[by_trial]
+        sizes = np.count_nonzero(keys[starts[fresh]], axis=1)
         for size in np.flatnonzero(np.bincount(sizes)):
-            runs = fresh[sizes == size]
-            chosen = keys[runs, :size] - 1
+            which = sizes == size
+            chosen = keys[starts[fresh[which]], :size] - 1
             short = np.flatnonzero(_stacked_set_ranks(self.arr, chosen, self.tol)
                                    != self.all_dims[chosen].sum(axis=1))
             if short.size:
-                (bad,) = _pick_tuples(self.picks[order[runs[short[:1]]]])
+                (bad,) = _pick_tuples(self.picks[first + occurs[which][short[:1]]])
                 raise SgcertError(f"sampled set {bad} failed the admissibility equation")
 
 
@@ -327,7 +407,7 @@ def sample_admissible(arr: Arrangement, trials: int, seed: int = 0,
     has d rows, with the cutoff of R^l.  Every distinct emitted set is verified
     once against the exact admissibility equation dim(sum) = sum(dim) of
     the spaces given, by stacked ranks per dimension signature.  This is
-    one extension of a fresh :class:`_SampleStream`.
+    one extension of a fresh :class:`_SampleStream`; the seed must be >= 0.
     """
     return _SampleStream(arr, seed, tol).extend(trials)
 
@@ -337,19 +417,25 @@ def admissible_hull_vector(sample: AdmissibleSample) -> HullCertificate:
 
     The returned p is computed as sum_H q_H 1_H over the distinct sampled
     sets with q_H = (occurrences / trials), so hull membership holds by
-    construction.  The distinct sets and their counts are read off the
-    sorted rows of ``sample.picks``; the terms come as sorted tuples in
-    ascending order, and each p_i adds its terms' weights in that order.
+    construction.  The distinct sets and their counts are the ones the
+    sample's stream verified (``sample._runs``), or, for a sample made by
+    hand, are read off the sorted rows of ``sample.picks``.  The terms come
+    as sorted tuples in ascending order, held as arrays (see
+    :class:`HullCertificate`), and each p_i adds its terms' weights in that
+    order.
     """
     if sample.trials < 1:
         raise PreconditionError("sample has no trials")
-    keys, _, starts = _set_runs(sample.picks)
-    distinct = keys[starts]
-    counts = np.diff(starts, append=len(keys)).tolist()
-    terms = [(h, c / sample.trials) for h, c in zip(_pick_tuples(distinct), counts)]
-    weights = np.repeat([q for _, q in terms], np.count_nonzero(distinct, axis=1))
-    p = np.bincount(distinct[distinct > 0] - 1, weights=weights, minlength=len(sample.p_hat))
-    return HullCertificate(p=p, terms=terms)
+    if sample._runs is None:
+        keys, _, starts = _set_runs(sample.picks)
+        distinct, counts = keys[starts], np.diff(starts, append=len(keys))
+    else:
+        distinct, counts = sample._runs
+    weights = counts / sample.trials
+    p = np.bincount(distinct[distinct > 0] - 1,
+                    weights=np.repeat(weights, np.count_nonzero(distinct, axis=1)),
+                    minlength=len(sample.p_hat))
+    return HullCertificate._of_rows(p, distinct, weights, sample._runs is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +721,12 @@ def _normalize(state: ScalingState, tol: Tolerance) -> None:
         _refresh(state, tol)
 
 
+def _check_seed(seed: int) -> None:
+    """Raise PreconditionError unless the sampler seed is >= 0."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
+
+
 def _check_targets(eps_target: float, max_iter: int, t_cap: float) -> None:
     """Raise PreconditionError unless max_iter >= 0 and eps_target and t_cap
     are finite and positive (the budget checks of :func:`optimize`)."""
@@ -752,13 +844,16 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     prefix of the returned p.
 
     The images of the input spaces are the ones the sampler scans (see
-    ``span`` below), and all hull terms are ranked at once on the model
-    arrangement by :func:`_stacked_set_ranks`, one group per term length:
-    its Cholesky screen certifies a term of d rows that spans R^d without an
-    SVD.  Only the terms of rank below d are orthonormalized and extended,
-    coordinate line by coordinate line.  The terms are read as one index
-    array, and p adds the weights of their members and of their extensions
-    in one count.
+    ``span`` below).  The terms of a hull made from a sampler stream's
+    sample were verified by the stream, dim(sum) = sum(dim), on the input
+    spaces, whose model images are isometric to them: such a term spans R^d
+    exactly when its dimensions sum to d.  The terms of any other hull are
+    ranked at once on the model arrangement by :func:`_stacked_set_ranks`,
+    one group per term length: its Cholesky screen certifies a term of d
+    rows that spans R^d without an SVD.  Only the terms that do not span are
+    orthonormalized and extended, coordinate line by coordinate line.  The
+    terms are read off the hull's ``rows`` and ``weights``, and p adds the
+    weights of their members and of their extensions in one count.
 
     ``span`` is the ``span`` of a :class:`_SampleStream` on ``arr`` and
     ``tol``, whose span rows and images are reused; without it, both are
@@ -767,8 +862,8 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     if hull is None or not isinstance(hull, HullCertificate):
         raise PreconditionError("a hull certificate from admissible_hull_vector is required")
     if span is None:
-        rows = orthonormalize(arr.stacked_basis(), tol)
-        span = rows, _orthonormal_images(arr, rows, tol)
+        span_rows = orthonormalize(arr.stacked_basis(), tol)
+        span = span_rows, _orthonormal_images(arr, span_rows, tol)
     span_rows, images = span
     d = span_rows.shape[0]
     if d == 0:
@@ -779,27 +874,32 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     aux = [Subspace(d, eye[[s]]) for s in range(d)]
     model_arr = Arrangement(d, model_spaces + aux, field_tag=arr.field_tag)
 
-    # the terms as one index array: term t holds members[starts[t]:][:lengths[t]]
-    count = len(hull.terms)
-    members, lengths = _index_array([h for h, _ in hull.terms])
-    starts = np.cumsum(lengths) - lengths
-    weights = np.fromiter((q for _, q in hull.terms), dtype=float, count=count)
-    model_dims = np.array(model_arr.dims(), dtype=np.intp)
-    spans = np.zeros(count, dtype=bool)
-    term_dims = np.zeros(count, dtype=np.intp)
-    for size in sorted(set(lengths.tolist()) - {0}):
-        which = np.flatnonzero(lengths == size)
-        sets = _set_rows(members, starts, which, size)
-        spans[which] = _stacked_set_ranks(model_arr, sets, tol) == d
-        term_dims[which] = model_dims[sets].sum(axis=1)
-    extensions = {t: _extend_to_basis(model_spaces, hull.terms[t][0], d, tol)
+    # row t of rows holds the members of term t plus one, zero-padded
+    rows, weights = hull.rows, hull.weights
+    lengths = np.count_nonzero(rows, axis=1)
+    members = (rows[rows > 0] - 1).astype(np.intp)
+    # the padding 0 reads dimension 0
+    term_dims = np.concatenate([[0], model_arr.dims()])[rows].sum(axis=1)
+    if hull._verified:
+        spans = term_dims == d
+    else:
+        spans = np.zeros(len(rows), dtype=bool)
+        for size in sorted(set(lengths.tolist()) - {0}):
+            which = np.flatnonzero(lengths == size)
+            sets = rows[which, :size].astype(np.intp) - 1
+            spans[which] = _stacked_set_ranks(model_arr, sets, tol) == d
+
+    def term(t):
+        return (rows[t][rows[t] > 0] - 1).tolist()
+
+    extensions = {t: _extend_to_basis(model_spaces, term(t), d, tol)
                   for t in np.flatnonzero(~spans).tolist()}
-    added = np.zeros(count, dtype=np.intp)
+    added = np.zeros(len(rows), dtype=np.intp)
     added[list(extensions)] = [len(e) for e in extensions.values()]
     bad = np.flatnonzero(term_dims + added != d)  # each auxiliary line adds one dimension
     if bad.size:
         t = int(bad[0])
-        full = list(hull.terms[t][0]) + [arr.n + s for s in extensions.get(t, [])]
+        full = term(t) + [arr.n + s for s in extensions.get(t, [])]
         raise SgcertError(f"extended set {full} is not a basis set")
     # each p_model[i] adds its terms' weights in term order: an input space
     # only from the terms' members, an auxiliary line only from the extensions

@@ -9,6 +9,7 @@ from sgcert.arrangement import (
     InvariantViolation,
     Subspace,
     _runs,
+    _set_stacks,
     _stacked_set_ranks,
     complex_to_real,
     generate,
@@ -23,6 +24,7 @@ from sgcert.arrangement import (
     tau_separated,
     write_arrangement,
 )
+import sgcert.linalg
 from sgcert.dependency import _special_and_dependent
 from sgcert.errors import ParseError, PreconditionError
 from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank
@@ -81,6 +83,29 @@ def test_runs_sort_stably_and_mark_each_run(rows):
     order, starts = _runs(rows)
     assert order.tolist() == want
     assert starts.tolist() == want_starts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("chunk_bytes", [None, 600])
+def test_set_stacks_match_per_member_concatenation(seed, chunk_bytes, monkeypatch):
+    # sets of 1-5 members of dimensions 0-3, repeats allowed, so that many
+    # signatures mix; each stack is the members' bases concatenated in set
+    # order, bit for bit, and every set comes once, in order within a group
+    if chunk_bytes is not None:
+        monkeypatch.setattr(sgcert.linalg, "CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(seed)
+    arr = Arrangement(7, [Subspace(7, orthonormalize(rng.standard_normal((d, 7))))
+                          for d in rng.integers(0, 4, size=12)])
+    for size in range(1, 6):
+        sets = rng.integers(0, arr.n, size=(40, size))
+        seen = []
+        for idx, stacks in _set_stacks(arr, sets, arr.ambient):
+            assert np.all(np.diff(idx) > 0)
+            for q, t in enumerate(idx.tolist()):
+                want = np.concatenate([np.zeros((0, 7))] + [arr.spaces[i].basis for i in sets[t]])
+                assert stacks[q].shape == want.shape and np.array_equal(stacks[q], want)
+            seen.extend(idx.tolist())
+        assert sorted(seen) == list(range(len(sets)))
 
 
 def test_stacked_set_ranks_long_mixed_sets():

@@ -15,6 +15,7 @@ from sgcert.arrangement import (
 )
 from sgcert.cli import main
 from sgcert.dependency import read_system
+from sgcert.errors import PreconditionError
 from sgcert.scaling import sample_admissible
 
 
@@ -454,6 +455,24 @@ def test_certify_rejects_bad_budget_flags_one_line(tmp_path, capsys, flags, mess
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
     assert not out_path.exists()
+
+
+def test_scale_rejects_negative_seed_one_line(tmp_path, capsys, monkeypatch):
+    # numpy's generator said only "expected non-negative integer"; the flag
+    # is now checked with the optimizer's, before the file is sampled
+    arr_path, out_path = tmp_path / "g.arr", tmp_path / "g.mat"
+    assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
+               "--n", 8, "--seed", 1, "--out", arr_path) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sgcert.cli, "sample_admissible",
+                        lambda *a, **k: pytest.fail("sampled with a negative seed"))
+    assert run("scale", arr_path, "--seed", -1, "--out", out_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not out_path.exists()
+    with pytest.raises(PreconditionError, match=r"^seed must be >= 0, got -1$"):
+        sample_admissible(read_arrangement(arr_path), 8, seed=-1)
 
 
 @pytest.mark.parametrize("command", ["gen", "triples", "system", "scale", "certify", "reduce"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from instances import plane_and_lines
+from instances import far_clusters_instance, plane_and_lines
 
 from sgcert.arrangement import Arrangement, Subspace, _stacked_set_ranks, generate_grouped
 import sgcert.scaling
@@ -308,17 +308,20 @@ def test_sampler_output_ignores_the_block_budget(case, monkeypatch):
 def test_sampler_peak_memory_follows_the_block_budget():
     # the per-trial byte formula bounds what a block keeps live, so one
     # sampler call peaks below _BLOCK_BYTES plus its sample arrays (the
-    # picks are held twice while the blocks are joined)
-    arr = generate_grouped(k=2, delta=0.25, n=64, ambient=16, seed=0)
-    assert _SampleStream(arr, 0, DEFAULT_TOL).block < 4096  # several blocks
-    tracemalloc.start()
-    try:
-        sample = sample_admissible(arr, trials=4096, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    limit = sgcert.scaling._BLOCK_BYTES + 2 * sample.picks.nbytes + sample.p_hat.nbytes
-    assert peak < limit, (peak, limit)
+    # picks are held twice while the blocks are joined): on planes in R^16,
+    # and on the 90 lines in R^22 of the far-clusters instance, where the
+    # span counted once fits the most trials to a block
+    for arr in (generate_grouped(k=2, delta=0.25, n=64, ambient=16, seed=0),
+                far_clusters_instance()[0]):
+        assert _SampleStream(arr, 0, DEFAULT_TOL).block < 4096  # several blocks
+        tracemalloc.start()
+        try:
+            sample = sample_admissible(arr, trials=4096, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = sgcert.scaling._BLOCK_BYTES + 2 * sample.picks.nbytes + sample.p_hat.nbytes
+        assert peak < limit, (arr.ambient, peak, limit)
 
 
 def test_sampler_cutoff_follows_rank_tol():
@@ -338,6 +341,134 @@ def test_sampler_cutoff_follows_rank_tol():
     assert _eligible_min_sv(3, tol) == np.sqrt(3) * 1e-3
     assert all(_eligible_min_sv(l, DEFAULT_TOL) == _ELIGIBLE_MIN_SV
                for l in (1, 16, 1000, 9_999))
+
+
+def reference_clear(res, pad, cutoff):
+    """The clearance test of reference_greedy_block (see _clear)."""
+    k = res.shape[1]
+    if k == 1:
+        lam = np.einsum("ml,ml->m", res[:, 0], res[:, 0])
+    elif k == 2:
+        r0, r1 = res[:, 0], res[:, 1]
+        a, c, d = (np.einsum("ml,ml->m", x, y) for x, y in ((r0, r0), (r0, r1), (r1, r1)))
+        a, d = a + pad[:, 0], d + pad[:, 1]
+        lam = (a + d) / 2.0 - np.hypot((a - d) / 2.0, c)
+    else:
+        gram = res @ res.transpose(0, 2, 1)
+        gram[:, range(k), range(k)] += pad
+        lam = np.linalg.eigvalsh(gram)[:, 0]
+    return lam > cutoff**2
+
+
+def reference_greedy_block(bases, dims, order, ambient, cutoff):
+    """The general scan step, the oracle of _greedy_block.
+
+    Every kept residual is normalized row by row by Gram-Schmidt (the first
+    row by its own norm), its padding goes to kmax spare span rows, the rest
+    of the window is projected at every position, the last too, and the
+    survivors' spans are copied out whenever trials leave.
+    """
+    b, n = order.shape
+    kmax = bases.shape[1]
+    pad = (np.arange(kmax) >= dims[:, None]).astype(float)
+    span = np.zeros((b, ambient + kmax, ambient))
+    rows = np.zeros(b, dtype=np.intp)
+    kept = np.zeros((b, n), dtype=bool)
+    live = np.arange(b)
+    slots = np.arange(kmax)
+    for start in range(0, n, sgcert.scaling._SCAN_WINDOW):
+        cand = order[live, start:start + sgcert.scaling._SCAN_WINDOW]
+        res = bases[cand]
+        top = rows.max()
+        if top:
+            flat = res.reshape(live.size, -1, ambient)
+            flat -= (flat @ span[:, :top].transpose(0, 2, 1)) @ span[:, :top]
+        for j in range(cand.shape[1]):
+            sel = np.flatnonzero(reference_clear(res[:, j], pad[cand[:, j]], cutoff))
+            if not sel.size:
+                continue
+            q = res[sel, j]
+            for i in range(kmax):
+                v, prev = q[:, i], q[:, :i]
+                for _ in range(2 if i else 0):
+                    v -= np.einsum("sh,shl->sl", np.einsum("shl,sl->sh", prev, v), prev)
+                norm = np.sqrt(np.einsum("sl,sl->s", v, v))[:, None]
+                np.divide(v, norm, out=v, where=norm > 0.0)
+            span[sel[:, None], rows[sel, None] + slots] = q
+            rows[sel] += dims[cand[sel, j]]
+            kept[live[sel], start + j] = True
+            rest = res[sel, j + 1:]
+            flat = rest.reshape(sel.size, -1, ambient)
+            flat -= (flat @ q.transpose(0, 2, 1)) @ q
+            res[sel, j + 1:] = rest
+        full = rows >= ambient
+        if full.any():
+            live, rows, span = live[~full], rows[~full], span[~full]
+            if not live.size:
+                break
+    return kept
+
+
+def assert_scan_matches_reference(arr, tol, seed, trials=40, block=7):
+    """_greedy_block keeps the masks of reference_greedy_block, bit for bit,
+    in blocks of ``block`` trials (many leave in each) and in one block."""
+    stream = _SampleStream(arr, 0, tol)
+    order = (np.random.default_rng(seed).random((trials, stream.nonzero.size))
+             .argsort(axis=1).astype(stream.index_type))
+    scan = stream.bases, stream.dims
+    for size in (block, trials):
+        for first in range(0, trials, size):
+            part = order[first:first + size]
+            got = sgcert.scaling._greedy_block(*scan, part, stream.dim, stream.cutoff)
+            want = reference_greedy_block(*scan, part, stream.dim, stream.cutoff)
+            assert np.array_equal(got, want), (size, first)
+
+
+def random_lines(seed, ambient, n, extra):
+    """Lines of R^ambient embedded in R^(ambient + extra): random ones, repeats
+    (some with the sign flipped) and near-dependent ones, each a mix of two
+    lines plus noise of 1e-12 to 1e-2, so near both test cutoffs."""
+    rng = np.random.default_rng(seed)
+    rows = list(rng.standard_normal((n, ambient)))
+    for _ in range(n // 2):
+        kind = rng.integers(3)
+        a, b = rng.integers(len(rows), size=2)
+        if kind == 0:
+            rows.append(rows[a] * rng.choice([-1.0, 1.0]))
+        else:
+            noise = 10.0 ** rng.uniform(-12, -2) * rng.standard_normal(ambient)
+            rows.append(rng.standard_normal() * rows[a] + rng.standard_normal() * rows[b] + noise)
+    frame = orthonormalize(rng.standard_normal((ambient, ambient + extra))) if extra else np.eye(ambient)
+    return Arrangement(ambient + extra, [
+        Subspace(ambient + extra, (r / np.linalg.norm(r)).reshape(1, -1) @ frame)
+        for r in rows if np.linalg.norm(r) > 0.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(1, 6), n=st.integers(1, 12),
+       extra=st.integers(0, 3))
+def test_line_scan_keeps_the_general_masks(seed, ambient, n, extra):
+    # on lines the scan divides a kept residual by the norm its clearance
+    # test took, multiplies out the rest projection's rank-one product,
+    # skips that projection at a window's last position and moves trials in
+    # place when others leave; the general step, row-by-row Gram-Schmidt
+    # with every copy, must keep the same positions bit for bit, near the
+    # cutoff of either tolerance
+    arr = random_lines(seed, ambient, n, extra)
+    for tol in (DEFAULT_TOL, Tolerance(rank_tol=1e-3)):
+        assert_scan_matches_reference(arr, tol, seed)
+
+
+@pytest.mark.parametrize("case", ["mixed-with-zero", "duplicate-lines", "not-spanning",
+                                  "grouped", "integer"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scan_keeps_the_general_masks_on_mixed_dimensions(case, seed):
+    # spaces of dimensions 1-3 take the Gram-Schmidt rows and the in-place
+    # moves
+    arr = {"grouped": lambda: generate_grouped(k=2, delta=0.25, n=20, ambient=16, seed=seed),
+           "integer": lambda: integer_spaces(seed, 6, 9)}.get(case, SAMPLER_CASES.get(case))()
+    for tol in (DEFAULT_TOL, Tolerance(rank_tol=1e-3)):
+        assert_scan_matches_reference(arr, tol, seed)
 
 
 # sha256 of repr(sets) + p_hat bytes, first 16 hex digits, recorded before
@@ -856,3 +987,81 @@ def test_spanning_model_matches_per_term_loop(make_hull):
     assert np.array_equal(model.p, per_term_model_p(arr, hull, model))
     for v, image in zip(arr.spaces, model.arrangement.spaces):
         assert np.array_equal(image.basis, orthonormalize(v.basis @ model.restriction.T))
+
+
+SPANNING_CASES = {
+    "plane-and-lines": plane_and_lines,
+    "duplicate-lines": SAMPLER_CASES["duplicate-lines"],
+    "not-spanning": SAMPLER_CASES["not-spanning"],
+    "mixed-with-zero": SAMPLER_CASES["mixed-with-zero"],
+    "far-clusters": lambda: far_clusters_instance(cluster=12, groups=3)[0],
+    "grouped": lambda: generate_grouped(k=2, delta=0.25, n=24, ambient=16, seed=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPANNING_CASES))
+def test_stream_hull_needs_no_rerank(case, monkeypatch):
+    # the stream verified dim(sum) = sum(dim) for every term of its hull, so
+    # the spanning model reads which terms span off their dimensions; the
+    # same terms in a hand-built hull, or from a hand-made sample, are
+    # ranked, and all three give the same model bit for bit
+    arr = SPANNING_CASES[case]()
+    stream = _SampleStream(arr, 5, DEFAULT_TOL)
+    for total in (64, 300):
+        sample = stream.extend(total)
+    hull = admissible_hull_vector(sample)
+    by_hand = HullCertificate(hull.p, hull.terms)
+    remade = admissible_hull_vector(AdmissibleSample(sets=sample.sets, p_hat=sample.p_hat,
+                                                     trials=sample.trials, seed=5))
+    assert remade.terms == hull.terms and remade.p.tobytes() == hull.p.tobytes()
+    ranked = []
+
+    def counting_ranks(a, sets, tol):
+        ranked.append(len(sets))
+        return _stacked_set_ranks(a, sets, tol)
+
+    monkeypatch.setattr(sgcert.scaling, "_stacked_set_ranks", counting_ranks)
+    want = spanning_model(arr, hull, span=stream.span)
+    assert not ranked
+    for other in (by_hand, remade):
+        got = spanning_model(arr, other, span=stream.span)
+        assert sum(ranked) == sum(1 for h, _ in hull.terms if h)
+        ranked.clear()
+        assert got.p.tobytes() == want.p.tobytes()
+        assert got.restriction.tobytes() == want.restriction.tobytes()
+        assert got.n_original == want.n_original and got.d == want.d
+        assert [v.basis.tobytes() for v in got.arrangement.spaces] == \
+            [v.basis.tobytes() for v in want.arrangement.spaces]
+
+
+def test_hull_terms_are_built_when_read():
+    # a stream hull holds its terms as arrays and makes the tuples once
+    arr = SAMPLER_CASES["mixed-with-zero"]()
+    hull = admissible_hull_vector(sample_admissible(arr, trials=200, seed=9))
+    assert hull._terms is None
+    terms = hull.terms
+    assert hull.terms is terms
+    assert [h for h, _ in terms] == [tuple(int(i) - 1 for i in row if i) for row in hull.rows]
+    assert [q for _, q in terms] == hull.weights.tolist()
+    # a hand-built hull keeps its terms and makes the arrays from them
+    by_hand = HullCertificate(np.array([0.5, 1.0, 0.5]), [((1, 0), 0.5), ((1, 2), 0.5)])
+    assert by_hand.rows.tolist() == [[2, 1], [2, 3]]
+    assert by_hand.weights.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("make_hull", ["by hand", "hand-made sample"])
+def test_hand_built_hull_with_dependent_term_is_rejected(make_hull):
+    # three lines of the plane are no admissible set, and neither are a plane
+    # and a line inside it; only a sampler stream's hull skips the ranking
+    arr = plane_and_lines()
+    in_plane = next(i for i in range(1, arr.n)
+                    if rank(np.vstack([arr.spaces[0].basis, arr.spaces[i].basis])) == 2)
+    for h in [(0, in_plane), tuple(range(1, arr.n))]:
+        p = np.zeros(arr.n)
+        p[list(h)] = 1.0
+        if make_hull == "by hand":
+            hull = HullCertificate(p, [(h, 1.0)])
+        else:
+            hull = admissible_hull_vector(AdmissibleSample(sets=[h], p_hat=p, trials=1, seed=0))
+        with pytest.raises(SgcertError, match="is not a basis set"):
+            spanning_model(arr, hull)
