@@ -69,14 +69,15 @@ class AdmissibleSample:
     when first read, and a sample made from ``sets`` takes its ``picks``
     from them.  A sample of :class:`_SampleStream` also carries the stream's
     distinct sets and their counts (``_runs``, see :func:`_set_runs`), each
-    of them verified admissible; a sample made by hand has none.
+    of them verified admissible, with the arrangement and tolerance it was
+    verified on (``_verified_on``); a sample made by hand has neither.
     """
 
     def __init__(self, sets=None, p_hat=None, trials=None, seed=None, picks=None):
         self._sets = sets
         self.picks = _pick_rows(sets) if picks is None else picks
         self.p_hat, self.trials, self.seed = p_hat, trials, seed
-        self._runs = None
+        self._runs = self._verified_on = None
 
     @property
     def sets(self) -> list:
@@ -129,20 +130,21 @@ class HullCertificate:
     ``AdmissibleSample.picks``), and ``weights[t]`` its weight.  A hull made
     from ``terms`` builds the arrays from them; one made by
     :func:`admissible_hull_vector` builds ``terms`` from the arrays when
-    first read.
+    first read, and keeps the arrangement and tolerance its sample's stream
+    verified the terms on (``_verified_on``, see :func:`spanning_model`).
     """
 
     def __init__(self, p, terms):
         self.p, self._terms = p, terms
         self.rows = _pick_rows([h for h, _ in terms])
         self.weights = np.fromiter((q for _, q in terms), dtype=float, count=len(terms))
-        self._verified = False  # see spanning_model
+        self._verified_on = None  # see spanning_model
 
     @classmethod
-    def _of_rows(cls, p, rows, weights, verified: bool):
+    def _of_rows(cls, p, rows, weights, verified_on):
         hull = cls.__new__(cls)
         hull.p, hull._terms, hull.rows, hull.weights = p, None, rows, weights
-        hull._verified = verified
+        hull._verified_on = verified_on
         return hull
 
     @property
@@ -164,16 +166,16 @@ def _eligible_min_sv(ambient: int, tol: Tolerance) -> float:
     return max(_ELIGIBLE_MIN_SV, float(np.sqrt(ambient)) * tol.rank_tol)
 
 
-def _clear(res: np.ndarray, pad, cutoff: float) -> tuple:
+def _clear(res: np.ndarray, pad: np.ndarray, which: np.ndarray, cutoff: float) -> tuple:
     """(clear, a): True where a residual block is still clear of the span,
     and the squared norm of each block's first row.
 
-    ``res`` is (m, kmax, l) with zero rows past each space's dimension, and
-    ``pad`` (m, kmax) is 1 on those rows, which the Gram diagonal then counts
-    as clear; it is not read for kmax = 1, where no space has such rows.
-    The smallest Gram eigenvalue is ``a`` itself for kmax = 1, the closed
-    form for kmax = 2 and batched ``eigvalsh`` above; it must exceed
-    ``cutoff**2``.
+    ``res`` is (m, kmax, l), the residuals of the spaces ``which``, with zero
+    rows past each space's dimension; row ``which[t]`` of ``pad`` (n, kmax)
+    is 1 on those rows, which the Gram diagonal then counts as clear.  The
+    smallest Gram eigenvalue is ``a`` itself for kmax = 1 (no space has
+    padding, so ``pad`` is not read), the closed form for kmax = 2 and
+    batched ``eigvalsh`` above; it must exceed ``cutoff**2``.
     """
     k = res.shape[1]
     r0 = res[:, 0]
@@ -182,11 +184,12 @@ def _clear(res: np.ndarray, pad, cutoff: float) -> tuple:
         lam = a
     elif k == 2:
         r1 = res[:, 1]
-        c, d = np.einsum("ml,ml->m", r0, r1), np.einsum("ml,ml->m", r1, r1) + pad[:, 1]
+        c = np.einsum("ml,ml->m", r0, r1)
+        d = np.einsum("ml,ml->m", r1, r1) + pad[which, 1]
         lam = (a + d) / 2.0 - np.hypot((a - d) / 2.0, c)
     else:
         gram = res @ res.transpose(0, 2, 1)
-        gram[:, range(k), range(k)] += pad
+        gram[:, range(k), range(k)] += pad[which]
         lam = np.linalg.eigvalsh(gram)[:, 0]
     return lam > cutoff**2, a
 
@@ -211,10 +214,11 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
     """
     b, n = order.shape
     kmax = bases.shape[1]
-    pad = (np.arange(kmax) >= dims[:, None]).astype(float) if kmax > 1 else None
+    pad = (np.arange(kmax) >= dims[:, None]).astype(float)
     # rows past a trial's own stay zero; kmax spare rows take the zero
-    # padding of a pick that fills R^l, or a pick that a span which lost
-    # orthogonality lets through once full (its set then fails re-verification)
+    # padding of a pick that fills R^l, and any pick that a span which lost
+    # orthogonality lets through once full: the row count stops at l, and
+    # such a trial's set, whose dimensions sum past l, fails in _SampleStream
     span = np.zeros((b, ambient + kmax, ambient))
     rows = np.zeros(b, dtype=np.intp)
     kept = np.zeros((b, n), dtype=bool)
@@ -231,7 +235,7 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
         last = cand.shape[1] - 1
         hits = np.zeros(cand.shape, dtype=bool)
         for j in range(last + 1):
-            clear, a = _clear(res[:, j], None if pad is None else pad[cand[:, j]], cutoff)
+            clear, a = _clear(res[:, j], pad, cand[:, j], cutoff)
             hits[:, j] = clear
             sel = clear.nonzero()[0]
             if not sel.size:
@@ -244,19 +248,13 @@ def _greedy_block(bases, dims, order, ambient, cutoff):
                     v -= np.einsum("sh,shl->sl", np.einsum("shl,sl->sh", prev, v), prev)
                 norm = np.sqrt(np.einsum("sl,sl->s", v, v))[:, None]
                 np.divide(v, norm, out=v, where=norm > 0.0)  # padded rows stay zero
-            if kmax == 1:
-                span[sel, rows[sel]] = q[:, 0]
-                rows[sel] += 1
-            else:
-                span[sel[:, None], rows[sel, None] + slots] = q
-                rows[sel] += dims[cand[sel, j]]
+            at = rows[sel]
+            span[sel[:, None], at[:, None] + slots] = q
+            rows[sel] = np.minimum(at + dims[cand[:, j][sel]], ambient)
             if j < last:
                 rest = res[sel, j + 1:]
                 flat = rest.reshape(sel.size, -1, ambient)
-                coef = flat @ q.transpose(0, 2, 1)
-                # a line's product with its coefficients is one rounding per
-                # entry, as in matmul, without a matrix product per trial
-                flat -= coef * q if kmax == 1 else coef @ q
+                flat -= (flat @ q.transpose(0, 2, 1)) @ q
                 res[sel, j + 1:] = rest
         kept[live[:m], start:start + cand.shape[1]] = hits
         full = rows[:m] >= ambient
@@ -342,6 +340,7 @@ class _SampleStream:
         sample = AdmissibleSample(picks=self.picks, p_hat=self.counts / drawn,
                                   trials=drawn, seed=self.seed)
         sample._runs = self.distinct, self.occurrences
+        sample._verified_on = self.arr, self.tol
         return sample
 
     def _scan(self, size: int) -> np.ndarray:
@@ -350,7 +349,12 @@ class _SampleStream:
         order = (self.gen.random((size, self.nonzero.size))
                  .argsort(axis=1).astype(self.index_type))
         kept = _greedy_block(self.bases, self.dims, order, self.dim, self.cutoff)
-        return _padded(self.tags[order[kept]], kept.sum(axis=1), self.width, self.tags.dtype)
+        sizes = kept.sum(axis=1)
+        over = np.flatnonzero(sizes > self.width)
+        if over.size:  # more spaces than fit in R^d, kept past a full span
+            bad = tuple(self.nonzero[order[over[0]][kept[over[0]]]].tolist())
+            raise SgcertError(f"sampled set {bad} failed the admissibility equation")
+        return _padded(self.tags[order[kept]], sizes, self.width, self.tags.dtype)
 
     def _merge(self, first: int) -> None:
         """Add the sets of trials ``first`` on to the distinct sets, checking
@@ -435,7 +439,7 @@ def admissible_hull_vector(sample: AdmissibleSample) -> HullCertificate:
     p = np.bincount(distinct[distinct > 0] - 1,
                     weights=np.repeat(weights, np.count_nonzero(distinct, axis=1)),
                     minlength=len(sample.p_hat))
-    return HullCertificate._of_rows(p, distinct, weights, sample._runs is not None)
+    return HullCertificate._of_rows(p, distinct, weights, sample._verified_on)
 
 
 # ---------------------------------------------------------------------------
@@ -845,9 +849,10 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
 
     The images of the input spaces are the ones the sampler scans (see
     ``span`` below).  The terms of a hull made from a sampler stream's
-    sample were verified by the stream, dim(sum) = sum(dim), on the input
-    spaces, whose model images are isometric to them: such a term spans R^d
-    exactly when its dimensions sum to d.  The terms of any other hull are
+    sample on this very ``arr`` and an equal ``tol`` were verified by the
+    stream, dim(sum) = sum(dim), on the input spaces, whose model images are
+    isometric to them: such a term spans R^d exactly when its dimensions
+    sum to d.  The terms of any other hull are
     ranked at once on the model arrangement by :func:`_stacked_set_ranks`,
     one group per term length: its Cholesky screen certifies a term of d
     rows that spans R^d without an SVD.  Only the terms that do not span are
@@ -880,7 +885,8 @@ def spanning_model(arr: Arrangement, hull: HullCertificate,
     members = (rows[rows > 0] - 1).astype(np.intp)
     # the padding 0 reads dimension 0
     term_dims = np.concatenate([[0], model_arr.dims()])[rows].sum(axis=1)
-    if hull._verified:
+    verified_on = hull._verified_on
+    if verified_on is not None and verified_on[0] is arr and verified_on[1] == tol:
         spans = term_dims == d
     else:
         spans = np.zeros(len(rows), dtype=bool)

@@ -449,14 +449,22 @@ def random_lines(seed, ambient, n, extra):
        extra=st.integers(0, 3))
 def test_line_scan_keeps_the_general_masks(seed, ambient, n, extra):
     # on lines the scan divides a kept residual by the norm its clearance
-    # test took, multiplies out the rest projection's rank-one product,
-    # skips that projection at a window's last position and moves trials in
-    # place when others leave; the general step, row-by-row Gram-Schmidt
-    # with every copy, must keep the same positions bit for bit, near the
-    # cutoff of either tolerance
+    # test took, skips the rest projection at a window's last position and
+    # moves trials in place when others leave; the general step, row-by-row
+    # Gram-Schmidt with every copy, must keep the same positions bit for
+    # bit, near the cutoff of either tolerance
     arr = random_lines(seed, ambient, n, extra)
     for tol in (DEFAULT_TOL, Tolerance(rank_tol=1e-3)):
         assert_scan_matches_reference(arr, tol, seed)
+
+
+def test_lines_kept_past_a_full_span_fail_admissibility():
+    # on these near-dependent lines a span loses orthogonality, and some
+    # trials keep a seventh line in R^6; the sampler reports such a set as
+    # inadmissible instead of failing on the padding of its picks
+    arr = random_lines(213, 6, 5, 0)
+    with pytest.raises(SgcertError, match=r"sampled set \(.*\) failed the admissibility equation"):
+        sample_admissible(arr, trials=200, seed=0)
 
 
 @pytest.mark.parametrize("case", ["mixed-with-zero", "duplicate-lines", "not-spanning",
@@ -1032,6 +1040,16 @@ def test_stream_hull_needs_no_rerank(case, monkeypatch):
         assert got.n_original == want.n_original and got.d == want.d
         assert [v.basis.tobytes() for v in got.arrangement.spaces] == \
             [v.basis.tobytes() for v in want.arrangement.spaces]
+    # the stream's check holds for its own arrangement and tolerance only: on
+    # an equal copy of the arrangement, or with another tolerance, the stream
+    # hull is ranked too
+    copy = Arrangement(arr.ambient, list(arr.spaces), field_tag=arr.field_tag)
+    other_tol = Tolerance(rank_tol=DEFAULT_TOL.rank_tol, residual_tol=2 * DEFAULT_TOL.residual_tol)
+    for a, tol in ((copy, DEFAULT_TOL), (arr, other_tol)):
+        got = spanning_model(a, hull, tol, span=stream.span)
+        assert sum(ranked) == sum(1 for h, _ in hull.terms if h)
+        ranked.clear()
+        assert got.p.tobytes() == want.p.tobytes()
 
 
 def test_hull_terms_are_built_when_read():
