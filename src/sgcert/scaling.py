@@ -9,9 +9,13 @@ The functional f(t, R_1..R_n) = <gamma, t> - ln det(sum_s e^{t_s} x_s x_s^T)
 is maximized by alternating two moves that never decrease f: a
 closed-form normalisation that resets every weighted space's t and R to
 the maximizer of f's tangent lower bound (operator / Sinkhorn scaling),
-and a damped Newton step on t.  At a stationary point the map
+and a damped Newton step on each space's whole weight block
+A_i = R_i diag(e^{t_i}) R_i^T, which moves t and R together (after the
+operator-scaling Newton methods of Allen-Zhu, Garg, Li, Oliveira and
+Wigderson, STOC 2018).  At a stationary point the map
 M = X^{-1/2} satisfies the conclusion; divergence of t is reported as an
-obstruction diagnostic instead of a map.
+obstruction diagnostic instead of a map, unless the map reached on the way
+already meets the target gap.
 """
 
 from dataclasses import dataclass, field
@@ -638,27 +642,139 @@ class ScalingMap:
     state: ScalingState = None
 
 
-def _ascent_t_step(state: ScalingState, tol: Tolerance, step_cap: float = 4.0) -> bool:
-    """One ascent step on t: Levenberg-damped Newton with line search.
+def _block_entries(k: int) -> tuple:
+    """The upper-triangular entries (a, b) of a k x k block, their weights
+    h (1/2 on the diagonal, 1 off it), and the counts C, of shape
+    (entries^2, k^2), with S_pq = C[p q] . vec(W_ii) for
+    S_pq = [b=c] W_ad + [a=d] W_bc + [b=d] W_ac + [a=c] W_bd, (c, d) = entry q."""
+    a, b = np.triu_indices(k)
+    one_hot = np.eye(k)
+    counts = sum((x[:, None] == y[None, :])[:, :, None, None]
+                 * one_hot[left][:, None, :, None] * one_hot[right][None, :, None, :]
+                 for x, y, left, right in ((b, a, a, b), (a, b, b, a),
+                                           (b, b, a, a), (a, a, b, b)))
+    return a, b, np.where(a == b, 0.5, 1.0), counts.reshape(a.size ** 2, k * k)
 
-    The Hessian of f in t is negative semidefinite (and singular along the
-    all-ones direction when the weights are balanced), so the step solves
-    (lambda I - H) d = g with lambda escalated until the step passes an
-    Armijo test.  Near the optimum the predicted increase sinks below the
-    evaluation noise of the log-determinant; tiny steps that do not
+
+def _block_layout(state: ScalingState) -> list:
+    """Per group of ``state.groups``, of n spaces of dimension k: (space
+    indices, slots as an (n, k) array, the positions of the group's step
+    entries as an (n, entries) array, then a, b, h and C of
+    :func:`_block_entries`).  The entries run group by group, then over the
+    upper triangle, then space by space, so on lines entry s is slot s."""
+    layout, start = [], 0
+    for idx, stack, slots in state.groups:
+        n, k = len(idx), stack.shape[1]
+        entries = _block_entries(k)
+        pos = start + n * np.arange(entries[0].size) + np.arange(n)[:, None]
+        layout.append((idx, slots.reshape(n, k), pos) + entries)
+        start += pos.size
+    return layout
+
+
+def _move_blocks(state: ScalingState, t0, r0, layout: list, step) -> None:
+    """Set A_i = C_i exp(E_i) C_i^T, C_i = R_i diag(e^{t0_i/2}), with E_i the
+    symmetric matrix of ``step``'s entries for space i (see
+    :func:`_block_layout`), and split it back into (t_i, R_i) by one stacked
+    ``eigh`` per group.  A line adds its entry to t and keeps its R."""
+    state.t = t0.copy()
+    state.R = list(r0)
+    for idx, slots, pos, a, b, _, _ in layout:
+        if slots.shape[1] == 1:
+            state.t[slots[:, 0]] = t0[slots[:, 0]] + step[pos[:, 0]]
+            continue
+        e = np.zeros((len(idx),) + (slots.shape[1],) * 2)
+        e[:, a, b] = e[:, b, a] = step[pos]
+        ev, u = np.linalg.eigh(e)
+        # root root^T = C_i exp(E_i) C_i^T in the frame of R_i
+        root = np.exp(t0[slots] / 2.0)[:, :, None] * u * np.exp(ev / 2.0)[:, None, :]
+        lam, v = np.linalg.eigh(root @ root.transpose(0, 2, 1))
+        if (lam[:, 0] <= 0.0).any():
+            raise DegenerateStateError("weight block is not positive definite")
+        state.t[slots] = np.log(lam)
+        for i, r in zip(idx.tolist(), np.stack([r0[i] for i in idx]) @ v):
+            state.R[i] = r
+
+
+def _block_model(state: ScalingState, layout: list) -> tuple:
+    """The gradient g and the Hessian H of f in the step entries of
+    ``layout`` (formulas at :func:`_newton_step`), and which entries lie on
+    a diagonal.
+
+    H is filled one pair of groups at a time, over all their pairs of
+    spaces at once, then S is taken off each space's diagonal block.  On
+    lines g is the t gradient and H = W o W - diag(diag W), bit for bit.
+    """
+    # W with the slots in layout order: the rows of a group are one range
+    order = np.concatenate([slots.ravel() for _, slots, *_ in layout])
+    mx = state.x_rows[order] @ state.M
+    half = np.sqrt(np.exp(state.t[order]))
+    w = half[:, None] * (mx @ mx.T) * half[None, :]
+    rows = np.cumsum([0] + [slots.size for _, slots, *_ in layout])
+    size = sum(pos.size for _, _, pos, *_ in layout)
+    hess = np.empty((size, size))
+    g, diag = [], []
+    for (_, s1, pos1, a1, b1, h1, counts), lo1, hi1 in zip(layout, rows, rows[1:]):
+        for (_, s2, pos2, a2, b2, h2, _), lo2, hi2 in zip(layout, rows, rows[1:]):
+            # block[alpha l + gamma, i, j] = W between slot alpha of space i
+            # and slot gamma of space j
+            l = s2.shape[1]
+            block = np.ascontiguousarray(w[lo1:hi1, lo2:hi2].reshape(s1.shape + s2.shape)
+                                         .transpose(1, 3, 0, 2)).reshape(-1, len(s1), len(s2))
+            a1l, b1l = a1[:, None] * l, b1[:, None] * l
+            pair = block[a1l + a2] * block[b1l + b2] + block[a1l + b2] * block[b1l + a2]
+            hess[pos1[0, 0]:pos1[0, 0] + pos1.size, pos2[0, 0]:pos2[0, 0] + pos2.size] = (
+                (2.0 * np.outer(h1, h2))[:, :, None, None] * pair
+            ).transpose(0, 2, 1, 3).reshape(pos1.size, pos2.size)
+        n = len(s1)
+        inner = w[lo1:hi1, lo1:hi1].reshape(s1.shape * 2)[np.arange(n), :, np.arange(n)]
+        hess[pos1[:, :, None], pos1[:, None, :]] -= (
+            np.outer(h1, h1) * (inner.reshape(n, -1) @ counts.T).reshape(n, h1.size, h1.size))
+        g.append(np.where(a1 == b1, state.grad[s1[:, a1]], -2.0 * inner[:, a1, b1]).T.ravel())
+        diag.append(np.repeat(a1 == b1, n))
+    return np.concatenate(g), hess, np.concatenate(diag)
+
+
+def _newton_step(state: ScalingState, layout: list, tol: Tolerance,
+                 step_cap: float = 4.0, rot_cap: float = 1.0) -> bool:
+    """One ascent step on every space's whole weight block: Levenberg-damped
+    Newton with line search.
+
+    With C_i = R_i diag(e^{t_i/2}), the step moves A_i = C_i C_i^T to
+    C_i exp(E_i) C_i^T for one symmetric k_i x k_i matrix E_i per space, so
+    t and the rotation R_i move together.  E_i is parameterised by its
+    upper-triangular entries (:func:`_block_layout`).  Let Z have the rows
+    z_s = e^{t_s/2} M x_s, W = Z Z^T, and W_ij its block of spaces i and j.
+    To second order f changes by
+
+        sum_i tr(G_i E_i)
+          + 1/2 [sum_ij tr(E_i W_ij E_j W_ji) - sum_i tr(E_i^2 W_ii)],
+
+    with G_i = p_i I - W_ii, whose diagonal is the t gradient.  For the
+    entries p = (a, b) and q = (c, d), weighted h = 1/2 on a diagonal and 1
+    off it, the gradient is 2 h_p G_ab and the Hessian
+
+        H_pq = h_p h_q [2 (W_ac W_bd + W_ad W_bc) - S_pq],
+        S_pq = [b=c] W_ad + [a=d] W_bc + [b=d] W_ac + [a=c] W_bd,
+
+    where S is nonzero only inside a space's block (:func:`_block_model`).
+    On diagonal E_i this is the Newton step on t, with
+    H = W o W - diag(diag W); on lines it is that step.  The new A_i are
+    split back into (t_i, R_i) by :func:`_move_blocks`.
+
+    H is negative semidefinite (and singular along the all-ones direction
+    when the weights are balanced), so the step solves (lambda I - H) d = g
+    with lambda escalated until the step passes an Armijo test.  One factor
+    caps the diagonal entries at step_cap and the off-diagonal (rotation)
+    entries at rot_cap.  Near the optimum the predicted increase sinks below
+    the evaluation noise of the log-determinant; tiny steps that do not
     measurably decrease f are then accepted so Newton contraction can
     finish the job.
     """
-    g = state.grad
-    e_t = np.exp(state.t)
-    mx = state.x_rows @ state.M
-    c = mx @ mx.T
-    half = np.sqrt(e_t)
-    k_mat = half[:, None] * c * half[None, :]
-    hess = k_mat * k_mat - np.diag(np.diag(k_mat))
+    g, hess, diag = _block_model(state, layout)
     scale = max(float(np.abs(np.diag(hess)).max()), 1e-12)
-    eye = np.eye(state.m)
-    t0, f0 = state.t.copy(), state.f
+    eye = np.eye(g.size)
+    t0, r0, f0 = state.t.copy(), list(state.R), state.f
     noise = 1e-11 * max(1.0, abs(f0))
     lam = 1e-8 * scale
     for _ in range(12):
@@ -670,18 +786,19 @@ def _ascent_t_step(state: ScalingState, tol: Tolerance, step_cap: float = 4.0) -
         if not np.isfinite(direction).all():
             lam *= 10.0
             continue
+        size = np.abs(direction)
+        over = max(size[diag].max() / step_cap, size[~diag].max(initial=0.0) / rot_cap)
+        if over > 1.0:
+            direction *= 1.0 / over
         sup = float(np.abs(direction).max())
-        if sup > step_cap:
-            direction *= step_cap / sup
-            sup = step_cap
         slope = float(g @ direction)
         if slope <= 0:
             lam *= 10.0
             continue
         eta = 1.0
         for _ in range(30):
-            state.t = t0 + eta * direction
             try:
+                _move_blocks(state, t0, r0, layout, eta * direction)
                 _refresh(state, tol)
                 if state.f >= f0 + 1e-4 * eta * slope:
                     return True
@@ -691,7 +808,7 @@ def _ascent_t_step(state: ScalingState, tol: Tolerance, step_cap: float = 4.0) -
                 pass
             eta /= 2.0
         lam *= 10.0
-    state.t = t0
+    state.t, state.R = t0, r0
     _refresh(state, tol)
     return False
 
@@ -704,8 +821,8 @@ def _normalize(state: ScalingState, tol: Tolerance) -> None:
     current X bounds f from below; that bound is maximized space by space
     by A_i = p_i (B_i X^{-1} B_i^T)^{-1}, so f never decreases.  With
     g, V the eigendecomposition of the Gram matrix of B_i M this reads
-    R_i = V, t_i = ln p_i - ln g.  Zero-weight spaces are left to the t
-    step.  A numerically singular update is undone.  The Gram matrices
+    R_i = V, t_i = ln p_i - ln g.  Zero-weight spaces are left to the
+    Newton step.  A numerically singular update is undone.  The Gram matrices
     are decomposed with one stacked ``eigh`` per group of ``state.groups``.
     """
     t0, r0 = state.t.copy(), list(state.R)
@@ -747,41 +864,49 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
     """Drive f to a near-stationary point and assemble M = X^{-1/2}.
 
     Each iteration takes the closed-form normalisation step (new t and R
-    for every weighted space), then a damped Newton step on t.  The Newton
-    step is what converges when p lies on a proper face of the basis hull,
-    and what drives the t of zero-weight spaces down.
+    for every weighted space), then one damped Newton step on every
+    space's whole weight block (:func:`_newton_step`), which moves t and
+    the rotations together.  The Newton step is what converges when p
+    lies on a proper face of the basis hull, what drives the t of
+    zero-weight spaces down, and what removes the linear tail the
+    normalisation step alone leaves in the rotations.
 
-    Succeeds when every partial |eps_(i,j)| is at most eps_target / m and
-    the measured projector gap is at most eps_target; then M is returned
-    with the measured gap as ``achieved_eps``.  If some t coordinate
-    leaves [-t_cap, t_cap] before that, an obstruction diagnostic is
-    returned instead of a guarantee (p sits on or outside the admissible
-    hull boundary).  Exhausting max_iter raises OptimizeTimeoutError.
-    eps_target and t_cap must be finite and positive, max_iter >= 0, and
-    the arrangement must have a space.
+    Succeeds when the measured projector gap is at most eps_target, and
+    either every partial |eps_(i,j)| is at most eps_target / m or the
+    trajectory diverges (below); then M is returned with the measured gap
+    as ``achieved_eps``.  A trajectory diverges when some t coordinate
+    leaves [-t_cap, t_cap] or X becomes numerically singular, as it does
+    on the way to a face of the basis hull.  A diverging trajectory whose
+    measured gap is above eps_target returns an obstruction diagnostic
+    instead of a guarantee (p sits on or outside the admissible hull
+    boundary).  Exhausting max_iter raises OptimizeTimeoutError.
+    eps_target and t_cap must be finite and positive, max_iter >= 0, the
+    weights in [0, 1], and the arrangement must have a space.
     """
     _check_targets(eps_target, max_iter, t_cap)
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-9):
+    # written so that NaN fails it
+    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-9)):
         raise PreconditionError("weights must lie in [0, 1]")
     if arr.dimension(tol) != arr.ambient:
         raise PreconditionError(
             "arrangement does not span its ambient space; apply spanning_model first"
         )
     state = make_state(arr, p, tol=tol)
+    layout = _block_layout(state)
     target = eps_target / state.m
     history = [state.f]
     for it in range(max_iter):
-        if np.abs(state.grad).max() <= target:
+        # divergence: |t| beyond the cap, or X numerically singular, both
+        # witness p at (or outside) the admissible hull boundary
+        diverged = np.abs(state.t).max() > t_cap or state.cond > 1e13
+        if diverged or np.abs(state.grad).max() <= target:
             gap = projector_gap(arr, p, state.M, tol)
             if gap <= eps_target:
                 history.append(state.f)
                 return ScalingMap(M=state.M.copy(), achieved_eps=float(gap),
                                   obstruction=None, iterations=it,
                                   f_history=history, state=state)
-        # divergence: |t| beyond the cap, or X numerically singular, both
-        # witness p at (or outside) the admissible hull boundary
-        diverged = np.abs(state.t).max() > t_cap or state.cond > 1e13
         if diverged:
             extreme = np.abs(state.t) > max(0.8 * np.abs(state.t).max(), 1.0)
             slots = []
@@ -791,18 +916,17 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
                     s = sl.start + j
                     if extreme[s]:
                         slots.append((i, j, 1 if state.t[s] > 0 else -1))
-            gap = projector_gap(arr, p, state.M, tol)
             return ScalingMap(M=state.M.copy(), achieved_eps=float(gap),
                               obstruction=ScalingObstruction(
                                   slots=slots,
                                   t_inf_norm=float(np.abs(state.t).max())),
                               iterations=it, f_history=history, state=state)
         _normalize(state, tol)
-        moved = _ascent_t_step(state, tol)
+        moved = _newton_step(state, layout, tol)
         history.append(state.f)
         if not moved and np.abs(state.grad).max() > target:
-            # flat along t but not converged: normalisation alone must make
-            # progress; if f stalls completely we are numerically stuck
+            # no Newton step found but not converged: normalisation alone
+            # must make progress; if f stalls completely we are numerically stuck
             if len(history) > 3 and abs(history[-1] - history[-3]) < 1e-15 * max(1.0, abs(history[-1])):
                 break
     raise OptimizeTimeoutError(

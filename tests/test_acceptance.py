@@ -165,6 +165,34 @@ def test_criterion_5_scaling():
     assert time.time() - start < 60.0
 
 
+def test_criterion_5_iteration_counts():
+    # criterion 5's 25 instances, in its order: the block Newton step takes
+    # at most 10 iterations on planes and 3-spaces; on lines it is the
+    # Newton step on t, whose counts are pinned
+    cases = [(6, 1, 4), (8, 1, 6), (10, 1, 8), (5, 2, 4), (7, 2, 6),
+             (6, 2, 8), (4, 3, 6), (5, 3, 6)]
+    line_counts = iter([4, 5, 4, 4, 4, 4, 3, 5, 4, 4])
+    rng = np.random.default_rng(1234)
+    done = 0
+    while done < 25:
+        n, k, ambient = cases[done % len(cases)]
+        seed = int(rng.integers(1 << 30))
+        arr_rng = np.random.default_rng(seed)
+        arr = Arrangement(ambient, [
+            Subspace(ambient, orthonormalize(arr_rng.standard_normal((k, ambient))))
+            for _ in range(n)
+        ])
+        if arr.dimension() != ambient:
+            continue
+        result = optimize(arr, sample_admissible(arr, trials=4096, seed=seed).p_hat)
+        if k == 1:
+            assert result.iterations == next(line_counts), done
+        else:
+            assert result.iterations <= 10, done
+        done += 1
+    assert next(line_counts, None) is None
+
+
 def _random_state(rng, seed_base):
     while True:
         n = int(rng.integers(2, 7))

@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import tracemalloc
@@ -18,7 +19,11 @@ from sgcert.scaling import (
     _eligible_min_sv,
     _SampleStream,
     HullCertificate,
+    _block_layout,
+    _block_model,
+    _move_blocks,
     _normalize,
+    _refresh,
     admissible_hull_vector,
     spanning_model,
     make_state,
@@ -803,6 +808,134 @@ def test_optimize_face_of_basis_hull(seed):
     assert result.obstruction is None
     assert result.achieved_eps <= 1e-6
     assert projector_gap(arr, p, result.M) <= 1e-6
+
+
+@pytest.mark.parametrize("n, k, ambient", [(4, 2, 4), (5, 2, 4), (4, 3, 6)])
+def test_optimize_faces_of_basis_hull_sweep(n, k, ambient):
+    # p = (1, 1/(n-1), ...) averages the basis sets {0, j}: on this face the
+    # trajectory diverges while its map already meets the target, which is
+    # a success, not an obstruction
+    p = np.array([1.0] + [1 / (n - 1)] * (n - 1))
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        arr = Arrangement(ambient, [
+            Subspace(ambient, orthonormalize(rng.standard_normal((k, ambient))))
+            for _ in range(n)
+        ])
+        result = optimize(arr, p)
+        assert result.obstruction is None, seed
+        assert projector_gap(arr, p, result.M) <= 1e-6, seed
+
+
+def test_optimize_rejects_nan_weights():
+    with pytest.raises(PreconditionError, match=r"weights must lie in \[0, 1\]"):
+        optimize(axes(2), np.array([np.nan, 1.0]))
+
+
+def mixed_dimensions(seed):
+    """Lines, planes and 3-spaces in R^6 whose sum fills it."""
+    rng = np.random.default_rng(seed)
+    return Arrangement(6, [Subspace(6, orthonormalize(rng.standard_normal((d, 6))))
+                           for d in (1, 2, 1, 3, 1, 2, 1, 3, 1, 1)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_optimize_mixed_dimensions(seed):
+    arr = mixed_dimensions(seed)
+    sample = sample_admissible(arr, trials=2048, seed=seed)
+    result = optimize(arr, sample.p_hat)
+    assert result.obstruction is None
+    assert result.achieved_eps <= 1e-6
+    assert projector_gap(arr, sample.p_hat, result.M) <= 1e-6
+    assert frame_identity_residual(result.state) <= 1e-7
+    diffs = np.diff(np.array(result.f_history))
+    assert diffs.min() >= -1e-10 * max(1.0, abs(result.f_history[-1]))
+    # the block step moves the rotations too: no linear tail is left
+    assert result.iterations <= 6
+
+
+def test_optimize_zero_weight_space():
+    # three generic planes and a line in R^4; p averages the basis sets
+    # {0, 1} and {0, 2}, so the line's weights are driven down
+    rng = np.random.default_rng(5)
+    arr = Arrangement(4, [Subspace(4, orthonormalize(rng.standard_normal((d, 4))))
+                          for d in (2, 2, 2, 1)])
+    p = np.array([1.0, 0.5, 0.5, 0.0])
+    result = optimize(arr, p)
+    assert result.obstruction is None
+    assert result.achieved_eps <= 1e-6
+    assert projector_gap(arr, p, result.M) <= 1e-6
+
+
+# instance and sampler seeds of the benchmark's scale-grouped workload at
+# workload seeds 0 and 3
+@pytest.mark.parametrize("instance_seed, sampler_seed", [(3964924996, 1358922860),
+                                                         (457190280, 2660306227)])
+def test_optimize_iterations_on_grouped_planes(instance_seed, sampler_seed):
+    arr = generate_grouped(k=2, delta=0.25, n=64, ambient=16, seed=instance_seed)
+    sample = sample_admissible(arr, trials=4096, seed=sampler_seed)
+    result = optimize(arr, sample.p_hat)
+    assert result.obstruction is None
+    assert result.achieved_eps <= 1e-6
+    assert result.iterations <= 5
+
+
+def random_blocks(seed):
+    """A mixed-dimension state at random t and rotations, and its layout."""
+    rng = np.random.default_rng(seed)
+    dims = (1, 2, 3, 2, 1, 3)
+    arr = Arrangement(6, [Subspace(6, orthonormalize(rng.standard_normal((d, 6))))
+                          for d in dims])
+    p = rng.uniform(0.2, 0.9, size=arr.n)
+    t = rng.uniform(-0.5, 0.5, size=sum(dims))
+    rotations = [np.linalg.qr(rng.standard_normal((d, d)))[0] for d in dims]
+    state = make_state(arr, p, t=t, rotations=rotations)
+    return state, _block_layout(state)
+
+
+def f_after_step(state, layout, step):
+    """f at the blocks C_i exp(E_i) C_i^T that ``step`` moves ``state`` to."""
+    moved = copy.copy(state)
+    _move_blocks(moved, state.t, state.R, layout, step)
+    return _refresh(moved, DEFAULT_TOL).f
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_model_matches_finite_differences(seed):
+    state, layout = random_blocks(seed)
+    g, hess, diag = _block_model(state, layout)
+    size = g.size
+    assert size == sum(d * (d + 1) // 2 for d in (1, 2, 3, 2, 1, 3))
+    assert diag.sum() == state.m
+    eye = np.eye(size)
+    h = 1e-5
+    numeric = [(f_after_step(state, layout, h * e) - f_after_step(state, layout, -h * e)) / (2 * h)
+               for e in eye]
+    assert np.abs(np.array(numeric) - g).max() <= 1e-7
+    h = 1e-4
+    for p in range(size):
+        for q in range(p, size):
+            plus, minus = eye[p] + eye[q], eye[p] - eye[q]
+            second = (f_after_step(state, layout, h * plus) - f_after_step(state, layout, h * minus)
+                      - f_after_step(state, layout, -h * minus)
+                      + f_after_step(state, layout, -h * plus)) / (4 * h * h)
+            assert abs(second - hess[p, q]) <= 1e-5, (p, q)
+    assert np.abs(hess - hess.T).max() <= 1e-12
+    # the quadratic model is concave: every eigenvalue is <= 0 up to rounding
+    assert np.linalg.eigvalsh(hess).max() <= 1e-10
+
+
+def test_block_model_on_lines_is_the_t_newton_model():
+    rng = np.random.default_rng(3)
+    arr = lines(5, rng.standard_normal((9, 5)))
+    state = make_state(arr, np.full(9, 5 / 9), t=rng.uniform(-1, 1, size=9))
+    g, hess, diag = _block_model(state, _block_layout(state))
+    half = np.sqrt(np.exp(state.t))
+    mx = state.x_rows @ state.M
+    w = half[:, None] * (mx @ mx.T) * half[None, :]
+    assert diag.all()
+    assert np.array_equal(g, state.grad)
+    assert np.array_equal(hess, w * w - np.diag(np.diag(w)))
 
 
 def test_optimize_radial_isotropic_k1():
