@@ -832,16 +832,12 @@ def test_optimize_rejects_nan_weights():
         optimize(axes(2), np.array([np.nan, 1.0]))
 
 
-def mixed_dimensions(seed):
-    """Lines, planes and 3-spaces in R^6 whose sum fills it."""
-    rng = np.random.default_rng(seed)
-    return Arrangement(6, [Subspace(6, orthonormalize(rng.standard_normal((d, 6))))
-                           for d in (1, 2, 1, 3, 1, 2, 1, 3, 1, 1)])
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_optimize_mixed_dimensions(seed):
-    arr = mixed_dimensions(seed)
+    # lines, planes and 3-spaces in R^6
+    rng = np.random.default_rng(seed)
+    arr = Arrangement(6, [Subspace(6, orthonormalize(rng.standard_normal((d, 6))))
+                          for d in (1, 2, 1, 3, 1, 2, 1, 3, 1, 1)])
     sample = sample_admissible(arr, trials=2048, seed=seed)
     result = optimize(arr, sample.p_hat)
     assert result.obstruction is None
