@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ParseError, PreconditionError, SgcertError
 from .linalg import (
+    CHUNK_BYTES,
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
@@ -33,12 +34,15 @@ class Subspace:
     """A subspace of R^ambient given by an orthonormal row basis.
 
     A 0-row basis encodes the zero space.  The rows must be orthonormal
-    within ``tol.residual_tol`` (``tol`` is not stored).
+    within ``tol.residual_tol`` (``tol`` is not stored); ``drift`` is max |B
+    B^T - I| of the basis B as that check computed it (0 for the zero
+    space).
     """
 
     ambient: int
     basis: np.ndarray
     tol: InitVar[Tolerance] = DEFAULT_TOL
+    drift: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, tol):
         b = as_matrix(self.basis).reshape(-1, self.ambient) if np.asarray(self.basis).size else np.zeros((0, self.ambient))
@@ -49,6 +53,7 @@ class Subspace:
             )
         if b.shape[0] > self.ambient:
             raise InvariantViolation("basis has more rows than the ambient dimension")
+        err = 0.0
         if b.shape[0]:
             # huge rows overflow the Gram; an inf or NaN residual fails the test
             with np.errstate(over="ignore", invalid="ignore"):
@@ -57,14 +62,17 @@ class Subspace:
                 raise InvariantViolation(
                     f"basis rows are not orthonormal (Gram residual {err:.3e})"
                 )
+        object.__setattr__(self, "drift", float(err))
 
     @classmethod
-    def _checked(cls, ambient: int, basis: np.ndarray) -> "Subspace":
+    def _checked(cls, ambient: int, basis: np.ndarray, drift: float) -> "Subspace":
         """The subspace of a finite (k, ambient) float basis, k <= ambient,
-        whose orthonormality was already checked (:func:`read_arrangement`)."""
+        whose orthonormality was already checked (:func:`read_arrangement`),
+        with its ``drift``."""
         v = object.__new__(cls)
         object.__setattr__(v, "ambient", ambient)
         object.__setattr__(v, "basis", basis)
+        object.__setattr__(v, "drift", drift)
         return v
 
     @property
@@ -115,6 +123,10 @@ class Arrangement:
 
     def dims(self) -> list:
         return [len(v.basis) for v in self.spaces]
+
+    def drifts(self) -> np.ndarray:
+        """Each space's :attr:`Subspace.drift`."""
+        return np.array([v.drift for v in self.spaces])
 
     def max_dim(self) -> int:
         return max((v.dim for v in self.spaces), default=0)
@@ -241,16 +253,24 @@ def _basis_drift(rows: np.ndarray, dims: np.ndarray) -> np.ndarray:
     return drift
 
 
+def _full_rank_margin(tol: Tolerance, ambient: int, size, trace):
+    """The lambda_min that proves a stack of ``size`` rows in R^ambient, whose
+    Gram matrix has trace ``trace``, of full rank under the rule of
+    :func:`rank`: 4 rank_tol^2 T + (l + s + 4) eps T (see
+    :func:`_stacked_set_ranks`).  ``size`` and ``trace`` may be arrays."""
+    return (4 * tol.rank_tol**2 + (ambient + 4 + size) * np.finfo(float).eps) * trace
+
+
 def _full_rank(stacks: np.ndarray, ambient: int, tol: Tolerance) -> bool:
     """Whether one stacked Cholesky factorisation proves every stack of full
     row rank with a margin (the screen of :func:`_stacked_set_ranks`)."""
     size = stacks.shape[1]
     if not 0 < size <= ambient:
         return False
-    shift = 4 * tol.rank_tol**2 + (ambient + size + 4) * np.finfo(float).eps
     diagonal = (slice(None), range(size), range(size))
     gram = stacks @ stacks.transpose(0, 2, 1)
-    gram[diagonal] -= shift * gram[diagonal].sum(axis=1, keepdims=True)
+    gram[diagonal] -= _full_rank_margin(tol, ambient, size,
+                                        gram[diagonal].sum(axis=1, keepdims=True))
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -258,37 +278,137 @@ def _full_rank(stacks: np.ndarray, ambient: int, tol: Tolerance) -> bool:
     return True
 
 
+def _top_cosine2(c: np.ndarray) -> np.ndarray:
+    """sigma_max^2 of each (lo, hi) block of ``c``, stacked as (lo, hi, m), lo <= hi:
+    from the Gram [[p, r], [r, q]] of its rows, p for lo = 1 and (p + q +
+    hypot(p - q, 2 r)) / 2 for lo = 2, and from a stacked SVD above that."""
+    lo = c.shape[0]
+    if lo > 2:
+        return np.linalg.svd(c.transpose(2, 0, 1), compute_uv=False)[:, 0] ** 2
+    if lo == 0:
+        return np.zeros(c.shape[2])
+    gram = np.einsum("ihm,jhm->ijm", c, c)
+    if lo == 1:
+        return gram[0, 0]
+    p, q, r = gram[0, 0], gram[1, 1], gram[0, 1]
+    return 0.5 * (p + q + np.hypot(p - q, 2 * r))
+
+
+def _pair_floor(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray,
+                pairs: np.ndarray) -> np.ndarray:
+    """A proven lower bound on lambda_min of each pair's stacked Gram matrix.
+
+    ``rows`` stacks the bases of the spaces, of ``dims`` rows each, and
+    ``drift`` holds their :attr:`Subspace.drift`; ``pairs`` is an (m, 2) index
+    array.  For a row (a, b), with s = d_a + d_b, l the ambient dimension
+    and eps = 2^-52, the bound is
+
+        f = 1 - sigma - d_a drift_a - d_b drift_b - 2 (s + 1) (l + 4) eps,
+
+    where sigma is the computed largest singular value of the computed
+    cross block C = B_a B_b^T, the cosine of the smallest principal angle
+    (Bjorck and Golub, Math. Comp. 1973).  The blocks are cut from products
+    of the stacked basis rows, one per group of pairs of one dimension
+    signature whose spaces a start within the same CHUNK_BYTES / (8 rows)
+    rows, so that each product, and the blocks of distinct pairs cut from
+    it, stay within about CHUNK_BYTES.  sigma^2 is read off the Gram
+    [[p, r], [r, q]] of the rows of the smaller side of C: p when that side
+    is 1, and (p + q + hypot(p - q, 2 r)) / 2 when it is 2, a sum of
+    non-negative terms (the textbook (f + sqrt(f^2 - 4 det)) / 2, f = p +
+    q, loses all accuracy to cancellation when the two singular values
+    are close).  Above 2 it comes from a stacked SVD.
+
+    Proof.  Let G = M M^T with M = [B_a; B_b], and E = diag(B_a B_a^T - I,
+    B_b B_b^T - I).  G - E = [[I, C], [C^T, I]] has the eigenvalues 1 +-
+    sigma_i(C), and 1, so by Weyl lambda_min(G) >= 1 - sigma_max(C) -
+    |E|_2.  A symmetric d x d block has norm at most d times its largest
+    entry, and drift_x is within l eps of B_x B_x^T - I entrywise (the
+    rounding of the Gram, whose rows have squared norms <= 1 + drift_x; if
+    drift_x > 1, f < 0 holds anyway), so |E|_2 <= sum_x d_x (drift_x + l
+    eps).  The computed C is within l eps of C entrywise, so within
+    sqrt(d_a d_b) l eps <= s l eps / 2 in norm.  The computed sigma is
+    within 2 (l + 4) eps of sigma_max of the computed C: the closed forms
+    round each Gram entry within l eps sigma^2 and add a few roundings,
+    the square root one more, and the SVD's own error is a small multiple
+    of its dimension times eps, as in :func:`_stacked_set_ranks`; sigma <=
+    1 + drift <= 2.  The subtractions of f round within 4 eps.  These add
+    up to at most 2 (s + 1) (l + 4) eps beyond the drift terms.
+    """
+    if not len(pairs):
+        return np.zeros(0)
+    starts = np.cumsum(dims) - dims
+    step = max(1, CHUNK_BYTES // (8 * max(len(rows), 1)))
+    # a group's key: its signature (d_a, d_b) and the block of rows where a starts
+    sig = dims * (len(rows) // step + 1)
+    key = (sig * (dims.max() + 1) + starts // step)[pairs[:, 0]] + sig[pairs[:, 1]]
+    order = np.argsort(key, kind="stable")
+    (a, b), key = pairs.T[:, order], key[order]
+    ra, rb = starts[a], starts[b]
+    runs = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(pairs)]
+    top = np.empty(len(pairs))
+    for lo, hi in zip(runs, runs[1:]):
+        qa, qb, d, e = ra[lo:hi], rb[lo:hi], dims[a[lo]], dims[b[lo]]
+        a0, b0 = qa.min(), qb.min()
+        prod = rows[a0:qa.max() + d] @ rows[b0:qb.max() + e].T
+        block = np.arange(prod.size).reshape(prod.shape)[:d, :e]
+        top[lo:hi] = _top_cosine2(prod.take((block if d <= e else block.T)[:, :, None]
+                                            + (qa - a0) * prod.shape[1] + qb - b0))
+    fp = 2 * (rows.shape[1] + 4) * np.finfo(float).eps
+    slack = dims * (drift + fp)
+    floor = np.empty(len(pairs))
+    floor[order] = 1 - fp - np.sqrt(top) - slack[a] - slack[b]
+    return floor
+
+
+def _pair_ranks(arr: Arrangement, pairs: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """s = d_a + d_b for each row (a, b) of ``pairs`` that :func:`_pair_floor`
+    proves of full rank, and -1 for the others.  A pair is proven when its
+    floor is above the :func:`_full_rank_margin` of T = sum_x d_x (1 +
+    drift_x + l eps), x = a, b, a bound on the trace of its Gram matrix
+    (whose diagonal entries are within drift_x + l eps of 1)."""
+    rows, dims, drift = arr.stacked_basis(), np.array(arr.dims(), dtype=int), arr.drifts()
+    a, b = pairs[:, 0], pairs[:, 1]
+    size, trace = dims[a] + dims[b], dims * (1 + drift + arr.ambient * np.finfo(float).eps)
+    margin = _full_rank_margin(tol, arr.ambient, size, trace[a] + trace[b])
+    return np.where(_pair_floor(rows, dims, drift, pairs) > margin, size, -1)
+
+
 def _stacked_set_ranks(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Rank of the stacked bases of each row of ``sets`` (an (m, size) index array).
 
-    The stacks come from :func:`_set_stacks` and are decided under the rule
-    of :func:`rank`, one chunk at a time.
+    Ranks are decided under the rule of :func:`rank`.  A 2-member set that
+    :func:`_pair_ranks` proves of full rank takes rank s without a
+    factorisation: its floor on lambda_min clears the margin below, as a
+    Cholesky factorisation that completes would.  The other sets come from
+    :func:`_set_stacks` and are decided one chunk at a time.
 
     A chunk whose stacks have s <= l rows (l the ambient dimension) is
     first screened for full rank without an SVD (:func:`_full_rank`): with
     G the Gram matrix of a stack and T its trace, one stacked Cholesky
     factorisation of G - tau I is tried, where
 
-        tau = 4 rank_tol^2 T + (l + s + 4) eps T    (eps = 2^-52).
+        tau = 4 rank_tol^2 T + (l + s + 4) eps T    (eps = 2^-52),
 
-    The rounding of G, of the shift and Cholesky's backward error together
-    perturb G by at most (l + s + 4) (eps / 2) T to first order (Higham,
-    Thm 10.3: a factorisation that completes is exact for a perturbation
-    bounded by (s + 1) (eps / 2) times the trace of its factor product), so
-    a factorisation that completes proves lambda_min(G) > 4 rank_tol^2 T +
-    (l + s + 4) (eps / 2) T.  As T >= lambda_max(G), that is sigma_min >
-    max(2 rank_tol, sqrt((l + s + 4) eps / 2)) sigma_max, a margin far above
-    the SVD's own error of a small multiple of l s (eps / 2) sigma_max: the
-    SVD rule also counts all s singular values, and every set of the chunk
-    has rank s.  If any factorisation fails, the chunk's ranks come from
-    its stacked singular values, as do those of stacks with s > l rows.
+    the margin of :func:`_full_rank_margin`.  The rounding of G, of the
+    shift and Cholesky's backward error together perturb G by at most (l +
+    s + 4) (eps / 2) T to first order (Higham, Thm 10.3: a factorisation
+    that completes is exact for a perturbation bounded by (s + 1) (eps / 2)
+    times the trace of its factor product), so a factorisation that
+    completes proves lambda_min(G) > 4 rank_tol^2 T + (l + s + 4) (eps / 2)
+    T.  As T >= lambda_max(G), that is sigma_min > max(2 rank_tol, sqrt((l
+    + s + 4) eps / 2)) sigma_max, a margin far above the SVD's own error of
+    a small multiple of l s (eps / 2) sigma_max: the SVD rule also counts
+    all s singular values, and every set of the chunk has rank s.  If any
+    factorisation fails, the chunk's ranks come from its stacked singular
+    values, as do those of stacks with s > l rows.
     """
-    out = np.zeros(len(sets), dtype=int)
-    for idx, stacks in _set_stacks(arr, sets, arr.ambient):
+    ranks = _pair_ranks(arr, sets, tol) if sets.shape[1] == 2 else np.full(len(sets), -1)
+    out, rest = np.maximum(ranks, 0), np.flatnonzero(ranks < 0)
+    for idx, stacks in _set_stacks(arr, sets[rest], arr.ambient):
         if _full_rank(stacks, arr.ambient, tol):
-            out[idx] = stacks.shape[1]
+            out[rest[idx]] = stacks.shape[1]
         elif stacks.shape[1]:
-            out[idx] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
+            out[rest[idx]] = stacked_ranks(np.linalg.svd(stacks, compute_uv=False), tol)
     return out
 
 
@@ -298,7 +418,9 @@ def pairwise_zero_intersection(arr: Arrangement, tol: Tolerance = DEFAULT_TOL) -
     An empty list certifies that every pair meets only at the origin.  Each
     pair of nonzero spaces is a 2-member set ranked by
     :func:`_stacked_set_ranks`; it meets when its rank, under the rule of
-    :func:`rank`, is below dim_i + dim_j.  The pairs are ranked in blocks
+    :func:`rank`, is below dim_i + dim_j.  Most pairs are proven disjoint by
+    their principal cosines alone (:func:`_pair_floor`), with no Cholesky
+    factorisation or SVD; the rest are ranked as before.  The pairs are ranked in blocks
     of rows i, in lexicographic order, each block's (m, 2) pair array
     within CHUNK_BYTES: no array of all pairs is built.
     """
@@ -647,10 +769,12 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
         # is one with a non-finite entry (whose drift is inf or NaN)
         margin = 2 * ambient * np.finfo(float).eps * (1 + tol.residual_tol)
         with np.errstate(invalid="ignore", over="ignore"):
-            fit = (dims <= ambient) & (_basis_drift(stacked, dims) <= tol.residual_tol - margin)
-        spaces = [Subspace._checked(ambient, stacked[e - d:e]) if ok
+            drift = _basis_drift(stacked, dims)
+            fit = (dims <= ambient) & (drift <= tol.residual_tol - margin)
+        spaces = [Subspace._checked(ambient, stacked[e - d:e], dr) if ok
                   else Subspace(ambient, stacked[e - d:e], tol)
-                  for d, e, ok in zip(dims.tolist(), ends.tolist(), fit.tolist())]
+                  for d, e, dr, ok in zip(dims.tolist(), ends.tolist(), drift.tolist(),
+                                          fit.tolist())]
     if error is not None:
         raise error
     return (ComplexArrangement if complex_field else Arrangement)(ambient, spaces)

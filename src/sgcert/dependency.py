@@ -17,8 +17,8 @@ import numpy as np
 from .arrangement import (
     Arrangement,
     Subspace,
-    _full_rank,
     _index_array,
+    _pair_ranks,
     _runs,
     _set_rows,
     _set_stacks,
@@ -292,11 +292,13 @@ def _spans_third(arr: Arrangement, triples: np.ndarray, tol: Tolerance) -> np.nd
     """Which rows (a, b, c) of ``triples`` are proven dependent without an SVD.
 
     Let M = [P; K] be a row's stacked bases (s rows, l columns), P the
-    p = d_a + d_b rows of a and b.  A chunk of :func:`_set_stacks` is tried
-    only if its P pass the Cholesky screen of :func:`_full_rank`, which
-    proves rank(P) = p under the rule of :func:`rank` and sigma_p(P) >
-    2 rank_tol |P|_F.  One stacked Householder QR of P^T gives Q; then
-    Y = M Q, F = M - Y Q^T and, with eps = 2^-52,
+    p = d_a + d_b rows of a and b.  A row is tried only if
+    :func:`_pair_ranks` proves its pair (a, b) of full rank: its floor on
+    lambda_min(P P^T) clears the margin of the Cholesky screen of
+    :func:`_stacked_set_ranks`, which proves rank(P) = p under the rule of
+    :func:`rank` and sigma_p(P) > 2 rank_tol |P|_F.  The rows tried come
+    in chunks of :func:`_set_stacks`.  One stacked Householder QR of P^T
+    gives Q; then Y = M Q, F = M - Y Q^T and, with eps = 2^-52,
 
         r = |F|_F + (p + 2) eps |Y|_F |Q|_F,    eta = 2 l s eps |M|_F.
 
@@ -319,12 +321,11 @@ def _spans_third(arr: Arrangement, triples: np.ndarray, tol: Tolerance) -> np.nd
     out = np.zeros(len(triples), dtype=bool)
     dims = np.array(arr.dims(), dtype=int)
     eps = np.finfo(float).eps
-    for idx, stacks in _set_stacks(arr, triples, arr.ambient):
-        _, s, l = stacks.shape
+    tried = np.flatnonzero(_pair_ranks(arr, triples[:, :2], tol) > 0)
+    for idx, stacks in _set_stacks(arr, triples[tried], arr.ambient):
+        idx, (_, s, l) = tried[idx], stacks.shape
         p = int(dims[triples[idx[0], :2]].sum())
         pair = stacks[:, :p]
-        if not _full_rank(pair, l, tol):
-            continue
         q = np.linalg.qr(pair.transpose(0, 2, 1))[0]
         y = stacks @ q
         resid = stacks - y @ q.transpose(0, 2, 1)

@@ -9,7 +9,7 @@ proven margin shows would find the same mask take it untested.
 
 import numpy as np
 
-from .arrangement import Arrangement, _basis_drift, pairwise_zero_intersection
+from .arrangement import Arrangement, _pair_floor, pairwise_zero_intersection
 from .errors import PreconditionError
 from .linalg import Tolerance, chunk_slices
 
@@ -44,13 +44,12 @@ def _residuals(quot: np.ndarray, q: np.ndarray, coef: np.ndarray, p: np.ndarray,
     return r2
 
 
-def _inheritable(rows: np.ndarray, starts: np.ndarray, dims: np.ndarray, drift: np.ndarray,
-                 members: np.ndarray, pair: tuple, eps: float, mu: float, scale: float,
-                 tol: Tolerance) -> np.ndarray:
+def _inheritable(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray, members: np.ndarray,
+                 pair: tuple, eps: float, mu: float, scale: float, tol: Tolerance) -> np.ndarray:
     """Which pairs of ``members`` provably take the mask that ``pair`` found.
 
-    ``rows`` stacks the basis rows of every space, space i's from
-    ``starts[i]``, and ``drift[i]`` is max |B_i B_i^T - I| as computed.
+    ``rows`` stacks the basis rows of every space, ``dims[i]`` of space i,
+    and ``drift[i]`` is max |B_i B_i^T - I| as computed.
     ``pair`` = (a, b) was scanned by :func:`_pair_members`: W = V_a + V_b
     has dimension s = d_a + d_b, and its nonzero members, those with every
     basis row decided inside, are ``members`` (ascending, a and b among
@@ -66,19 +65,18 @@ def _inheritable(rows: np.ndarray, starts: np.ndarray, dims: np.ndarray, drift: 
 
         e = g + 8 (l + s) s eps_m,    delta_pq = 4 sqrt(s) e scale / sigma_pq,
 
-    where sigma_pq is a lower bound on sigma_min([B_p; B_q]).  Nothing
-    inherits unless e <= 1e-12 and 2 sqrt(s) e <= sigma_ab, where sigma_ab
-    comes from one ``eigvalsh`` of the Gram matrix G of [B_a; B_b]:
-    sqrt(lambda_min - (l + s^2 + 4) eps_m tr G), which covers the Gram's
-    rounding, l eps_m tr G, and the eigensolver's backward error, within
-    s^2 eps_m tr G.  Let
+    where sigma_pq = sqrt(max(f_pq, 0)) is a lower bound on
+    sigma_min([B_p; B_q]), f_pq the floor of :func:`_pair_floor` on
+    lambda_min of the pair's stacked Gram matrix: 1 - cos theta_max, less
+    the drift of both bases and the rounding.  One call gives the floors
+    of (a, b) and of every pair of members (u, v) with d_u + d_v = s.
+    Nothing inherits unless e <= 1e-12 and 2 sqrt(s) e <= sigma_ab.  Let
 
         room = min(tol - eps - delta_ab, mu - delta_ab) / 2,
         sigma* = max(sqrt(s) scale (eps + delta_ab + 4 e) / room, 2 sqrt(s) e).
 
-    If room > 0, a pair (u, v) with d_u + d_v = s inherits when the same
-    bound, from one stacked ``eigvalsh`` of the Gram matrices of all such
-    pairs, proves sigma_uv >= sigma*.  Then delta_uv + eta <= room, with
+    If room > 0, a pair (u, v) with d_u + d_v = s inherits when f_uv >=
+    sigma*^2, so that sigma_uv >= sigma*.  Then delta_uv + eta <= room, with
     eta = sqrt(s) (eps + delta_ab) scale / sigma_uv, so for delta =
     delta_ab + delta_uv
 
@@ -121,32 +119,19 @@ def _inheritable(rows: np.ndarray, starts: np.ndarray, dims: np.ndarray, drift: 
     l, s, fp = rows.shape[1], int(dims[list(pair)].sum()), np.finfo(float).eps
     ok = np.zeros((members.size, members.size), dtype=bool)
     e = s * (drift[members].max() + 2 * l * fp) + 8 * (l + s) * s * fp
-    m_ab = rows[np.concatenate([starts[p] + np.arange(dims[p]) for p in pair])]
-    gram = m_ab @ m_ab.T
-    sigma_ab = np.sqrt(max(np.linalg.eigvalsh(gram)[0] - (l + s * s + 4) * fp * np.trace(gram),
-                           0.0))
+    iu, iv = np.triu_indices(members.size, 1)
+    same = np.flatnonzero(dims[members[iu]] + dims[members[iv]] == s)
+    floor = _pair_floor(rows, dims, drift,
+                        np.vstack([pair, np.column_stack([members[iu[same]], members[iv[same]]])]))
+    sigma_ab = np.sqrt(max(floor[0], 0.0))
     if e > 1e-12 or 2 * np.sqrt(s) * e > sigma_ab:
         return ok
     delta_ab = 4 * np.sqrt(s) * e * scale / sigma_ab
     room = min(tol.residual_tol - eps - delta_ab, mu - delta_ab) / 2
     if room <= 0:
         return ok
-    # sigma*^2
-    floor = max(np.sqrt(s) * scale * (eps + delta_ab + 4 * e) / room, 2 * np.sqrt(s) * e)**2
-    iu, iv = np.triu_indices(members.size, 1)
-    du, dv = dims[members[iu]], dims[members[iv]]
-    same = np.flatnonzero(du + dv == s)
-    for d in set(du[same].tolist()):
-        which = same[du[same] == d]
-        for piece in chunk_slices(which.size, 8 * s * l):
-            pick = which[piece]
-            stacks = rows[np.concatenate([starts[members[iu[pick]]][:, None] + np.arange(d),
-                                          starts[members[iv[pick]]][:, None] + np.arange(s - d)],
-                                         axis=1)]
-            gram = stacks @ stacks.transpose(0, 2, 1)
-            ok[iu[pick], iv[pick]] = (np.linalg.eigvalsh(gram)[:, 0]
-                                      - (l + s * s + 4) * fp * np.einsum("qii->q", gram)
-                                      >= floor)
+    sigma_star = max(np.sqrt(s) * scale * (eps + delta_ab + 4 * e) / room, 2 * np.sqrt(s) * e)
+    ok[iu[same], iv[same]] = floor[1:] >= sigma_star**2
     return ok
 
 
@@ -179,7 +164,7 @@ class _PairScan:
         self.starts = np.cumsum(dims) - dims
         self.owner = np.repeat(np.arange(arr.n), dims)
         self.by_dim = [(d, np.flatnonzero(dims == d)) for d in sorted(set(dims.tolist()))]
-        self.drift = _basis_drift(rows, dims)
+        self.drift = arr.drifts()
         self.width = max(arr.ambient, len(rows))
         self.found, self.first, self.seen = [], [], {}
         self.holds = [[] for _ in range(arr.n)]
@@ -308,8 +293,8 @@ class _PairScan:
             eps2 = max(self.quot2[self.near & member_row].max(initial=0.0),
                        r2[mine & keep & member_row[x]].max(initial=0.0))
             mu = min(tol, (np.sqrt(r2[mine & ~keep]) - tol).min(initial=np.inf))
-            ok = _inheritable(self.rows, self.starts, self.dims, self.drift, members, pair,
-                              np.sqrt(eps2), mu, self.scale, self.tol)
+            ok = _inheritable(self.rows, self.dims, self.drift, members, pair, np.sqrt(eps2),
+                              mu, self.scale, self.tol)
             for k in members.tolist():
                 self.holds[k].append(j)
             self.found.append((members, ok))
@@ -342,7 +327,7 @@ def _pair_members(arr: Arrangement, tol: Tolerance):
     special space S.  S is stored once: its members, and the pairs of them
     that :func:`_inheritable` proves to share the mask of (a, b), from the
     largest residual of a member's row, the smallest margin of a row
-    decided outside, and one stacked eigensolve over the pairs of S.  A
+    decided outside, and the principal cosines of the pairs of S.  A
     pair so proven takes the mask of S, its members and the zero spaces.
     In the scan of a later space it gets no QR, screen or residual of its
     own; in the chunk where S was found, whose first pair with candidates

@@ -8,6 +8,8 @@ from sgcert.arrangement import (
     ComplexSubspace,
     InvariantViolation,
     Subspace,
+    _pair_floor,
+    _pair_ranks,
     _runs,
     _set_stacks,
     _stacked_set_ranks,
@@ -217,6 +219,61 @@ def test_pairwise_zero_intersection_without_pairs(spaces):
     arr = Arrangement(3, [Subspace(3, b) for b in spaces])
     assert pairwise_zero_intersection(arr) == _pair_oracle(arr, DEFAULT_TOL) == []
     assert _special_and_dependent(arr, DEFAULT_TOL)[1] == []
+
+
+def _planted_pair(rng, da, db, ambient, angle, spread, move, level):
+    """Bases of a da-space and a db-space of R^ambient whose first min(da, db,
+    ambient - da) principal angles are angle * spread^i, moved off
+    orthonormality by about ``level``: shrunk, or by a random step."""
+    frame = orthonormalize(rng.standard_normal((ambient, ambient)))
+    m = min(da, db, ambient - da)
+    angles = angle * spread ** np.arange(m)
+    planted = np.cos(angles)[:, None] * frame[:m] + np.sin(angles)[:, None] * frame[da:da + m]
+    rows = np.vstack([planted, rng.standard_normal((db - m, ambient))])
+    bases = [frame[:da], np.linalg.qr(rows.T)[0].T if db else rows]
+    if move == "shrink":
+        return [b * (1 - level / 2) for b in bases]
+    steps = [rng.standard_normal(b.shape) for b in bases]
+    return [b + level / 2 * t / np.linalg.norm(t, axis=1, keepdims=True) for b, t in
+            zip(bases, steps)] if move == "step" else bases
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), move=st.sampled_from(["none", "shrink", "step"]),
+       level=st.floats(0.0, 1e-10),
+       tol=st.sampled_from([DEFAULT_TOL, Tolerance(rank_tol=1e-6), Tolerance(rank_tol=1e-3)]))
+def test_pair_floor_is_below_the_svd(seed, move, level, tol):
+    # pairs of spaces of dimensions 0-3 in R^1 to R^7 (d_a + d_b above and
+    # below the ambient dimension), with a principal angle planted at each
+    # decade from 1e-1 to 1e-14 rad, and its neighbours at the same angle,
+    # within 1e-3 of it or up to twice it: the floor is never above
+    # sigma_min^2 of the stacked bases, and a pair it proves has full rank
+    rng = np.random.default_rng(seed)
+    proven = 0
+    for ambient in range(1, 8):
+        spaces, sizes = [], []
+        for da in range(min(ambient, 3) + 1):
+            for db in range(min(ambient, 3) + 1):
+                for decade in range(1, 15):
+                    angle = 10.0 ** -(decade + rng.random())
+                    spread = 1 + rng.choice([0.0, 1e-3, 1.0]) * rng.random()
+                    spaces += [Subspace(ambient, b) for b in
+                               _planted_pair(rng, da, db, ambient, angle, spread, move, level)]
+                    sizes.append(da + db)
+        arr = Arrangement(ambient, spaces)
+        pairs = np.arange(arr.n).reshape(-1, 2)
+        floor = _pair_floor(arr.stacked_basis(), np.array(arr.dims()), arr.drifts(), pairs)
+        ranks = _pair_ranks(arr, pairs, tol)
+        for (a, b), f, s, r in zip(pairs.tolist(), floor.tolist(), sizes, ranks.tolist()):
+            stacked = np.vstack([arr.spaces[a].basis, arr.spaces[b].basis])
+            if 0 < s <= ambient:
+                assert f <= np.linalg.svd(stacked, compute_uv=False)[-1] ** 2, (a, b, ambient)
+            elif s:
+                assert f <= 0.0, (a, b, ambient)
+            if r >= 0:
+                assert r == s == rank(stacked, tol), (a, b, ambient)
+                proven += 1
+    assert proven
 
 
 def test_tau_separated_examples():

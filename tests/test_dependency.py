@@ -348,6 +348,26 @@ def test_pair_scan_tests_each_grouped_special_space_once(monkeypatch):
         (sp.member_indices[0], v) for sp in specials for v in sp.member_indices})
 
 
+def test_pair_floor_decides_the_grouped_pair_prepass(monkeypatch):
+    # the same grouped instance: the principal-cosine floor proves at least
+    # 97% of its 8,128 pairs disjoint, so they skip the Cholesky screen and
+    # the SVD (every pair that does not goes through _set_stacks)
+    import sgcert.arrangement
+
+    seed = int(np.random.SeedSequence([0, 3]).generate_state(3)[1])
+    arr = generate_grouped(k=2, delta=0.25, n=128, ambient=16, seed=seed)
+    screened = []
+    set_stacks = sgcert.arrangement._set_stacks
+
+    def recording(a, sets, width):
+        screened.append(len(sets))
+        return set_stacks(a, sets, width)
+
+    monkeypatch.setattr(sgcert.arrangement, "_set_stacks", recording)
+    assert pairwise_zero_intersection(arr) == []
+    assert sum(screened) <= 0.03 * 8128
+
+
 def test_validate_system_ranks_each_distinct_set_once(monkeypatch):
     import sgcert.dependency
 
