@@ -340,24 +340,22 @@ def _pair_floor(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray,
     step = max(1, CHUNK_BYTES // (8 * max(len(rows), 1)))
     # a group's key: its signature (d_a, d_b) and the block of rows where a starts
     sig = dims * (len(rows) // step + 1)
-    key = (sig * (dims.max() + 1) + starts // step)[pairs[:, 0]] + sig[pairs[:, 1]]
+    a, b = pairs.T
+    key = (sig * (dims.max() + 1) + starts // step)[a] + sig[b]
     order = np.argsort(key, kind="stable")
-    (a, b), key = pairs.T[:, order], key[order]
-    ra, rb = starts[a], starts[b]
+    key, ra, rb = key[order], starts[a[order]], starts[b[order]]
     runs = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(pairs)]
     top = np.empty(len(pairs))
     for lo, hi in zip(runs, runs[1:]):
-        qa, qb, d, e = ra[lo:hi], rb[lo:hi], dims[a[lo]], dims[b[lo]]
+        qa, qb, d, e = ra[lo:hi], rb[lo:hi], dims[a[order[lo]]], dims[b[order[lo]]]
         a0, b0 = qa.min(), qb.min()
         prod = rows[a0:qa.max() + d] @ rows[b0:qb.max() + e].T
         block = np.arange(prod.size).reshape(prod.shape)[:d, :e]
-        top[lo:hi] = _top_cosine2(prod.take((block if d <= e else block.T)[:, :, None]
-                                            + (qa - a0) * prod.shape[1] + qb - b0))
+        top[order[lo:hi]] = _top_cosine2(prod.take((block if d <= e else block.T)[:, :, None]
+                                                   + (qa - a0) * prod.shape[1] + qb - b0))
     fp = 2 * (rows.shape[1] + 4) * np.finfo(float).eps
     slack = dims * (drift + fp)
-    floor = np.empty(len(pairs))
-    floor[order] = 1 - fp - np.sqrt(top) - slack[a] - slack[b]
-    return floor
+    return 1 - fp - np.sqrt(top) - slack[a] - slack[b]
 
 
 def _pair_ranks(arr: Arrangement, pairs: np.ndarray, tol: Tolerance) -> np.ndarray:
