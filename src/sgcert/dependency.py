@@ -39,7 +39,7 @@ from .linalg import (
     orthonormalize,
     rank,
 )
-from .pairscan import _PairScan
+from .pairscan import _PairScan, _pairs
 
 
 def as_fraction(x) -> Fraction:
@@ -156,24 +156,24 @@ def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
 
 
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
-    """Special spaces and dependent triples, read off one pass over the pair members.
+    """Special spaces and dependent triples, read off one pass over the pair spans.
 
     A special space is a pair span holding >= 3 nonzero members.  The scan
     of :func:`pairscan._pair_members` stores each once, with the lexicographically
     first pair that spans it, and they are listed in the order of those
     pairs; a ``span_basis`` is computed once, at the end, by
     :func:`orthonormalize` of that pair's stacked bases.  A dependent
-    triple {a, b, c} has c inside span(a, b) (zero spaces included), read
-    off the masks.  The triples come back as sorted tuples in lexicographic
-    order, or as None when ``triples`` is false.
+    triple {a, b, c} has c inside span(a, b): a zero space or one the scan
+    found.  The triples come back as sorted tuples in lexicographic order,
+    or as None, with no rows recorded, when ``triples`` is false.
     """
-    scan, found = _PairScan(arr, tol), []
-    for pairs, inside in scan:
-        if triples:
-            inside[np.arange(len(pairs))[:, None], pairs] = False
-            q, c = np.divmod(np.flatnonzero(inside), arr.n)
-            if q.size:
-                found.append(np.column_stack([pairs[q], c]))
+    scan, found = _PairScan(arr, tol, triples), []
+    zero = np.flatnonzero(~scan.nonzero)
+    for a, b, inside in scan:
+        if zero.size and triples:
+            inside = np.concatenate([inside, _pairs(b, zero[zero != a])])
+        if len(inside):
+            found.append(np.column_stack([np.full(len(inside), a), inside]))
     specials = [SpecialSpace(orthonormalize(np.vstack([arr.spaces[a].basis,
                                                        arr.spaces[b].basis]), tol),
                              tuple(members.tolist()))
@@ -297,8 +297,8 @@ def _spans_third(arr: Arrangement, triples: np.ndarray, tol: Tolerance) -> np.nd
     lambda_min(P P^T) clears the margin of the Cholesky screen of
     :func:`_stacked_set_ranks`, which proves rank(P) = p under the rule of
     :func:`rank` and sigma_p(P) > 2 rank_tol |P|_F.  The rows tried come
-    in chunks of :func:`_set_stacks`.  One stacked Householder QR of P^T
-    gives Q; then Y = M Q, F = M - Y Q^T and, with eps = 2^-52,
+    in chunks of :func:`_set_stacks`.  One Householder QR of P^T per run of rows
+    of a pair gives Q; then Y = M Q, F = M - Y Q^T and, with eps = 2^-52,
 
         r = |F|_F + (p + 2) eps |Y|_F |Q|_F,    eta = 2 l s eps |M|_F.
 
@@ -325,8 +325,8 @@ def _spans_third(arr: Arrangement, triples: np.ndarray, tol: Tolerance) -> np.nd
     for idx, stacks in _set_stacks(arr, triples[tried], arr.ambient):
         idx, (_, s, l) = tried[idx], stacks.shape
         p = int(dims[triples[idx[0], :2]].sum())
-        pair = stacks[:, :p]
-        q = np.linalg.qr(pair.transpose(0, 2, 1))[0]
+        pair, fresh = stacks[:, :p], (np.diff(triples[idx, :2], axis=0, prepend=-1) != 0).any(1)
+        q = np.linalg.qr(pair[fresh].transpose(0, 2, 1))[0][np.cumsum(fresh) - 1]
         y = stacks @ q
         resid = stacks - y @ q.transpose(0, 2, 1)
         norm_m = np.sqrt(np.einsum("qsl,qsl->q", stacks, stacks))

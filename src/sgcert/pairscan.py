@@ -1,10 +1,10 @@
 """The pair-member scan: which spaces lie in each pair span V_a + V_b.
 
 One pass over the pairs a < b, one space a at a time in the quotient by
-V_a, gives every pair's mask of the spaces inside its span.  A special
-space, a pair span holding >= 3 nonzero members, is tested once: the pair
-that finds it stores its members, and the other pairs of them that a
-proven margin shows would find the same mask take it untested.
+V_a, finds the nonzero spaces inside each pair's span.  A special space, a
+pair span holding >= 3 nonzero members, is tested once: the pair that
+finds it stores its members, and the other pairs of them that a proven
+margin shows would find the same spaces take its members untested.
 """
 
 import numpy as np
@@ -46,7 +46,7 @@ def _residuals(quot: np.ndarray, q: np.ndarray, coef: np.ndarray, p: np.ndarray,
 
 def _inheritable(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray, members: np.ndarray,
                  pair: tuple, eps: float, mu: float, scale: float, tol: Tolerance) -> np.ndarray:
-    """Which pairs of ``members`` provably take the mask that ``pair`` found.
+    """Which pairs of ``members`` provably find the spaces that ``pair`` found.
 
     ``rows`` stacks the basis rows of every space, ``dims[i]`` of space i,
     and ``drift[i]`` is max |B_i B_i^T - I| as computed.
@@ -58,7 +58,7 @@ def _inheritable(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray, members:
     the rows whose explicit residual r failed, and ``scale`` bounds |x| for
     every basis row x.  Returns an (r, r) boolean matrix, true at (i, j), i
     < j, when the scan of the pair (u, v) = (members[i], members[j]) is
-    proven to give the mask of (a, b): its members, and the zero spaces.
+    proven to find those of (a, b): its members, and the zero spaces.
 
     The rule.  With eps_m = 2^-52, l the ambient dimension and g = s (the
     largest drift of a member + 2 l eps_m), let
@@ -82,7 +82,7 @@ def _inheritable(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray, members:
 
         eps + eta + delta < tol    and    eta + delta < mu.
 
-    Proof that these give the same mask.  Let R_pq(x) = dist(x, V_p + V_q),
+    Proof that these find the same spaces.  Let R_pq(x) = dist(x, V_p + V_q),
     and r_pq(x) the residual the scan of (p, q) computes for the row x.  To
     first order, |r_pq(x) - R_pq(x)| <= delta_pq.  For x' = x - B_p^T B_p x
     differs from the projection of x off V_p by at most e |x|: B_p^T B_p is
@@ -114,7 +114,7 @@ def _inheritable(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray, members:
     (a, b) has R_uv >= tol + mu - delta_ab - eta > tol + delta_uv, so it is
     not near V_u (that needs R_uv <= |x'| + delta_uv <= tol + delta_uv)
     and its r_uv exceeds tol.  The rows of u and v are inside both scans,
-    and a zero space is inside every pair.  Hence the masks agree.
+    and a zero space is inside every pair.  Hence the spaces agree.
     """
     l, s, fp = rows.shape[1], int(dims[list(pair)].sum()), np.finfo(float).eps
     ok = np.zeros((members.size, members.size), dtype=bool)
@@ -135,6 +135,12 @@ def _inheritable(rows: np.ndarray, dims: np.ndarray, drift: np.ndarray, members:
     return ok
 
 
+def _pairs(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rows (v, w) of the product of ``b`` and ``c`` with v != w."""
+    rows = np.column_stack([np.repeat(b, c.size), np.tile(c, b.size)])
+    return rows[rows[:, 0] != rows[:, 1]]
+
+
 class _PairScan:
     """The state of one :func:`_pair_members` scan: the stacked basis rows, the
     quotient of the current space a, and the special spaces found so far.
@@ -143,17 +149,17 @@ class _PairScan:
     and the (r, r) matrix of :func:`_inheritable` (None for three members),
     and in ``first`` as the lexicographically first pair that spans it;
     ``holds[i]`` lists the special spaces with a matrix that space i is a
-    member of.
+    member of.  With ``triples`` false no (b, c) rows are recorded.
     """
 
-    def __init__(self, arr: Arrangement, tol: Tolerance):
+    def __init__(self, arr: Arrangement, tol: Tolerance, triples: bool = True):
         bad = pairwise_zero_intersection(arr, tol)
         if bad:
             raise PreconditionError(
                 f"spaces {bad[0][0]} and {bad[0][1]} intersect nontrivially; "
                 "special spaces are ill-defined"
             )
-        self.n, self.tol = arr.n, tol
+        self.n, self.tol, self.triples = arr.n, tol, triples
         self.rows = rows = arr.stacked_basis()
         norms2 = np.einsum("ij,ij->i", rows, rows)
         self.scale = np.sqrt(norms2.max(initial=0.0))
@@ -170,12 +176,12 @@ class _PairScan:
         self.holds = [[] for _ in range(arr.n)]
 
     def __iter__(self):
-        """Yield (pairs, inside) for all pairs, as :func:`_pair_members` describes."""
+        """Yield (a, b, inside) for each a < n - 1, as :func:`_pair_members` describes."""
         for a in range(self.n - 1):
-            yield from self.pairs_of(a)
+            yield (a, *self.pairs_of(a))
 
-    def pairs_of(self, a: int):
-        """Yield (pairs, inside) for the pairs (a, b), b > a."""
+    def pairs_of(self, a: int) -> tuple:
+        """(b, inside) for the pairs (a, b), b > a."""
         n, dims, starts, rows = self.n, self.dims, self.starts, self.rows
         rows_a = slice(starts[a], starts[a] + dims[a])
         self.a = a
@@ -184,40 +190,43 @@ class _PairScan:
         self.near = self.quot2 <= self.tol.residual_tol**2
         self.near[rows_a] = True
         self.base = np.bincount(self.owner[self.near], minlength=n)
+        # the nonzero spaces besides a with every row near V_a: inside every pair
+        self.close = np.flatnonzero((self.base == dims) & self.nonzero & (np.arange(n) != a))
         # a row near V_a is never screened again
         self.cut = np.where(self.near, np.inf, self.quot2 - self.slack)
-        self.known, heirs = -1, []
+        self.known, self.covered, self.inside = -1, [], [np.zeros((0, 2), dtype=int)]
         for d, spaces in self.by_dim:
             b = spaces[np.searchsorted(spaces, a, side="right"):]
             if self.holds[a]:
-                b = b[self._untested(b, heirs)]
+                b = b[self._untested(b)]
             if not b.size:
                 continue
             rows_b = starts[b][:, None] + np.arange(d)
             q = np.linalg.qr(quot[rows_b].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            held = len(self.holds[a])
             for part in chunk_slices(b.size, 8 * max(d, 1) * self.width):
                 chunk = b[part], q[part], rows_b[part]
-                if self.holds[a]:
-                    live = self._untested(chunk[0], heirs)
+                if held < len(self.holds[a]):  # a special space found in an earlier chunk
+                    held = len(self.holds[a])
+                    live = self._untested(chunk[0])
                     chunk = tuple(c[live] for c in chunk)
                 if chunk[0].size:
-                    yield self._tested(*chunk)
-        if heirs:
-            heirs = np.sort(np.concatenate(heirs))
-            for part in chunk_slices(heirs.size, n):
-                b = heirs[part]
-                yield np.column_stack([np.full(b.size, a), b]), self._masks(b)
+                    self._tested(*chunk)
+        return np.concatenate(self.covered), np.concatenate(self.inside)
 
-    def _untested(self, b: np.ndarray, heirs: list) -> np.ndarray:
-        """Which spaces of ``b`` inherit from no special space found so far;
-        the others are appended to ``heirs``."""
-        fresh = self._sources()[b] < 0
-        heirs.append(b[~fresh])
-        return fresh
+    def _untested(self, b: np.ndarray) -> np.ndarray:
+        """Which spaces of ``b`` inherit from no special space found so far; the
+        others are covered here, with the members of the one they inherit."""
+        which = self._sources()[b]
+        self.covered.append(b[which >= 0])
+        for j in set(which[which >= 0].tolist()) if self.triples else ():
+            members = self.found[j][0]
+            self.inside.append(_pairs(b[which == j], members[members != self.a]))
+        return which < 0
 
     def _sources(self) -> np.ndarray:
-        """For each space b, the special space in ``found`` whose mask the pair
-        (a, b) inherits, or -1; only spaces b > a inherit."""
+        """For each space b, the special space in ``found`` whose members the
+        pair (a, b) inherits, or -1; only spaces b > a inherit."""
         if self.known < len(self.found):
             self.src, self.known = np.full(self.n, -1), len(self.found)
             for j in self.holds[self.a]:
@@ -227,55 +236,53 @@ class _PairScan:
                 self.src[v] = j
         return self.src
 
-    def _masks(self, b: np.ndarray) -> np.ndarray:
-        """The masks the pairs (a, b) inherit: a special space's members and the zero spaces."""
-        which = self.src[b]
-        inside = np.repeat((~self.nonzero)[None], b.size, axis=0)
-        for j in set(which.tolist()):
-            inside[np.flatnonzero(which == j)[:, None], self.found[j][0]] = True
-        return inside
-
-    def _tested(self, b: np.ndarray, q: np.ndarray, rows_b: np.ndarray) -> tuple:
-        """(pairs, inside) for the pairs (a, b), decided by their residuals.
-
-        The candidates of the first pair that has any are decided alone: the
-        other pairs of a special space it finds skip their residuals and
-        take its mask.
-        """
-        m = b.size
-        # a space is inside when all of its rows are (a zero space has none)
-        inside = np.repeat((self.base == self.dims)[None], m, axis=0)
-        inside[np.arange(m), b] = True
+    def _tested(self, b: np.ndarray, q: np.ndarray, rows_b: np.ndarray) -> None:
+        """Cover the pairs (a, b) and record their rows, decided by residuals.
+        The lead pair, the first with candidates, is decided alone if it may
+        find a special space of >= 4 members, whose other pairs then skip
+        their residuals: unless no space is close and one space owns them."""
         p, x, coef = _screen(self.quot, self.cut, q, rows_b)
+        tested = b
         if p.size:
-            lead, held = int(np.searchsorted(p, p[0], side="right")), len(self.holds[self.a])
-            self._decide(inside, b, q, coef, p[:lead], x[:lead])
-            rest = np.arange(lead, p.size)
-            if len(self.holds[self.a]) > held:
-                heirs = self._sources()[b] >= 0
-                heirs[p[0]] = False
-                inside[heirs] = self._masks(b[heirs])
-                rest = rest[~heirs[p[rest]]]
-            self._decide(inside, b, q, coef, p[rest], x[rest])
-        return np.column_stack([np.full(m, self.a), b]), inside
+            lead = int(np.searchsorted(p, p[0], side="right"))
+            if self.close.size or self.owner[x[0]] != self.owner[x[lead - 1]]:
+                held, rest = len(self.holds[self.a]), slice(lead, None)
+                self._decide(b, q, coef, p[:lead], x[:lead])
+                if len(self.holds[self.a]) > held:
+                    self._sources()[b[p[0]]] = -1  # the lead pair stays tested
+                    live = self._untested(b)
+                    tested, rest = b[live], lead + np.flatnonzero(live[p[lead:]])
+                p, x = p[rest], x[rest]
+            self._decide(b, q, coef, p, x)
+        self.covered.append(tested)
+        if self.triples and self.close.size:
+            self.inside.append(_pairs(tested, self.close))
 
-    def _decide(self, inside, b, q, coef, p, x) -> None:
-        """Mark in ``inside`` the spaces whose rows the candidates (p, x) put
-        inside, and store the special spaces the pairs p find."""
+    def _decide(self, b, q, coef, p, x) -> None:
+        """Record the rows (b, c) of the spaces c whose rows the candidates
+        (p, x) put inside, and store the special spaces the pairs p find."""
         if not p.size:
             return
         n, tol = self.n, self.tol.residual_tol
         r2 = _residuals(self.quot, q, coef, p, x)
         keep = r2 <= tol**2
-        if keep.any():
-            # the rows come sorted by (pair, owner): count each run
-            key = p[keep] * n + self.owner[x[keep]]
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            pk, ck = np.divmod(key[first], n)
-            inside[pk, ck] |= np.diff(first, append=key.size) + self.base[ck] == self.dims[ck]
-        pairs = p[np.flatnonzero(np.diff(p, prepend=-1))]
-        for i in pairs[(inside[pairs] & self.nonzero).sum(axis=1) >= 3].tolist():
-            members = np.flatnonzero(inside[i] & self.nonzero)
+        # count the rows kept for each (pair, owner); a space is inside when
+        # all of its rows are
+        count = np.bincount(p[keep] * n + self.owner[x[keep]])
+        key = np.flatnonzero(count)
+        pk, ck = np.divmod(key, n)
+        whole = count[key] + self.base[ck] == self.dims[ck]
+        pk, ck = pk[whole], ck[whole]
+        if self.triples and pk.size:
+            self.inside.append(np.column_stack([b[pk], ck]))
+        # a pair's nonzero members: a, b, the close spaces and those decided inside
+        pairs = np.flatnonzero(np.bincount(p))
+        size = (np.bincount(pk, minlength=b.size)[pairs] + (self.base != self.dims)[b[pairs]]
+                + self.nonzero[self.a] + self.close.size)
+        for i in pairs[size >= 3].tolist():
+            in_s = np.zeros(n, dtype=bool)
+            in_s[[self.a, b[i], *self.close, *ck[pk == i]]] = True
+            members = np.flatnonzero(in_s & self.nonzero)
             pair = (self.a, int(b[i]))
             j = self.seen.setdefault(members.tobytes(), len(self.found))
             if j < len(self.found):
@@ -287,8 +294,6 @@ class _PairScan:
                 # than proving their margin
                 self.found.append((members, None))
                 continue
-            in_s = np.zeros(n, dtype=bool)
-            in_s[members] = True
             mine, member_row = p == i, in_s[self.owner]
             eps2 = max(self.quot2[self.near & member_row].max(initial=0.0),
                        r2[mine & keep & member_row[x]].max(initial=0.0))
@@ -301,38 +306,32 @@ class _PairScan:
 
 
 def _pair_members(arr: Arrangement, tol: Tolerance):
-    """Yield (pairs, inside) for the pairs a < b, one space a at a time.
-
-    ``pairs`` is an (m, 2) index array whose rows share one a;
-    ``inside[q, i]`` is True when every basis row of space i is within
-    residual_tol of V_a + V_b (always for a zero space, and for a and b).
-    The spaces a come in index order.  For each a the tested partners b > a
-    come first, grouped by dimension d, in index order within a group, and
-    cut into chunks as :func:`chunk_slices` sizes them; then, in index
-    order, the partners that inherit their mask (below) from a special
-    space found in an earlier chunk or row.  A partner that inherits from a
-    special space found in its own chunk comes with that chunk.
+    """Yield (a, b, inside) for each space a < n - 1, in index order: ``b``
+    lists every partner b > a once, and ``inside`` is an (m, 2) index array
+    with one row (b, c) for each nonzero space c other than a and b whose
+    every basis row is within residual_tol of V_a + V_b.  Zero spaces, which
+    lie inside every pair span, are not listed.
 
     The test is made in the quotient by V_a.  Every basis row x is
     projected off V_a once, to x'; the residual of x off V_a + V_b is that
     of x' off the image of V_b, whose d rows are orthonormalized by one
-    stacked Householder QR per group of partners (no SVD).  A row with
-    |x'| <= residual_tol is inside for every b, since a residual off a
-    larger space is never larger.  The others go to :func:`_screen`, which
-    drops the rows with |x'|^2 - |Q x'|^2 (the squared residual up to
-    rounding) clearly above residual_tol^2; the rest are decided by their
-    explicit residuals.  Zero spaces take part.
+    stacked Householder QR per group of partners of dimension d (no SVD),
+    cut into chunks as :func:`chunk_slices` sizes them.  A row with |x'| <=
+    residual_tol is inside for every b, since a residual off a larger space
+    is never larger; a space other than a with all of its rows so is close.
+    The others go to :func:`_screen`, which drops the rows with |x'|^2 -
+    |Q x'|^2 (the squared residual up to rounding) clearly above
+    residual_tol^2; the rest are decided by their explicit residuals.
 
-    A tested pair (a, b) whose mask holds >= 3 nonzero members has found a
+    A tested pair (a, b) whose span holds >= 3 nonzero members has found a
     special space S.  S is stored once: its members, and the pairs of them
-    that :func:`_inheritable` proves to share the mask of (a, b), from the
+    that :func:`_inheritable` proves to find the same spaces, from the
     largest residual of a member's row, the smallest margin of a row
-    decided outside, and the principal cosines of the pairs of S.  A
-    pair so proven takes the mask of S, its members and the zero spaces.
-    In the scan of a later space it gets no QR, screen or residual of its
-    own; in the chunk where S was found, whose first pair with candidates
-    is decided alone, it shares the chunk's QR and screen but skips its
-    residuals.  The pairs the margin refuses are tested as
+    decided outside, and the principal cosines of the pairs of S.  A pair
+    so proven takes the members of S.  In the scan of a later space it gets
+    no QR, screen or residual of its own; in the chunk where S was found,
+    whose lead pair is decided alone, it shares the chunk's QR and screen
+    but skips its residuals.  The pairs the margin refuses are tested as
     usual, and so are the two other pairs of a special space of three
     members.  Before yielding anything, raises naming the lexicographically
     first pair that :func:`pairwise_zero_intersection` finds intersecting

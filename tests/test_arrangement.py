@@ -29,7 +29,7 @@ from sgcert.arrangement import (
 import sgcert.linalg
 from sgcert.dependency import _special_and_dependent
 from sgcert.errors import ParseError, PreconditionError
-from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank
+from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank, stacked_ranks
 
 
 def line(ambient, direction):
@@ -221,20 +221,23 @@ def test_pairwise_zero_intersection_without_pairs(spaces):
     assert _special_and_dependent(arr, DEFAULT_TOL)[1] == []
 
 
-def _planted_pair(rng, da, db, ambient, angle, spread, move, level):
-    """Bases of a da-space and a db-space of R^ambient whose first min(da, db,
-    ambient - da) principal angles are angle * spread^i, moved off
-    orthonormality by about ``level``: shrunk, or by a random step."""
-    frame = orthonormalize(rng.standard_normal((ambient, ambient)))
+def _planted_pairs(rng, frames, da, db, angles, spreads, move, level):
+    """Bases, (k, da, l) and (k, db, l), of k pairs of a da-space and a
+    db-space of R^l, ``frames[i]`` an orthogonal l x l matrix, whose first
+    min(da, db, l - da) principal angles are angles[i] * spreads[i]^j,
+    moved off orthonormality by about ``level``: shrunk, or by a random
+    step."""
+    k, ambient = frames.shape[:2]
     m = min(da, db, ambient - da)
-    angles = angle * spread ** np.arange(m)
-    planted = np.cos(angles)[:, None] * frame[:m] + np.sin(angles)[:, None] * frame[da:da + m]
-    rows = np.vstack([planted, rng.standard_normal((db - m, ambient))])
-    bases = [frame[:da], np.linalg.qr(rows.T)[0].T if db else rows]
+    theta = (angles[:, None] * spreads[:, None] ** np.arange(m))[..., None]
+    planted = np.cos(theta) * frames[:, :m] + np.sin(theta) * frames[:, da:da + m]
+    rows = np.concatenate([planted, rng.standard_normal((k, db - m, ambient))], axis=1)
+    bases = [frames[:, :da], np.linalg.qr(rows.transpose(0, 2, 1))[0].transpose(0, 2, 1)
+             if db else rows]
     if move == "shrink":
         return [b * (1 - level / 2) for b in bases]
     steps = [rng.standard_normal(b.shape) for b in bases]
-    return [b + level / 2 * t / np.linalg.norm(t, axis=1, keepdims=True) for b, t in
+    return [b + level / 2 * t / np.linalg.norm(t, axis=-1, keepdims=True) for b, t in
             zip(bases, steps)] if move == "step" else bases
 
 
@@ -247,32 +250,38 @@ def test_pair_floor_is_below_the_svd(seed, move, level, tol):
     # below the ambient dimension), with a principal angle planted at each
     # decade from 1e-1 to 1e-14 rad, and its neighbours at the same angle,
     # within 1e-3 of it or up to twice it: the floor is never above
-    # sigma_min^2 of the stacked bases, and a pair it proves has full rank
+    # sigma_min^2 of the stacked bases, and a pair it proves has full rank.
+    # Each pair has its own random frame; the pairs of one pair of
+    # dimensions are drawn, and the SVD oracle run on them, in stacked calls.
     rng = np.random.default_rng(seed)
     proven = 0
+    decades = np.arange(1, 15)
     for ambient in range(1, 8):
-        spaces, sizes = [], []
-        for da in range(min(ambient, 3) + 1):
-            for db in range(min(ambient, 3) + 1):
-                for decade in range(1, 15):
-                    angle = 10.0 ** -(decade + rng.random())
-                    spread = 1 + rng.choice([0.0, 1e-3, 1.0]) * rng.random()
-                    spaces += [Subspace(ambient, b) for b in
-                               _planted_pair(rng, da, db, ambient, angle, spread, move, level)]
-                    sizes.append(da + db)
+        dims = [(da, db) for da in range(min(ambient, 3) + 1) for db in range(min(ambient, 3) + 1)]
+        frames = np.linalg.qr(rng.standard_normal((len(dims), decades.size, ambient, ambient)))[0]
+        stacks, spaces = [], []
+        for (da, db), group in zip(dims, frames):
+            angles = 10.0 ** -(decades + rng.random(decades.size))
+            spreads = 1 + rng.choice([0.0, 1e-3, 1.0], decades.size) * rng.random(decades.size)
+            va, vb = _planted_pairs(rng, group, da, db, angles, spreads, move, level)
+            stacks.append(np.concatenate([va, vb], axis=1))
+            spaces += [Subspace(ambient, b) for pair in zip(va, vb) for b in pair]
         arr = Arrangement(ambient, spaces)
         pairs = np.arange(arr.n).reshape(-1, 2)
         floor = _pair_floor(arr.stacked_basis(), np.array(arr.dims()), arr.drifts(), pairs)
         ranks = _pair_ranks(arr, pairs, tol)
-        for (a, b), f, s, r in zip(pairs.tolist(), floor.tolist(), sizes, ranks.tolist()):
-            stacked = np.vstack([arr.spaces[a].basis, arr.spaces[b].basis])
-            if 0 < s <= ambient:
-                assert f <= np.linalg.svd(stacked, compute_uv=False)[-1] ** 2, (a, b, ambient)
-            elif s:
-                assert f <= 0.0, (a, b, ambient)
-            if r >= 0:
-                assert r == s == rank(stacked, tol), (a, b, ambient)
-                proven += 1
+        for g, stacked in enumerate(stacks):
+            s, k = stacked.shape[1], g * decades.size + np.arange(decades.size)
+            values = np.linalg.svd(stacked, compute_uv=False)
+            for (a, b), f, v, r, want in zip(pairs[k].tolist(), floor[k].tolist(), values,
+                                             ranks[k].tolist(), stacked_ranks(values, tol).tolist()):
+                if 0 < s <= ambient:
+                    assert f <= v[-1] ** 2, (a, b, ambient)
+                elif s:
+                    assert f <= 0.0, (a, b, ambient)
+                if r >= 0:
+                    assert r == s == want, (a, b, ambient)
+                    proven += 1
     assert proven
 
 

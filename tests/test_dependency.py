@@ -191,6 +191,22 @@ def test_pair_scan_names_first_pair_with_mixed_partner_dims(tol):
         _special_and_dependent(arr, tol)
 
 
+def _scan_masks(arr, tol):
+    """Each pair's mask of the spaces inside its span, rebuilt from the pair
+    scan's output: a, b, the zero spaces and the spaces it reports."""
+    zero = np.array([v.dim == 0 for v in arr.spaces])
+    masks = {}
+    for a, partners, inside in _pair_members(arr, tol):
+        for b in partners.tolist():
+            assert (a, b) not in masks  # every pair is covered once
+            masks[a, b] = zero.copy()
+            masks[a, b][[a, b]] = True
+        for b, c in inside.tolist():
+            assert c not in (a, b) and not masks[a, b][c], (a, b, c)
+            masks[a, b][c] = True
+    return masks
+
+
 @pytest.mark.parametrize("tol", _TOLS)
 @pytest.mark.parametrize("factor, inside", [(0.5, True), (2.0, False)])
 def test_pair_scan_residual_threshold(tol, factor, inside):
@@ -207,8 +223,7 @@ def test_pair_scan_residual_threshold(tol, factor, inside):
     arr = Arrangement(6, [a, b, c, far])
     assert pairwise_zero_intersection(arr, tol) == []
     assert Subspace(6, span).contains(c, tol) == inside
-    masks = {tuple(p): row for pairs, rows in _pair_members(arr, tol)
-             for p, row in zip(pairs.tolist(), rows)}
+    masks = _scan_masks(arr, tol)
     assert masks[0, 1].tolist() == [True, True, inside, False]
     # every pair's mask agrees with Subspace.contains
     for (i, j), row in masks.items():
@@ -252,8 +267,7 @@ def test_pair_members_match_contains_oracle_near_degenerate(tol, angle):
     for da, db in [(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)]:
         arr, pair, (half, double) = _near_degenerate_pair(rng, angle, da, db, tol)
         assert pairwise_zero_intersection(arr, tol) == []
-        masks = {tuple(p): row for pairs, rows in _pair_members(arr, tol)
-                 for p, row in zip(pairs.tolist(), rows)}
+        masks = _scan_masks(arr, tol)
         assert sorted(masks) == list(combinations(range(arr.n), 2))
         for (i, j), row in masks.items():
             span = Subspace.from_spanning(np.vstack([arr.spaces[i].basis,
@@ -297,8 +311,7 @@ def test_pair_members_inherit_only_what_the_scan_would_find(tol, seed, extra, di
     order = rng.permutation(len(bases))
     arr = Arrangement(ambient, [Subspace(ambient, bases[i], tol) for i in order])
     assume(not pairwise_zero_intersection(arr, tol))
-    masks = {tuple(p): row for pairs, rows in _pair_members(arr, tol)
-             for p, row in zip(pairs.tolist(), rows)}
+    masks = _scan_masks(arr, tol)
     assert sorted(masks) == list(combinations(range(arr.n), 2))
     for (i, j), row in masks.items():
         span = Subspace.from_spanning(np.vstack([arr.spaces[i].basis, arr.spaces[j].basis]),
@@ -323,9 +336,9 @@ def test_pair_scan_tests_each_grouped_special_space_once(monkeypatch):
         screened.update((self.a, v) for v in b.tolist())
         return tested(self, b, q, rows_b)
 
-    def deciding(self, inside, b, q, coef, p, x):
+    def deciding(self, b, q, coef, p, x):
         decided.update((self.a, v) for v in b[np.unique(p)].tolist())
-        return decide(self, inside, b, q, coef, p, x)
+        return decide(self, b, q, coef, p, x)
 
     monkeypatch.setattr(_PairScan, "_tested", screening)
     monkeypatch.setattr(_PairScan, "_decide", deciding)
@@ -418,7 +431,8 @@ def test_pair_scans_stream_pairs_in_bounded_memory():
     arr = Arrangement(40, [Subspace(40, orthonormalize(rng.standard_normal((1, 40))))
                            for _ in range(600)])
     scans = {"pairwise_zero_intersection": pairwise_zero_intersection,
-             "_special_and_dependent": lambda a: _special_and_dependent(a, DEFAULT_TOL)[1]}
+             "_special_and_dependent": lambda a: _special_and_dependent(a, DEFAULT_TOL)[1],
+             "find_special_spaces": lambda a: find_special_spaces(a, 1)}
     for name, scan in scans.items():
         tracemalloc.start()
         try:
