@@ -1,10 +1,12 @@
 """Dependent triples, special spaces, and (alpha, delta)-systems.
 
 A system is a multiset of 2- and 3-element index sets over an arrangement:
-3-sets record triples where each space is contained in the sum of the other
-two, 2-sets record equal spaces (these arise when a linear map kills one
-member of a triple).  Degree and counting thresholds are compared in exact
-rational arithmetic so that ceil/floor decisions never flip on float noise.
+3-sets record triples where one space lies in the sum of the other two, 2-sets
+record equal spaces (these arise when a linear map kills one member of a
+triple).  "Lies in" has one meaning throughout: every basis row within
+``residual_tol`` of the span, as in :meth:`Subspace.contains` and the pair
+scan.  Degree and counting thresholds are compared in exact rational
+arithmetic so that ceil/floor decisions never flip on float noise.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +26,6 @@ from .arrangement import (
     _set_stacks,
     _space_stacks,
     _split_lines,
-    _stacked_set_ranks,
 )
 from .errors import (
     InconsistentSystemError,
@@ -37,7 +38,7 @@ from .linalg import (
     Tolerance,
     as_matrix,
     orthonormalize,
-    rank,
+    stacked_ranks,
 )
 from .pairscan import _PairScan, _pairs
 
@@ -137,22 +138,20 @@ class SystemReport:
 
 def is_dependent_triple(v1: Subspace, v2: Subspace, v3: Subspace,
                         tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the three spaces lie inside one pair's span.
+    """True iff one of the three spaces lies in the sum of the other two.
 
-    Decided by rank: some rotation satisfies dim(V_b + V_c) equal to
-    dim(V_a + V_b + V_c).  For pairwise zero-intersecting spaces of equal
-    dimension this is equivalent to all three one-sided containments
-    (each space inside the sum of the other two).
+    Decided one triple at a time: each space is tested by
+    :meth:`Subspace.contains` against :meth:`Subspace.from_spanning` of the
+    other two, so every basis row must lie within ``residual_tol`` of their
+    span.  For pairwise zero-intersecting spaces of equal dimension one
+    containment gives the other two in exact arithmetic.
     """
     if not (v1.ambient == v2.ambient == v3.ambient):
         raise PreconditionError("triple spans different ambient spaces")
-    bases = [v1.basis, v2.basis, v3.basis]
-    total = rank(np.vstack(bases), tol)
-    for a in range(3):
-        others = np.vstack([bases[b] for b in range(3) if b != a])
-        if rank(others, tol) == total:
-            return True
-    return False
+    spaces = (v1, v2, v3)
+    return any(Subspace.from_spanning(np.vstack([spaces[b].basis for b in range(3) if b != a]),
+                                      v1.ambient, tol).contains(spaces[a], tol)
+               for a in range(3))
 
 
 def _special_and_dependent(arr: Arrangement, tol: Tolerance, triples: bool = True) -> tuple:
@@ -288,55 +287,40 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) > 0]
 
 
-def _spans_third(arr: Arrangement, triples: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Which rows (a, b, c) of ``triples`` are proven dependent without an SVD.
+def _inside(arr: Arrangement, sets: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Whether each row of ``sets``, an (m, size) index array, has its last
+    member inside the span of its other members.
 
-    Let M = [P; K] be a row's stacked bases (s rows, l columns), P the
-    p = d_a + d_b rows of a and b.  A row is tried only if
-    :func:`_pair_ranks` proves its pair (a, b) of full rank: its floor on
-    lambda_min(P P^T) clears the margin of the Cholesky screen of
-    :func:`_stacked_set_ranks`, which proves rank(P) = p under the rule of
-    :func:`rank` and sigma_p(P) > 2 rank_tol |P|_F.  The rows tried come
-    in chunks of :func:`_set_stacks`.  One Householder QR of P^T per run of rows
-    of a pair gives Q; then Y = M Q, F = M - Y Q^T and, with eps = 2^-52,
-
-        r = |F|_F + (p + 2) eps |Y|_F |Q|_F,    eta = 2 l s eps |M|_F.
-
-    A row is proven when |M|_F^2 <= 3 |P|_F^2, 16 eta <= rank_tol |M|_F
-    and r <= rank_tol |M|_F / (2 sqrt(s)) - 2 eta: the rule then gives M
-    the pair's rank p, so the triple is dependent.
-
-    Proof.  Y Q^T, of the computed Y and Q, has rank <= p, and r bounds
-    |M - Y Q^T|_F to first order (the rounding of the product and of the
-    subtraction), however accurate Q is; by Weyl, sigma_{p+1}(M) <= r.  P
-    is a row block of M, so by interlacing sigma_p(M) >= sigma_p(P) >
-    (2 / sqrt(3)) rank_tol |M|_F; and |M|_F / sqrt(s) <= sigma_1(M) <=
-    |M|_F.  The SVD's singular values are within eta of these: twice the
-    error allowed in :func:`_stacked_set_ranks`, which also covers the
-    rounding of the norms.  So the computed sigma_{p+1} <= r + eta <
-    rank_tol (sigma_1 - eta) is below rank_tol times the computed sigma_1,
-    and the computed sigma_p >= (2 / sqrt(3)) rank_tol |M|_F - eta >=
-    rank_tol (|M|_F + eta) is not.  Rows not proven are left to the SVD.
+    A row holds when every basis row of its last member lies within
+    ``residual_tol`` of that span: the predicate of :meth:`Subspace.contains`
+    and of the pair scan.  The rows are sorted by their other members, and
+    each run of rows with the same ones, within a chunk of
+    :func:`_set_stacks`, gets one orthonormal basis Q of their span.  Q comes
+    from one stacked Householder QR when the other members are one space or
+    a pair that :func:`_pair_ranks` proves of full rank; otherwise from one
+    stacked SVD, keeping the rows that the rule of :func:`stacked_ranks`
+    counts, as :func:`orthonormalize` does.
     """
-    out = np.zeros(len(triples), dtype=bool)
-    dims = np.array(arr.dims(), dtype=int)
-    eps = np.finfo(float).eps
-    tried = np.flatnonzero(_pair_ranks(arr, triples[:, :2], tol) > 0)
-    for idx, stacks in _set_stacks(arr, triples[tried], arr.ambient):
-        idx, (_, s, l) = tried[idx], stacks.shape
-        p = int(dims[triples[idx[0], :2]].sum())
-        pair, fresh = stacks[:, :p], (np.diff(triples[idx, :2], axis=0, prepend=-1) != 0).any(1)
-        q = np.linalg.qr(pair[fresh].transpose(0, 2, 1))[0][np.cumsum(fresh) - 1]
-        y = stacks @ q
-        resid = stacks - y @ q.transpose(0, 2, 1)
-        norm_m = np.sqrt(np.einsum("qsl,qsl->q", stacks, stacks))
-        norm_p2 = np.einsum("qsl,qsl->q", pair, pair)
-        r = (np.sqrt(np.einsum("qsl,qsl->q", resid, resid))
-             + (p + 2) * eps * np.sqrt(np.einsum("qsp,qsp->q", y, y)
-                                       * np.einsum("qlp,qlp->q", q, q)))
-        eta = 2 * l * s * eps * norm_m
-        out[idx] = ((norm_m**2 <= 3 * norm_p2) & (16 * eta <= tol.rank_tol * norm_m)
-                    & (r <= tol.rank_tol * norm_m / (2 * np.sqrt(s)) - 2 * eta))
+    order = np.lexsort(sets.T[::-1])
+    sets, out = sets[order], np.zeros(len(sets), dtype=bool)
+    others, dims = sets[:, :-1], np.array(arr.dims(), dtype=int)
+    full = (_pair_ranks(arr, others, tol) >= 0 if others.shape[1] == 2
+            else np.ones(len(sets), dtype=bool))
+    for rows, by_qr in ((np.flatnonzero(full), True), (np.flatnonzero(~full), False)):
+        for idx, stacks in _set_stacks(arr, sets[rows], arr.ambient):
+            idx = rows[idx]
+            p = int(dims[others[idx[0]]].sum())
+            fresh = (np.diff(others[idx], axis=0, prepend=-1) != 0).any(axis=1)
+            if by_qr:
+                q = np.linalg.qr(stacks[fresh, :p].transpose(0, 2, 1))[0]
+            else:
+                _, s, vt = np.linalg.svd(stacks[fresh, :p], full_matrices=False)
+                kept = np.arange(vt.shape[1]) < stacked_ranks(s, tol)[:, None]
+                q = (vt * kept[:, :, None]).transpose(0, 2, 1)
+            q, x = q[np.cumsum(fresh) - 1], stacks[:, p:]
+            resid = x - (x @ q) @ q.transpose(0, 2, 1)
+            out[order[idx]] = (np.einsum("qsl,qsl->qs", resid, resid)
+                               <= tol.residual_tol**2).all(axis=1)
     return out
 
 
@@ -344,37 +328,31 @@ def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
                     tol: Tolerance) -> tuple:
     """Whether each 3-set and each 2-set (rows of distinct in-range indices) holds.
 
-    A 3-set must be a dependent triple (the test of
-    :func:`is_dependent_triple`: some pair's rank equals the triple's), a
-    2-set two equal spaces (equal dimension d and pair rank d).  Each
-    distinct 3-set and each distinct pair is decided once: they are found
-    by sorting integer keys, (i n + j) n + k and i n + j, and every set
-    reads its answer back from its key.  A 3-set that :func:`_spans_third`
-    proves dependent is not ranked; the others, and the pairs, are ranked
-    by :func:`_stacked_set_ranks`.
+    A 3-set {i, j, k} must be a dependent triple: one member inside the span
+    of the other two (:func:`_inside`, the predicate of
+    :func:`is_dependent_triple`).  A 2-set must be two equal spaces: equal
+    dimension, and the second inside the first.  Each distinct 3-set and
+    each distinct 2-set is decided once: they are found by sorting integer
+    keys, (i n + j) n + k and i n + j, and every set reads its answer back
+    from its key.  The 3-sets are tried as (i, j -> k); those still
+    undecided as (i, k -> j), and then as (j, k -> i).
     """
-    dims = np.array(arr.dims(), dtype=int)
-    n, triple_pairs = arr.n, ((0, 1), (0, 2), (1, 2))
+    n = arr.n
     three_keys = (threes[:, 0] * n + threes[:, 1]) * n + threes[:, 2]
     distinct3 = _distinct(three_keys)
     ij, k = np.divmod(distinct3, n)
-    triples = np.column_stack([*np.divmod(ij, n), k])
-    dependent = _spans_third(arr, triples, tol)
-    rest = triples[~dependent]
-    distinct2 = _distinct(np.concatenate([rest[:, i] * n + rest[:, j]
-                                          for i, j in triple_pairs]
-                                         + [twos[:, 0] * n + twos[:, 1]]))
-    ranks = _stacked_set_ranks(arr, np.column_stack(np.divmod(distinct2, n)), tol)
-
-    def pair_rank(i, j):
-        return ranks[np.searchsorted(distinct2, i * n + j)]
-
-    total = _stacked_set_ranks(arr, rest, tol)
-    dependent[~dependent] = np.any([pair_rank(rest[:, i], rest[:, j]) == total
-                                    for i, j in triple_pairs], axis=0)
-    d = dims[twos]
-    equal = (d[:, 0] == d[:, 1]) & (pair_rank(twos[:, 0], twos[:, 1]) == d[:, 0])
-    return dependent[np.searchsorted(distinct3, three_keys)], equal
+    i, j = np.divmod(ij, n)
+    dependent = np.zeros(distinct3.size, dtype=bool)
+    for cols in ((i, j, k), (i, k, j), (j, k, i)):
+        rest = np.flatnonzero(~dependent)
+        dependent[rest] = _inside(arr, np.column_stack(cols)[rest], tol)
+    two_keys = twos[:, 0] * n + twos[:, 1]
+    distinct2 = _distinct(two_keys)
+    pairs = np.column_stack(np.divmod(distinct2, n))
+    d = np.array(arr.dims(), dtype=int)[pairs]
+    equal = (d[:, 0] == d[:, 1]) & _inside(arr, pairs, tol)
+    return (dependent[np.searchsorted(distinct3, three_keys)],
+            equal[np.searchsorted(distinct2, two_keys)])
 
 
 def validate_system(arr: Arrangement, sys: TripleSystem,

@@ -24,10 +24,12 @@ class Tolerance:
 
     rank_tol
         Singular values below ``rank_tol`` times the largest are treated
-        as zero.
+        as zero.  It decides ranks: a space's dimension, whether a pair
+        intersects, and the span of a rank-deficient pair.
     residual_tol
         Threshold for membership / annihilation / orthonormality residuals;
-        finite and positive.
+        finite and positive.  Membership ("V_c lies in V_a + V_b") and equal
+        spaces are decided by it alone.
     """
 
     rank_tol: float = 1e-9

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sgcert.arrangement import (
     Arrangement,
     Subspace,
-    _stacked_set_ranks,
     generate_grouped,
     generate_grid,
     generate_random_planted,
@@ -319,6 +318,40 @@ def test_pair_members_inherit_only_what_the_scan_would_find(tol, seed, extra, di
         assert row.tolist() == [span.contains(v, tol) for v in arr.spaces], (i, j)
 
 
+@pytest.mark.parametrize("tol", _TOLS + [Tolerance(rank_tol=1e-3)])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 2), slack=st.integers(0, 2),
+       position=st.floats(0, 1))
+def test_near_dependent_triple_gets_one_answer(tol, seed, k, slack, position):
+    # V_c lies at a distance 10^U(-11, -6) off V_a + V_b (up to 10^-2 for
+    # the looser tolerances), across the cuts of rank_tol and residual_tol:
+    # the triple scan, the system's validation, the per-triple oracle and
+    # certify agree on whether the triple is dependent
+    from sgcert.certifier import CertifyBudget, certify
+
+    rng = np.random.default_rng(seed)
+    dist = 10.0 ** (-11 + position * (5 if tol == DEFAULT_TOL else 9))
+    # two roundings of a residual at the cut itself may fall either side
+    assume(abs(np.log10(dist / tol.residual_tol)) > 1e-6)
+    ambient = 3 * k + slack
+    frame = orthonormalize(rng.standard_normal((ambient, ambient)))
+    span, normal = frame[:2 * k], frame[2 * k:3 * k]
+    va, vb, u = (orthonormalize(rng.standard_normal((k, 2 * k)) @ span) for _ in range(3))
+    bases = [va, vb, (u + dist * normal) / np.hypot(1.0, dist)]
+    arr = Arrangement(ambient, [Subspace(ambient, bases[i], tol)
+                                for i in rng.permutation(3)])
+    assume(not pairwise_zero_intersection(arr, tol))
+    listed = (0, 1, 2) in _special_and_dependent(arr, tol)[1]
+    sys = build_sg_system(arr, k, tol)
+    assert validate_system(arr, sys, tol).ok
+    triple = TripleSystem(3, [(0, 1, 2)] * 6, alpha=6, delta=2.0)
+    assert validate_system(arr, triple, tol).ok == listed
+    assert is_dependent_triple(*arr.spaces, tol) == listed
+    assert sys == (triple if listed else TripleSystem(3, [], alpha=6, delta=0.0))
+    if listed:
+        assert certify(arr, sys, tol, budget=CertifyBudget(trials=64)).sound
+
+
 def test_pair_scan_tests_each_grouped_special_space_once(monkeypatch):
     # the dependency-scan benchmark's grouped instance at seed 0: four
     # special spaces of 32 planes in R^16.  One pair of each is decided by
@@ -384,27 +417,36 @@ def test_pair_floor_decides_the_grouped_pair_prepass(monkeypatch):
 def test_validate_system_ranks_each_distinct_set_once(monkeypatch):
     import sgcert.dependency
 
-    ranked = []
+    decided = []
+    inside = sgcert.dependency._inside
 
     def recording(a, sets, tol):
-        ranked.append(sets.copy())
-        return _stacked_set_ranks(a, sets, tol)
+        decided.append(sets.copy())
+        return inside(a, sets, tol)
 
-    monkeypatch.setattr(sgcert.dependency, "_stacked_set_ranks", recording)
+    monkeypatch.setattr(sgcert.dependency, "_inside", recording)
     arr = generate_grouped(k=1, delta=0.5, n=10, seed=2)
     sys = build_sg_system(arr, 1)
     assert len(set(sys.sets)) < sys.w  # a 3-member special repeats its triple
-    ranked.clear()
+    decided.clear()
     assert validate_system(arr, sys).ok
-    assert ranked
-    for sets in ranked:
+    assert any(len(sets) for sets in decided)
+    for sets in decided:
         assert len({tuple(row) for row in sets.tolist()}) == len(sets)
-    # a non-dependent triple listed twice is reported at both positions
+    # a non-dependent triple listed twice is reported at both positions; a
+    # 2-set listed twice is decided once
     arr = generate_random_planted(n=5, k=1, ambient=5, triple_count=0, seed=1)
-    sys = TripleSystem(5, [(0, 1, 2), (2, 3, 4), (0, 1, 2)], alpha=6, delta=0.0)
+    sys = TripleSystem(5, [(0, 1, 2), (2, 3, 4), (0, 1, 2), (3, 4), (1, 3), (4, 3)],
+                       alpha=6, delta=0.0)
+    decided.clear()
     violations = validate_system(arr, sys).violations
     assert violations[:3] == [f"set {j}: {s} is not a dependent triple"
-                              for j, s in enumerate(sys.sets)]
+                              for j, s in enumerate(sys.sets[:3])]
+    assert violations[3:6] == [f"set {j}: spaces {s[0]} and {s[1]} are not equal"
+                               for j, s in enumerate(sys.sets[3:], 3)]
+    assert sorted(len(sets) for sets in decided if sets.shape[1] == 2) == [2]
+    for sets in decided:
+        assert len({tuple(row) for row in sets.tolist()}) == len(sets)
 
 
 def test_build_sg_system_builds_each_family_once(monkeypatch):
@@ -464,7 +506,7 @@ def _set_violations_oracle(arr, sets):
                 out.append(f"set {j}: {s} is not a dependent triple")
         else:
             a, b = (arr.spaces[i] for i in s)
-            if a.dim != b.dim or rank(np.vstack([a.basis, b.basis])) != a.dim:
+            if not (a.dim == b.dim and a.contains(b)):
                 out.append(f"set {j}: spaces {s[0]} and {s[1]} are not equal")
     return out
 
@@ -913,9 +955,10 @@ def _off_span(rng, pair, dim, ambient, offset):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 8), ambient=st.integers(5, 8))
 def test_triple_check_agrees_with_the_svd(seed, n, ambient):
     # spaces of dimension 0..3 (a zero space among them); some are redrawn
-    # 0.1, 1 or 10 rank_tol off the span of two earlier ones, or through a
-    # row of one of them (an intersecting pair).  Every 3-set and 2-set must
-    # get the same answer with and without the SVD-free triple check.
+    # 0.1 rank_tol, 0.5 residual_tol or 2 residual_tol off the span of two
+    # earlier ones, or through a row of one of them (an intersecting pair).
+    # Every 3-set and 2-set must get the answer of Subspace.contains against
+    # the span that Subspace.from_spanning (an SVD) gives.
     import sgcert.dependency
 
     rng = np.random.default_rng(seed)
@@ -928,7 +971,7 @@ def test_triple_check_agrees_with_the_svd(seed, n, ambient):
         pair = orthonormalize(np.vstack([bases[a], bases[b]]))
         kind = int(rng.integers(5))
         if kind < 3 and 0 < pair.shape[0] < ambient:
-            offset = tol.rank_tol * (0.1, 1.0, 10.0)[kind]
+            offset = (0.1 * tol.rank_tol, 0.5 * tol.residual_tol, 2 * tol.residual_tol)[kind]
             bases[c] = _off_span(rng, pair, min(dims[c], pair.shape[0]) or 1, ambient, offset)
         elif kind == 3 and bases[a].shape[0] and dims[c] >= 2:
             rows = np.vstack([bases[a][:1], rng.standard_normal((dims[c] - 1, ambient))])
@@ -936,35 +979,29 @@ def test_triple_check_agrees_with_the_svd(seed, n, ambient):
     arr = Arrangement(ambient, [Subspace(ambient, q) for q in bases])
     threes = np.array(list(combinations(range(n), 3)))
     twos = np.array(list(combinations(range(n), 2)))
-    proven = sgcert.dependency._spans_third(arr, threes, tol)
-    with_check = sgcert.dependency._semantics_hold(arr, threes, twos, tol)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sgcert.dependency, "_spans_third",
-                   lambda arr, triples, tol: np.zeros(len(triples), dtype=bool))
-        without = sgcert.dependency._semantics_hold(arr, threes, twos, tol)
-    assert with_check[0].tolist() == without[0].tolist()
-    assert with_check[1].tolist() == without[1].tolist()
-    assert not (proven & ~without[0]).any()
+    dependent, equal = sgcert.dependency._semantics_hold(arr, threes, twos, tol)
+
+    def spans(members, member):
+        rows = np.vstack([arr.spaces[i].basis for i in members])
+        return Subspace.from_spanning(rows, ambient, tol).contains(arr.spaces[member], tol)
+
+    assert dependent.tolist() == [spans((i, j), k) or spans((i, k), j) or spans((j, k), i)
+                                  for i, j, k in threes.tolist()]
+    assert equal.tolist() == [arr.spaces[i].dim == arr.spaces[j].dim and spans((i,), j)
+                              for i, j in twos.tolist()]
 
 
 def test_triple_check_certifies_the_grouped_benchmark_system(monkeypatch):
     # the dependency-scan benchmark's grouped instance at seed 0 (k = 2,
-    # n = 128 in R^16): every distinct triple is proven without an SVD, and
-    # validate_system ranks no 3-set
-    import sgcert.dependency
-
+    # n = 128 in R^16): every distinct triple is decided without an SVD
     seed = int(np.random.SeedSequence([0, 3]).generate_state(3)[1])
     arr = generate_grouped(k=2, delta=0.25, n=128, ambient=16, seed=seed)
     sys = build_sg_system(arr, 2)
     triples = np.unique(sys._flat()[0].reshape(-1, 3), axis=0)
     assert len(triples) == 2108
-    assert sgcert.dependency._spans_third(arr, triples, DEFAULT_TOL).all()
-    ranked = []
 
-    def recording(a, sets, tol):
-        ranked.append(sets.shape)
-        return _stacked_set_ranks(a, sets, tol)
+    def no_svd(*args, **kwargs):
+        pytest.fail("validate_system took an SVD")
 
-    monkeypatch.setattr(sgcert.dependency, "_stacked_set_ranks", recording)
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
     assert validate_system(arr, sys).ok
-    assert [m for m, size in ranked if size == 3] == [0]
