@@ -15,7 +15,6 @@ import numpy as np
 
 from .arrangement import (
     ComplexArrangement,
-    InvariantViolation,
     _fmt,
     complex_to_real,
     generate,
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, OptimizeTimeoutError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
-    except (SgcertError, InvariantViolation, ValueError) as exc:
+    except (SgcertError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_FAIL
     except OSError as exc:  # reads fail as ParseError, so this is the output

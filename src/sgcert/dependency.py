@@ -331,11 +331,13 @@ def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
     A 3-set {i, j, k} must be a dependent triple: one member inside the span
     of the other two (:func:`_inside`, the predicate of
     :func:`is_dependent_triple`).  A 2-set must be two equal spaces: equal
-    dimension, and the second inside the first.  Each distinct 3-set and
-    each distinct 2-set is decided once: they are found by sorting integer
-    keys, (i n + j) n + k and i n + j, and every set reads its answer back
-    from its key.  The 3-sets are tried as (i, j -> k); those still
-    undecided as (i, k -> j), and then as (j, k -> i).
+    dimension, and each inside the other, both directions decided in one
+    :func:`_inside` call, so the answer does not depend on which space has
+    the smaller index.  Each distinct 3-set and each distinct 2-set is
+    decided once: they are found by sorting integer keys, (i n + j) n + k
+    and i n + j, and every set reads its answer back from its key.  The
+    3-sets are tried as (i, j -> k); those still undecided as (i, k -> j),
+    and then as (j, k -> i).
     """
     n = arr.n
     three_keys = (threes[:, 0] * n + threes[:, 1]) * n + threes[:, 2]
@@ -350,7 +352,8 @@ def _semantics_hold(arr: Arrangement, threes: np.ndarray, twos: np.ndarray,
     distinct2 = _distinct(two_keys)
     pairs = np.column_stack(np.divmod(distinct2, n))
     d = np.array(arr.dims(), dtype=int)[pairs]
-    equal = (d[:, 0] == d[:, 1]) & _inside(arr, pairs, tol)
+    inside = _inside(arr, np.concatenate([pairs, pairs[:, ::-1]]), tol).reshape(2, -1)
+    equal = (d[:, 0] == d[:, 1]) & inside.all(axis=0)
     return (dependent[np.searchsorted(distinct3, three_keys)],
             equal[np.searchsorted(distinct2, two_keys)])
 

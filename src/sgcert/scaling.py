@@ -59,6 +59,9 @@ _BLOCK_BYTES = 3 << 20
 # Spaces of its random order a trial projects on its span in one product.
 _SCAN_WINDOW = 4
 
+# Largest diagonal (t) and off-diagonal (rotation) entry of a Newton step.
+_STEP_CAP, _ROT_CAP = 4.0, 1.0
+
 
 # ---------------------------------------------------------------------------
 # sampling admissible sets
@@ -642,44 +645,41 @@ class ScalingMap:
     state: ScalingState = None
 
 
-def _block_entries(k: int) -> tuple:
-    """The upper-triangular entries (a, b) of a k x k block, their weights
-    h (1/2 on the diagonal, 1 off it), and the counts C, of shape
-    (entries^2, k^2), with S_pq = C[p q] . vec(W_ii) for
-    S_pq = [b=c] W_ad + [a=d] W_bc + [b=d] W_ac + [a=c] W_bd, (c, d) = entry q."""
-    a, b = np.triu_indices(k)
-    one_hot = np.eye(k)
-    counts = sum((x[:, None] == y[None, :])[:, :, None, None]
-                 * one_hot[left][:, None, :, None] * one_hot[right][None, :, None, :]
-                 for x, y, left, right in ((b, a, a, b), (a, b, b, a),
-                                           (b, b, a, a), (a, a, b, b)))
-    return a, b, np.where(a == b, 0.5, 1.0), counts.reshape(a.size ** 2, k * k)
+def _block_layout(state: ScalingState) -> tuple:
+    """(blocks, order, a, b, h, same): the step entries of :func:`_newton_step`.
 
-
-def _block_layout(state: ScalingState) -> list:
-    """Per group of ``state.groups``, of n spaces of dimension k: (space
-    indices, slots as an (n, k) array, the positions of the group's step
-    entries as an (n, entries) array, then a, b, h and C of
-    :func:`_block_entries`).  The entries run group by group, then over the
-    upper triangle, then space by space, so on lines entry s is slot s."""
-    layout, start = [], 0
+    ``blocks`` holds, per group of ``state.groups`` (n spaces of dimension
+    k), the space indices, the slots as an (n, k) array, the positions of
+    the group's entries as an (n, entries) array, and the upper triangle
+    (a, b) of a k x k block.  The entries run group by group, then over the
+    upper triangle, then space by space, so on lines entry s is slot s.
+    ``order`` lists the slots group by group, the rows of W in
+    :func:`_block_model`; entry e reads W at rows a[e] and b[e], weighted
+    h[e] (1/2 on a diagonal, 1 off it), and ``same`` holds the index pairs
+    (p, q) of the entries of one space."""
+    blocks, entries, start, row = [], [], 0, 0
     for idx, stack, slots in state.groups:
         n, k = len(idx), stack.shape[1]
-        entries = _block_entries(k)
-        pos = start + n * np.arange(entries[0].size) + np.arange(n)[:, None]
-        layout.append((idx, slots.reshape(n, k), pos) + entries)
-        start += pos.size
-    return layout
+        a, b = np.triu_indices(k)
+        pos = start + n * np.arange(a.size) + np.arange(n)[:, None]
+        blocks.append((idx, slots.reshape(n, k), pos, a, b))
+        first = row + k * np.arange(n)  # the row of W of each space's first slot
+        entries.append((first + a[:, None], first + b[:, None],
+                        *np.broadcast_arrays(pos[:, :, None], pos[:, None, :])))
+        start, row = start + pos.size, row + n * k
+    order = np.concatenate([slots for _, _, slots in state.groups])
+    a, b, p, q = (np.concatenate([x.ravel() for x in column]) for column in zip(*entries))
+    return blocks, order, a, b, np.where(a == b, 0.5, 1.0), (p, q)
 
 
-def _move_blocks(state: ScalingState, t0, r0, layout: list, step) -> None:
+def _move_blocks(state: ScalingState, t0, r0, layout: tuple, step) -> None:
     """Set A_i = C_i exp(E_i) C_i^T, C_i = R_i diag(e^{t0_i/2}), with E_i the
     symmetric matrix of ``step``'s entries for space i (see
     :func:`_block_layout`), and split it back into (t_i, R_i) by one stacked
     ``eigh`` per group.  A line adds its entry to t and keeps its R."""
     state.t = t0.copy()
     state.R = list(r0)
-    for idx, slots, pos, a, b, _, _ in layout:
+    for idx, slots, pos, a, b in layout[0]:
         if slots.shape[1] == 1:
             state.t[slots[:, 0]] = t0[slots[:, 0]] + step[pos[:, 0]]
             continue
@@ -696,47 +696,38 @@ def _move_blocks(state: ScalingState, t0, r0, layout: list, step) -> None:
             state.R[i] = r
 
 
-def _block_model(state: ScalingState, layout: list) -> tuple:
+def _block_model(state: ScalingState, layout: tuple) -> tuple:
     """The gradient g and the Hessian H of f in the step entries of
     ``layout`` (formulas at :func:`_newton_step`), and which entries lie on
     a diagonal.
 
-    H is filled one pair of groups at a time, over all their pairs of
-    spaces at once, then S is taken off each space's diagonal block.  On
+    Every term is gathered from W at the rows a and b of the entries
+    (:func:`_block_layout`): rows first, then columns, the columns as rows
+    of the transposed row gathers, so H is built transposed.  The weights
+    2 h_p h_q are powers of two, applied as 2 h_p and h_q.  S is taken off
+    the pairs of entries of one space only, summed as ((T1 + T2) + (T3 +
+    T4)): it has at most two distinct nonzero terms, and four equal ones
+    where all four indicators hold, which this sum adds exactly (a sum from
+    the left would round 3 W_aa), so S_pq is rounded once at most.  On
     lines g is the t gradient and H = W o W - diag(diag W), bit for bit.
     """
-    # W with the slots in layout order: the rows of a group are one range
-    order = np.concatenate([slots.ravel() for _, slots, *_ in layout])
+    _, order, a, b, h, (p, q) = layout
     mx = state.x_rows[order] @ state.M
     half = np.sqrt(np.exp(state.t[order]))
     w = half[:, None] * (mx @ mx.T) * half[None, :]
-    rows = np.cumsum([0] + [slots.size for _, slots, *_ in layout])
-    size = sum(pos.size for _, _, pos, *_ in layout)
-    hess = np.empty((size, size))
-    g, diag = [], []
-    for (_, s1, pos1, a1, b1, h1, counts), lo1, hi1 in zip(layout, rows, rows[1:]):
-        for (_, s2, pos2, a2, b2, h2, _), lo2, hi2 in zip(layout, rows, rows[1:]):
-            # block[alpha l + gamma, i, j] = W between slot alpha of space i
-            # and slot gamma of space j
-            l = s2.shape[1]
-            block = np.ascontiguousarray(w[lo1:hi1, lo2:hi2].reshape(s1.shape + s2.shape)
-                                         .transpose(1, 3, 0, 2)).reshape(-1, len(s1), len(s2))
-            a1l, b1l = a1[:, None] * l, b1[:, None] * l
-            pair = block[a1l + a2] * block[b1l + b2] + block[a1l + b2] * block[b1l + a2]
-            hess[pos1[0, 0]:pos1[0, 0] + pos1.size, pos2[0, 0]:pos2[0, 0] + pos2.size] = (
-                (2.0 * np.outer(h1, h2))[:, :, None, None] * pair
-            ).transpose(0, 2, 1, 3).reshape(pos1.size, pos2.size)
-        n = len(s1)
-        inner = w[lo1:hi1, lo1:hi1].reshape(s1.shape * 2)[np.arange(n), :, np.arange(n)]
-        hess[pos1[:, :, None], pos1[:, None, :]] -= (
-            np.outer(h1, h1) * (inner.reshape(n, -1) @ counts.T).reshape(n, h1.size, h1.size))
-        g.append(np.where(a1 == b1, state.grad[s1[:, a1]], -2.0 * inner[:, a1, b1]).T.ravel())
-        diag.append(np.repeat(a1 == b1, n))
-    return np.concatenate(g), hess, np.concatenate(diag)
+    # column p of cols_a is row a[p] of W, so cols_a.take(a, 0) is W_ac transposed
+    cols_a, cols_b = (np.ascontiguousarray(w.take(x, 0).T) for x in (a, b))
+    h_t = cols_a.take(a, 0) * cols_b.take(b, 0)  # H transposed: row q, column p
+    h_t += cols_a.take(b, 0) * cols_b.take(a, 0)
+    h_t *= h[:, None]
+    h_t *= 2.0 * h
+    ap, bp, aq, bq = a[p], b[p], a[q], b[q]
+    h_t[q, p] -= h[p] * h[q] * (((bp == aq) * w[ap, bq] + (ap == bq) * w[bp, aq])
+                                + ((bp == bq) * w[ap, aq] + (ap == aq) * w[bp, bq]))
+    return np.where(a == b, state.grad[order[a]], -2.0 * w[a, b]), h_t.T, a == b
 
 
-def _newton_step(state: ScalingState, layout: list, tol: Tolerance,
-                 step_cap: float = 4.0, rot_cap: float = 1.0) -> bool:
+def _newton_step(state: ScalingState, layout: tuple, tol: Tolerance) -> bool:
     """One ascent step on every space's whole weight block: Levenberg-damped
     Newton with line search.
 
@@ -765,8 +756,8 @@ def _newton_step(state: ScalingState, layout: list, tol: Tolerance,
     H is negative semidefinite (and singular along the all-ones direction
     when the weights are balanced), so the step solves (lambda I - H) d = g
     with lambda escalated until the step passes an Armijo test.  One factor
-    caps the diagonal entries at step_cap and the off-diagonal (rotation)
-    entries at rot_cap.  Near the optimum the predicted increase sinks below
+    caps the diagonal entries at _STEP_CAP and the off-diagonal (rotation)
+    entries at _ROT_CAP.  Near the optimum the predicted increase sinks below
     the evaluation noise of the log-determinant; tiny steps that do not
     measurably decrease f are then accepted so Newton contraction can
     finish the job.
@@ -787,7 +778,7 @@ def _newton_step(state: ScalingState, layout: list, tol: Tolerance,
             lam *= 10.0
             continue
         size = np.abs(direction)
-        over = max(size[diag].max() / step_cap, size[~diag].max(initial=0.0) / rot_cap)
+        over = max(size[diag].max() / _STEP_CAP, size[~diag].max(initial=0.0) / _ROT_CAP)
         if over > 1.0:
             direction *= 1.0 / over
         sup = float(np.abs(direction).max())
@@ -908,18 +899,12 @@ def optimize(arr: Arrangement, p, eps_target: float = 1e-6,
                                   obstruction=None, iterations=it,
                                   f_history=history, state=state)
         if diverged:
-            extreme = np.abs(state.t) > max(0.8 * np.abs(state.t).max(), 1.0)
-            slots = []
-            for i in range(len(state.bases)):
-                sl = state.slots(i)
-                for j in range(state.bases[i].shape[0]):
-                    s = sl.start + j
-                    if extreme[s]:
-                        slots.append((i, j, 1 if state.t[s] > 0 else -1))
-            return ScalingMap(M=state.M.copy(), achieved_eps=float(gap),
-                              obstruction=ScalingObstruction(
-                                  slots=slots,
-                                  t_inf_norm=float(np.abs(state.t).max())),
+            owner = np.repeat(np.arange(len(state.bases)), np.diff(state.offsets, append=state.m))
+            s = np.flatnonzero(np.abs(state.t) > max(0.8 * np.abs(state.t).max(), 1.0))
+            slots = list(zip(owner[s].tolist(), (s - np.asarray(state.offsets)[owner[s]]).tolist(),
+                             np.where(state.t[s] > 0, 1, -1).tolist()))
+            obstruction = ScalingObstruction(slots, float(np.abs(state.t).max()))
+            return ScalingMap(M=state.M.copy(), achieved_eps=float(gap), obstruction=obstruction,
                               iterations=it, f_history=history, state=state)
         _normalize(state, tol)
         moved = _newton_step(state, layout, tol)

@@ -434,7 +434,7 @@ def test_validate_system_ranks_each_distinct_set_once(monkeypatch):
     for sets in decided:
         assert len({tuple(row) for row in sets.tolist()}) == len(sets)
     # a non-dependent triple listed twice is reported at both positions; a
-    # 2-set listed twice is decided once
+    # 2-set listed twice is decided once in each direction, in one call
     arr = generate_random_planted(n=5, k=1, ambient=5, triple_count=0, seed=1)
     sys = TripleSystem(5, [(0, 1, 2), (2, 3, 4), (0, 1, 2), (3, 4), (1, 3), (4, 3)],
                        alpha=6, delta=0.0)
@@ -444,9 +444,21 @@ def test_validate_system_ranks_each_distinct_set_once(monkeypatch):
                               for j, s in enumerate(sys.sets[:3])]
     assert violations[3:6] == [f"set {j}: spaces {s[0]} and {s[1]} are not equal"
                                for j, s in enumerate(sys.sets[3:], 3)]
-    assert sorted(len(sets) for sets in decided if sets.shape[1] == 2) == [2]
+    assert sorted(len(sets) for sets in decided if sets.shape[1] == 2) == [4]
     for sets in decided:
         assert len({tuple(row) for row in sets.tolist()}) == len(sets)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_equal_spaces_are_decided_in_both_directions(swap):
+    # V_j's second row leaves V_i by 1.2e-8, beyond residual_tol, while every
+    # row of V_i lies within it of V_j: the 2-set fails in either order
+    s = 1.2e-8
+    v_i = Subspace(3, np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]) / np.sqrt(2.0))
+    v_j = Subspace(3, np.array([[1.0, 0.0, 0.0], [0.0, np.sqrt(1.0 - s * s), s]]))
+    arr = Arrangement(3, [v_j, v_i] if swap else [v_i, v_j])
+    sys = TripleSystem(2, [(0, 1)], alpha=6, delta=0.0)
+    assert validate_system(arr, sys).violations == ["set 0: spaces 0 and 1 are not equal"]
 
 
 def test_build_sg_system_builds_each_family_once(monkeypatch):
@@ -958,7 +970,8 @@ def test_triple_check_agrees_with_the_svd(seed, n, ambient):
     # 0.1 rank_tol, 0.5 residual_tol or 2 residual_tol off the span of two
     # earlier ones, or through a row of one of them (an intersecting pair).
     # Every 3-set and 2-set must get the answer of Subspace.contains against
-    # the span that Subspace.from_spanning (an SVD) gives.
+    # the span that Subspace.from_spanning (an SVD) gives, a 2-set in both
+    # directions.
     import sgcert.dependency
 
     rng = np.random.default_rng(seed)
@@ -988,7 +1001,7 @@ def test_triple_check_agrees_with_the_svd(seed, n, ambient):
     assert dependent.tolist() == [spans((i, j), k) or spans((i, k), j) or spans((j, k), i)
                                   for i, j, k in threes.tolist()]
     assert equal.tolist() == [arr.spaces[i].dim == arr.spaces[j].dim and spans((i,), j)
-                              for i, j in twos.tolist()]
+                              and spans((j,), i) for i, j in twos.tolist()]
 
 
 def test_triple_check_certifies_the_grouped_benchmark_system(monkeypatch):

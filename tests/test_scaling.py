@@ -921,6 +921,33 @@ def test_block_model_matches_finite_differences(seed):
     assert np.linalg.eigvalsh(hess).max() <= 1e-10
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_block_model_matches_the_formulas_entry_by_entry(seed):
+    # g_p and H_pq from the formulas at _newton_step, one scalar at a time;
+    # on slots, S's indicators never hold between two spaces
+    state, layout = random_blocks(seed)
+    g, hess, _ = _block_model(state, layout)
+    mx = state.x_rows @ state.M
+    half = np.sqrt(np.exp(state.t))
+    w = half[:, None] * (mx @ mx.T) * half[None, :]
+    # (space, slot a, slot b) per entry: group by group, then over the upper
+    # triangle, then space by space
+    entries = [(i, state.offsets[i] + x, state.offsets[i] + y)
+               for idx, stack, _ in state.groups
+               for x, y in zip(*np.triu_indices(stack.shape[1]))
+               for i in idx.tolist()]
+    assert len(entries) == g.size
+    bound = 1e-14 * np.abs(w).max() ** 2
+    for p, (i, a, b) in enumerate(entries):
+        hp = 0.5 if a == b else 1.0
+        assert abs(g[p] - 2 * hp * ((state.p[i] if a == b else 0.0) - w[a, b])) <= bound, p
+        for q, (_, c, d) in enumerate(entries):
+            hq = 0.5 if c == d else 1.0
+            s = (b == c) * w[a, d] + (a == d) * w[b, c] + (b == d) * w[a, c] + (a == c) * w[b, d]
+            expected = hp * hq * (2 * (w[a, c] * w[b, d] + w[a, d] * w[b, c]) - s)
+            assert abs(hess[p, q] - expected) <= bound, (p, q)
+
+
 def test_block_model_on_lines_is_the_t_newton_model():
     rng = np.random.default_rng(3)
     arr = lines(5, rng.standard_normal((9, 5)))
