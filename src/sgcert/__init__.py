@@ -2,8 +2,6 @@
 
 from .arrangement import (
     Arrangement,
-    ComplexArrangement,
-    ComplexSubspace,
     Subspace,
     complex_to_real,
     generate,

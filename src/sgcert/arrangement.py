@@ -132,51 +132,6 @@ class Arrangement:
         return max((v.dim for v in self.spaces), default=0)
 
 
-@dataclass(frozen=True)
-class ComplexSubspace:
-    """A k-dim subspace of C^ambient with basis rows given as (re, im) parts."""
-
-    ambient: int
-    basis_re: np.ndarray
-    basis_im: np.ndarray
-    tol: InitVar[Tolerance] = DEFAULT_TOL
-
-    def __post_init__(self, tol):
-        re = as_matrix(self.basis_re).reshape(-1, self.ambient)
-        im = as_matrix(self.basis_im).reshape(-1, self.ambient)
-        object.__setattr__(self, "basis_re", re)
-        object.__setattr__(self, "basis_im", im)
-        if re.shape != im.shape:
-            raise InvariantViolation("real and imaginary parts differ in shape")
-        k = re.shape[0]
-        if k:
-            # Rows independent over C iff the realification has rank 2k.
-            realified = np.block([[re, im], [-im, re]])
-            if rank(realified, tol) < 2 * k:
-                raise InvariantViolation("complex basis rows are linearly dependent over C")
-
-    @property
-    def dim(self) -> int:
-        return self.basis_re.shape[0]
-
-
-@dataclass
-class ComplexArrangement:
-    ambient: int
-    spaces: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for i, v in enumerate(self.spaces):
-            if v.ambient != self.ambient:
-                raise InvariantViolation(
-                    f"space {i} has ambient {v.ambient}, arrangement has {self.ambient}"
-                )
-
-    @property
-    def n(self) -> int:
-        return len(self.spaces)
-
-
 def _runs(rows: np.ndarray) -> tuple:
     """(order, starts): a stable lexicographic sort of ``rows`` and the first
     row of each run of equal rows in it (sorted by hand: numpy's unique
@@ -453,23 +408,22 @@ def principal_cosine(v: Subspace, w: Subspace) -> float:
     return spectral_norm(v.basis @ w.basis.T)
 
 
-def complex_to_real(spaces, tol: Tolerance = DEFAULT_TOL) -> Arrangement:
-    """Realify complex subspaces: each image is the span of all re/im parts.
+def complex_to_real(ambient: int, bases, tol: Tolerance = DEFAULT_TOL) -> Arrangement:
+    """Realify subspaces of C^ambient by the standard embedding of C^l in R^2l.
 
-    Image dimensions are at most twice the complex dimension, and any
-    containment V_a in V_b + V_c over C is preserved over R.
+    ``bases`` holds one complex (k, ambient) array per space.  A basis row
+    v = x + iy gives the two rows (x, y) and (-y, x), so a complex k-space
+    becomes a real 2k-space, two spaces meet only at 0 over R exactly when
+    they do over C, and a real dimension bound B gives dim_C <= floor(B/2).
+    Rows dependent over C (realified rank below 2k) raise InvariantViolation.
     """
-    spaces = list(spaces)
-    if not spaces:
-        raise PreconditionError("empty complex space list")
-    ambient = spaces[0].ambient
-    out = []
-    for v in spaces:
-        if v.ambient != ambient:
-            raise PreconditionError("complex spaces have mixed ambient dimensions")
-        rows = np.vstack([v.basis_re, v.basis_im]) if v.dim else np.zeros((0, ambient))
-        out.append(Subspace(ambient, orthonormalize(rows, tol)))
-    return Arrangement(ambient, out, field_tag="complex")
+    spaces = []
+    for b in map(np.asarray, bases):
+        rows = orthonormalize(np.block([[b.real, b.imag], [-b.imag, b.real]]), tol)
+        if len(rows) < 2 * len(b):
+            raise InvariantViolation("complex basis rows are linearly dependent over C")
+        spaces.append(Subspace(2 * ambient, rows, tol))
+    return Arrangement(2 * ambient, spaces, field_tag="complex")
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +540,9 @@ def generate_random_planted(n: int, k: int, ambient: int, triple_count: int,
 
 
 def generate_complex_planted(n: int, k: int, ambient: int, triple_count: int,
-                             seed: int = 0) -> ComplexArrangement:
-    """Complex analogue of the planted generator, for the realification path."""
+                             seed: int = 0) -> list:
+    """Complex analogue of the planted generator: one complex (k, ambient)
+    basis per space, for :func:`complex_to_real`."""
     if 2 * k > ambient:
         raise PreconditionError(f"need ambient >= 2k = {2 * k}")
     plan = planted_triples(n, triple_count)
@@ -600,8 +555,7 @@ def generate_complex_planted(n: int, k: int, ambient: int, triple_count: int,
         stacked = np.vstack([mats[a], mats[b]])
         coeff = rng.standard_normal((k, 2 * k)) + 1j * rng.standard_normal((k, 2 * k))
         mats[c] = coeff @ stacked
-    spaces = [ComplexSubspace(ambient, m.real.copy(), m.imag.copy()) for m in mats]
-    return ComplexArrangement(ambient, spaces)
+    return mats
 
 
 def generate(kind: str, params: dict, seed: int = 0,
@@ -627,25 +581,20 @@ def generate(kind: str, params: dict, seed: int = 0,
 #   n <count>
 #   space <id> dim <k>
 #   <k rows of l reals, or l "re,im" pairs when complex>
+#
+# A complex file is realified as it is read (:func:`complex_to_real`);
+# only real files are written.
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_arrangement(path, arr) -> None:
-    complex_mode = isinstance(arr, ComplexArrangement)
-    lines = ["arrangement v1",
-             f"field {'complex' if complex_mode else 'real'}",
-             f"ambient {arr.ambient}",
-             f"n {arr.n}"]
+def write_arrangement(path, arr: Arrangement) -> None:
+    lines = ["arrangement v1", "field real", f"ambient {arr.ambient}", f"n {arr.n}"]
     for idx, v in enumerate(arr.spaces):
         lines.append(f"space {idx} dim {v.dim}")
-        if complex_mode:
-            lines.extend(" ".join(f"{_fmt(re)},{_fmt(im)}" for re, im in zip(row_re, row_im))
-                         for row_re, row_im in zip(v.basis_re.tolist(), v.basis_im.tolist()))
-        else:
-            lines.extend(" ".join(map(_fmt, row)) for row in v.basis.tolist())
+        lines.extend(" ".join(map(_fmt, row)) for row in v.basis.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -677,16 +626,16 @@ def _parse_count(text, lineno) -> int:
 
 
 def _row_floats(tokens, complex_field: bool) -> list:
-    """The floats of row tokens; of ``re,im`` tokens, every real part, then
-    every imaginary part.  Raises ValueError or IndexError on a bad token."""
+    """The floats of row tokens, or the complex numbers of ``re,im`` tokens
+    (exactly two float parts).  Raises ValueError on a bad token."""
     if not complex_field:
         return list(map(float, tokens))
-    parts = [c.split(",") for c in tokens]
-    return [float(p[0]) for p in parts] + [float(p[1]) for p in parts]
+    return [complex(float(re), float(im)) for re, _, im in (c.partition(",") for c in tokens)]
 
 
 def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
-    """Parse an arrangement file; returns Arrangement or ComplexArrangement.
+    """Parse an arrangement file into an Arrangement; a complex one is
+    realified by :func:`complex_to_real`.
 
     Basis rows must be orthonormal within ``tol.residual_tol``, and only
     blank lines may follow the last declared space.  The file is read in
@@ -697,7 +646,8 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
     first bad line are then built in order, so that a bad basis raises
     first, as reading line by line would; a real space is checked by one
     stacked Gram per dimension, or by :class:`Subspace` itself when within
-    rounding of the bound or failing it.
+    rounding of the bound or failing it, and a complex one by
+    :func:`complex_to_real`.
     """
     lines, cells = _split_lines(path)
 
@@ -745,23 +695,21 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
         error = exc
     try:
         values = _row_floats(chain.from_iterable(row for _, row in rows), complex_field)
-    except (ValueError, IndexError):
+    except ValueError:
         for k, (no, row) in enumerate(rows):
             try:
                 _row_floats(row, complex_field)
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 error, rows = ParseError(f"bad numeric row: {exc}", no), rows[:k]
                 break
         values = _row_floats(chain.from_iterable(row for _, row in rows), complex_field)
-    values = np.array(values).reshape(1 + complex_field, len(rows), ambient)
+    stacked = np.array(values).reshape(len(rows), ambient)
     ends = np.array([e for e in ends if e <= len(rows)], dtype=int)
     dims = np.diff(ends, prepend=0)
+    bases = [stacked[e - d:e] for d, e in zip(dims.tolist(), ends.tolist())]
     if complex_field:
-        re, im = values
-        spaces = [ComplexSubspace(ambient, re[e - d:e], im[e - d:e], tol)
-                  for d, e in zip(dims.tolist(), ends.tolist())]
+        arr = complex_to_real(ambient, bases, tol)
     else:
-        stacked = values[0]
         # a row sum rounds within ambient eps of its exact value, so a space whose
         # stacked Gram is within twice that of the bound is left to Subspace, as
         # is one with a non-finite entry (whose drift is inf or NaN)
@@ -769,10 +717,9 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
         with np.errstate(invalid="ignore", over="ignore"):
             drift = _basis_drift(stacked, dims)
             fit = (dims <= ambient) & (drift <= tol.residual_tol - margin)
-        spaces = [Subspace._checked(ambient, stacked[e - d:e], dr) if ok
-                  else Subspace(ambient, stacked[e - d:e], tol)
-                  for d, e, dr, ok in zip(dims.tolist(), ends.tolist(), drift.tolist(),
-                                          fit.tolist())]
+        arr = Arrangement(ambient, [Subspace._checked(ambient, b, dr) if ok
+                                    else Subspace(ambient, b, tol)
+                                    for b, dr, ok in zip(bases, drift.tolist(), fit.tolist())])
     if error is not None:
         raise error
-    return (ComplexArrangement if complex_field else Arrangement)(ambient, spaces)
+    return arr

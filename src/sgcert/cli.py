@@ -14,9 +14,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .arrangement import (
-    ComplexArrangement,
     _fmt,
-    complex_to_real,
     generate,
     pairwise_zero_intersection,
     read_arrangement,
@@ -60,13 +58,6 @@ def _emit(stream, lines):
     stream.write("\n".join(lines) + "\n")
 
 
-def _load_real(path, tol: Tolerance):
-    arr = read_arrangement(path, tol)
-    if isinstance(arr, ComplexArrangement):
-        raise SgcertError(f"{path} holds a complex arrangement; run 'reduce' first")
-    return arr
-
-
 def cmd_gen(args) -> int:
     tol = _tol_from(args)
     if args.kind != "grouped" and args.l is None:
@@ -81,7 +72,7 @@ def cmd_gen(args) -> int:
 
 def cmd_triples(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = read_arrangement(args.input, tol)
     with _out_stream(args.out) as stream:
         specials, triples = _special_and_dependent(arr, tol)
         lines = []
@@ -96,7 +87,7 @@ def cmd_triples(args) -> int:
 
 def cmd_system(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = read_arrangement(args.input, tol)
     sys_obj = build_sg_system(arr, arr.max_dim(), tol)
     write_system(args.out, sys_obj)
     print(f"wrote {args.out}: w {sys_obj.w} alpha {sys_obj.alpha} delta {_fmt(sys_obj.delta)}")
@@ -105,7 +96,7 @@ def cmd_system(args) -> int:
 
 def cmd_scale(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = read_arrangement(args.input, tol)
     # bad sampler and optimizer flags fail before any sampling
     _check_seed(args.seed)
     _check_targets(args.eps, args.max_iter, args.tcap)
@@ -136,7 +127,7 @@ _BRANCH_NAMES = {"entry": "bound", "separated": "bound",
 
 def cmd_certify(args) -> int:
     tol = _tol_from(args)
-    arr = _load_real(args.input, tol)
+    arr = read_arrangement(args.input, tol)
     if args.system:
         sys_obj = read_system(args.system)
     else:
@@ -161,33 +152,22 @@ def cmd_certify(args) -> int:
 def cmd_reduce(args) -> int:
     tol = _tol_from(args)
     arr = read_arrangement(args.input, tol)
-    if not isinstance(arr, ComplexArrangement):
+    if arr.field_tag != "complex":
         raise SgcertError(f"{args.input} is already a real arrangement")
-    real = complex_to_real(arr.spaces, tol)
-    write_arrangement(args.out, real)
-    print(f"wrote {args.out}: n {real.n} ambient {real.ambient} "
-          f"dims {' '.join(str(v.dim) for v in real.spaces)}")
+    write_arrangement(args.out, arr)
+    print(f"wrote {args.out}: n {arr.n} ambient {arr.ambient} "
+          f"dims {' '.join(map(str, arr.dims()))}")
     return _EXIT_OK
 
 
 def cmd_verify(args) -> int:
     tol = _tol_from(args)
     arr = read_arrangement(args.input, tol)
-    failures = []
-    if isinstance(arr, ComplexArrangement):
-        print(f"complex arrangement: n {arr.n} ambient {arr.ambient}")
-    else:
-        bad_pairs = pairwise_zero_intersection(arr, tol)
-        if bad_pairs:
-            print(f"note: {len(bad_pairs)} pairs intersect nontrivially "
-                  f"(first: {bad_pairs[0]})")
-    if args.system:
-        sys_obj = read_system(args.system)
-        if isinstance(arr, ComplexArrangement):
-            failures.append("cannot validate a system against a complex arrangement")
-        else:
-            report = validate_system(arr, sys_obj, tol)
-            failures.extend(report.violations)
+    bad_pairs = pairwise_zero_intersection(arr, tol)
+    if bad_pairs:
+        print(f"note: {len(bad_pairs)} pairs intersect nontrivially (first: {bad_pairs[0]})")
+    failures = (validate_system(arr, read_system(args.system), tol).violations
+                if args.system else [])
     for f in failures:
         print(f"violation: {f}", file=sys.stderr)
     print(f"verify: {'ok' if not failures else f'{len(failures)} violations'}")
@@ -248,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("reduce", help="realify a complex arrangement file")
+    p = sub.add_parser("reduce", help="realify a complex arrangement file (C^l in R^2l)")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)

@@ -128,3 +128,26 @@ def plane_and_lines():
     inside, outside = np.array([1.0, 0.5, 0.0]), np.array([0.2, 0.1, 1.0])
     return Arrangement(3, [Subspace(3, np.eye(3)[[0, 1]])] + [
         Subspace.from_spanning(v, 3) for v in (inside, outside, inside + 0.7 * outside)])
+
+
+def hesse_configuration():
+    """The 9 inflection points of a plane cubic as complex lines of C^3:
+    (0, 1, -w^a), (1, 0, -w^a) and (1, -w^a, 0), a = 0, 1, 2, w = e^(2 pi i/3),
+    each normalised.  Each pair lies on one of 12 lines with a third point
+    (the extremal example of Kelly's theorem); it spans C^3."""
+    w = np.exp(2j * np.pi / 3)
+    points = ([(0, 1, -w**a) for a in range(3)] + [(1, 0, -w**a) for a in range(3)]
+              + [(1, -w**a, 0) for a in range(3)])
+    return [np.array([p]) / np.linalg.norm(p) for p in points]
+
+
+def write_complex_arrangement(path, ambient, bases):
+    """Write complex (k, ambient) bases as a ``field complex`` arrangement
+    file, each entry an ``re,im`` token of two %.17g parts."""
+    lines = ["arrangement v1", "field complex", f"ambient {ambient}", f"n {len(bases)}"]
+    for idx, basis in enumerate(bases):
+        lines.append(f"space {idx} dim {len(basis)}")
+        lines.extend(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row)
+                     for row in np.asarray(basis, dtype=complex).tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

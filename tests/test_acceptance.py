@@ -21,6 +21,7 @@ from sgcert.arrangement import (
     generate_grid,
     generate_grouped,
     generate_random_planted,
+    pairwise_zero_intersection,
     planted_triples,
 )
 from sgcert.certifier import CertifyBudget, certify, separated_certificate
@@ -329,7 +330,7 @@ def test_criterion_10_soundness():
     assert len(result.rounds) >= 2
 
     carr = generate_complex_planted(n=9, k=2, ambient=10, triple_count=3, seed=10)
-    real = complex_to_real(carr.spaces)
+    real = complex_to_real(10, carr)
     _certify_and_pool(real, build_sg_system(real, 4),
                       budget=CertifyBudget(trials=64))
 
@@ -353,13 +354,13 @@ def test_criterion_11_complex_reduction():
         ambient = 2 * k + 3 + seed % 4
         carr = generate_complex_planted(n=n, k=k, ambient=ambient,
                                         triple_count=n // 3, seed=seed)
-        arr = complex_to_real(carr.spaces)
-        assert all(v.dim <= 2 * k for v in arr.spaces)
+        arr = complex_to_real(ambient, carr)
+        assert arr.dims() == [2 * k] * n
+        assert pairwise_zero_intersection(arr) == []
         for a, b, c in planted_triples(n, n // 3):
             assert is_dependent_triple(arr.spaces[a], arr.spaces[b], arr.spaces[c])
-        stacked = np.vstack([s.basis_re + 1j * s.basis_im for s in carr.spaces])
-        dim_c = int(np.linalg.matrix_rank(stacked, tol=1e-9))
-        assert dim_c <= arr.dimension()
+        dim_c = int(np.linalg.matrix_rank(np.vstack(carr), tol=1e-9))
+        assert arr.dimension() == 2 * dim_c
     assert time.time() - start < 30.0
 
 

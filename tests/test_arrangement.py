@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instances import write_complex_arrangement
 
 from sgcert.arrangement import (
     Arrangement,
-    ComplexSubspace,
     InvariantViolation,
     Subspace,
     _pair_floor,
@@ -307,18 +307,27 @@ def test_tau_separated_symmetric():
 
 
 def test_complex_to_real_real_entries_only():
-    cs = ComplexSubspace(3, np.eye(3)[[0, 1]], np.zeros((2, 3)))
-    arr = complex_to_real([cs])
-    assert arr.spaces[0].dim == 2
-    assert rank(np.vstack([arr.spaces[0].basis, np.eye(3)[[0, 1]]])) == 2
+    # span_C{e1, e2} in C^3 embeds as span_R{(e1, 0), (e2, 0), (0, e1), (0, e2)} in R^6
+    arr = complex_to_real(3, [np.eye(3)[[0, 1]]])
+    assert arr.ambient == 6 and arr.spaces[0].dim == 4
+    assert rank(np.vstack([arr.spaces[0].basis, np.eye(6)[[0, 1, 3, 4]]])) == 4
 
 
-def test_complex_to_real_one_complex_line_fills_r2():
-    # span_C{(1, i)} realifies to span_R{(1,0), (0,1)} = R^2
-    cs = ComplexSubspace(2, [[1.0, 0.0]], [[0.0, 1.0]])
-    arr = complex_to_real([cs])
-    assert arr.spaces[0].dim == 2
+def test_complex_to_real_one_complex_line_is_a_real_plane():
+    # span_C{(1, i)} embeds as span_R{(1, 0, 0, 1), (0, -1, 1, 0)}, a plane of R^4
+    arr = complex_to_real(2, [[[1.0, 1j]]])
+    assert arr.ambient == 4 and arr.spaces[0].dim == 2
+    assert rank(np.vstack([arr.spaces[0].basis, [[1, 0, 0, 1], [0, -1, 1, 0]]])) == 2
     assert arr.field_tag == "complex"
+
+
+def test_complex_to_real_rejects_rows_dependent_over_c():
+    # (i, -1) = i (1, i): independent over R, dependent over C
+    with pytest.raises(InvariantViolation, match="linearly dependent over C"):
+        complex_to_real(2, [[[1.0, 1j], [1j, -1.0]]])
+    # more rows than the ambient dimension
+    with pytest.raises(InvariantViolation, match="linearly dependent over C"):
+        complex_to_real(1, [[[1.0], [1j]]])
 
 
 def test_complex_dependent_triple_preserved():
@@ -327,9 +336,7 @@ def test_complex_dependent_triple_preserved():
     b = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     coeff = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     c = coeff @ np.vstack([a, b])
-    arr = complex_to_real([
-        ComplexSubspace(6, m.real, m.imag) for m in (a, b, c)
-    ])
+    arr = complex_to_real(6, [a, b, c])
     v1, v2, v3 = arr.spaces
     stacked12 = np.vstack([v1.basis, v2.basis])
     assert rank(np.vstack([stacked12, v3.basis])) == rank(stacked12)
@@ -372,12 +379,37 @@ def test_generate_dispatch():
 
 def test_complex_planted_realification_dims():
     carr = generate_complex_planted(n=9, k=2, ambient=8, triple_count=3, seed=5)
-    arr = complex_to_real(carr.spaces)
-    assert all(v.dim <= 4 for v in arr.spaces)
-    # real span dimension dominates the complex one
-    stack_c = np.vstack([s.basis_re + 1j * s.basis_im for s in carr.spaces])
-    dim_c = np.linalg.matrix_rank(stack_c, tol=1e-9)
-    assert arr.dimension() >= dim_c
+    arr = complex_to_real(8, carr)
+    assert arr.ambient == 16 and arr.dims() == [4] * 9
+    # the real dimension is exactly twice the complex one
+    dim_c = np.linalg.matrix_rank(np.vstack(carr), tol=1e-9)
+    assert arr.dimension() == 2 * dim_c
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), data=st.data())
+def test_complex_embedding_keeps_dimensions_and_intersections(seed, k, data):
+    # complex planted instances with 4k > l, where the old span of the real
+    # and imaginary parts inside R^l made pairs meet; some with a space
+    # replaced by another basis of an earlier one, so that pairs meet over C
+    ambient = data.draw(st.integers(2 * k, 4 * k - 1))
+    n = data.draw(st.integers(3, 8))
+    bases = generate_complex_planted(n=n, k=k, ambient=ambient,
+                                     triple_count=data.draw(st.integers(0, n // 3)), seed=seed)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rng = np.random.default_rng(seed)
+        bases[j] = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ bases[i]
+    arr = complex_to_real(ambient, bases)
+    assert arr.ambient == 2 * ambient and arr.dims() == [2 * k] * n
+
+    def complex_rank(m):
+        return int(np.linalg.matrix_rank(m, tol=1e-9 * np.linalg.norm(m, 2)))
+
+    assert arr.dimension() == 2 * complex_rank(np.vstack(bases))
+    meet = [(a, b) for a in range(n) for b in range(a + 1, n)
+            if complex_rank(np.vstack([bases[a], bases[b]])) < 2 * k]
+    assert pairwise_zero_intersection(arr) == meet
 
 
 def test_roundtrip_real(tmp_path):
@@ -395,13 +427,15 @@ def test_roundtrip_real(tmp_path):
 
 
 def test_roundtrip_complex(tmp_path):
+    # a complex file reads as the realification of the bases written to it
     carr = generate_complex_planted(n=5, k=1, ambient=4, triple_count=1, seed=9)
     path = tmp_path / "c.arr"
-    write_arrangement(path, carr)
+    write_complex_arrangement(path, 4, carr)
     back = read_arrangement(path)
-    for v, w in zip(carr.spaces, back.spaces):
-        assert np.array_equal(v.basis_re, w.basis_re)
-        assert np.array_equal(v.basis_im, w.basis_im)
+    want = complex_to_real(4, carr)
+    assert (back.ambient, back.field_tag) == (8, "complex")
+    for v, w in zip(want.spaces, back.spaces):
+        assert np.array_equal(v.basis, w.basis)
 
 
 def test_read_rejects_garbage(tmp_path):

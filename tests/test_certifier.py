@@ -599,13 +599,12 @@ def test_certify_conserves_delta_n(seed, k, grouped, size, recurse):
 
 def test_certify_complex_reduction_path():
     carr = generate_complex_planted(n=9, k=2, ambient=10, triple_count=3, seed=29)
-    arr = complex_to_real(carr.spaces)
+    arr = complex_to_real(10, carr)
     sys = build_sg_system(arr, 4)
     result = certify(arr, sys, budget=CertifyBudget(trials=64))
     assert result.sound
-    stacked = np.vstack([s.basis_re + 1j * s.basis_im for s in carr.spaces])
-    dim_c = int(np.linalg.matrix_rank(stacked, tol=1e-9))
-    assert dim_c <= result.measured <= result.final_bound
+    dim_c = int(np.linalg.matrix_rank(np.vstack(carr), tol=1e-9))
+    assert 2 * dim_c == result.measured <= result.final_bound
 
 
 def test_certify_budget_exhaustion():

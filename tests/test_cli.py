@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from instances import plane_and_lines
+from instances import hesse_configuration, plane_and_lines, write_complex_arrangement
 
 import sgcert
 from sgcert.arrangement import (
+    complex_to_real,
     generate_complex_planted,
     read_arrangement,
     write_arrangement,
@@ -113,16 +114,51 @@ def test_scale_deterministic_output(tmp_path):
 
 
 def test_reduce_complex_file(tmp_path, capsys):
+    # C^5 embeds in R^10: each complex line becomes a real plane
     carr = generate_complex_planted(n=6, k=1, ambient=5, triple_count=2, seed=7)
     c_path = tmp_path / "c.arr"
-    write_arrangement(c_path, carr)
+    write_complex_arrangement(c_path, 5, carr)
     r_path = tmp_path / "r.arr"
     assert run("reduce", c_path, "--out", r_path) == 0
+    assert capsys.readouterr().out == f"wrote {r_path}: n 6 ambient 10 dims 2 2 2 2 2 2\n"
     real = read_arrangement(r_path)
-    assert real.n == 6
-    assert all(v.dim <= 2 for v in real.spaces)
+    assert (real.n, real.ambient, real.field_tag) == (6, 10, "real")
+    for v, w in zip(real.spaces, complex_to_real(5, carr).spaces):
+        assert np.array_equal(v.basis, w.basis)
     # reducing a real file fails cleanly
     assert run("reduce", r_path, "--out", tmp_path / "x.arr") == 1
+
+
+def test_reduce_empty_complex_file(tmp_path):
+    c_path, r_path = tmp_path / "c.arr", tmp_path / "r.arr"
+    write_complex_arrangement(c_path, 2, [])
+    assert run("reduce", c_path, "--out", r_path) == 0
+    assert r_path.read_text() == "arrangement v1\nfield real\nambient 4\nn 0\n"
+
+
+def test_complex_token_is_exactly_two_parts(tmp_path, capsys):
+    # a token of three parts used to read as its first two
+    c_path = tmp_path / "c.arr"
+    c_path.write_text("arrangement v1\nfield complex\nambient 2\nn 1\nspace 0 dim 1\n1,0,5 0,0\n")
+    assert run("reduce", c_path, "--out", tmp_path / "r.arr") == 2
+    assert capsys.readouterr().err.startswith("parse error: line 6: bad numeric row: ")
+    assert not (tmp_path / "r.arr").exists()
+
+
+def test_every_command_takes_a_complex_file(tmp_path, capsys):
+    # the Hesse configuration, realified as it is read: 9 planes of R^6
+    # whose 12 lines are its special spaces, each of one dependent triple
+    c_path, sys_path, out = tmp_path / "h.arr", tmp_path / "h.sys", tmp_path / "h.out"
+    write_complex_arrangement(c_path, 3, hesse_configuration())
+    assert run("triples", c_path, "--out", out) == 0
+    assert out.read_text().splitlines()[-1] == "total special 12 triples 12"
+    assert run("system", c_path, "--out", sys_path) == 0
+    assert run("verify", c_path, "--system", sys_path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verify: ok"
+    assert run("scale", c_path, "--trials", 64, "--out", out) == 0
+    assert out.read_text().splitlines()[1] == "rows 6 cols 6"
+    assert run("certify", c_path, "--trials", 64, "--out", out) == 0
+    assert out.read_text().splitlines()[-1] == "final bound 32400 measured 6"
 
 
 def test_triples_report(tmp_path):
@@ -175,11 +211,31 @@ def test_scale_counts_non_spanning_sets(tmp_path, capsys):
 
 
 def test_verify_complex_file(tmp_path, capsys):
+    # verify checks the realification: no note on a planted file, and
+    # span(e1) = span(i e1) of C^2 as one intersecting pair
     carr = generate_complex_planted(n=4, k=1, ambient=4, triple_count=1, seed=13)
     c_path = tmp_path / "v.arr"
-    write_arrangement(c_path, carr)
+    write_complex_arrangement(c_path, 4, carr)
     assert run("verify", c_path) == 0
-    assert "complex arrangement" in capsys.readouterr().out
+    assert capsys.readouterr().out == "verify: ok\n"
+    write_complex_arrangement(c_path, 2, [[[1, 0]], [[1j, 0]]])
+    assert run("verify", c_path) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "note: 1 pairs intersect nontrivially (first: (0, 1))", "verify: ok"]
+
+
+def test_verify_validates_a_system_against_a_complex_file(tmp_path, capsys):
+    # a system file checked against the realification: a triple of the
+    # planted file passes, a triple of three generic lines is reported
+    carr = generate_complex_planted(n=6, k=1, ambient=4, triple_count=1, seed=13)
+    c_path, sys_path = tmp_path / "v.arr", tmp_path / "v.sys"
+    write_complex_arrangement(c_path, 4, carr)
+    sys_path.write_text("system v1\nn 6 alpha 6 delta 0\n3 0 1 5\n")
+    assert run("verify", c_path, "--system", sys_path) == 0
+    assert capsys.readouterr().out == "verify: ok\n"
+    sys_path.write_text("system v1\nn 6 alpha 6 delta 0\n3 0 2 3\n")
+    assert run("verify", c_path, "--system", sys_path) == 1
+    assert "not a dependent triple" in capsys.readouterr().err
 
 
 def test_gen_deterministic(tmp_path):
@@ -480,19 +536,19 @@ def test_scale_rejects_negative_seed_one_line(tmp_path, capsys, monkeypatch):
 def test_unwritable_out_exit_code_one_line(tmp_path, capsys, monkeypatch, command, target):
     # an --out in a missing directory, or naming a directory, used to end
     # in a traceback (certify's only after its whole run); it now fails
-    # before any subcommand's work starts
+    # before any subcommand's work starts, its read included
     real, complex_path = tmp_path / "g.arr", tmp_path / "c.arr"
     assert run("gen", "--kind", "grouped", "--k", 1, "--delta", 0.5,
                "--n", 8, "--seed", 1, "--out", real) == 0
-    write_arrangement(complex_path, generate_complex_planted(n=4, k=1, ambient=3,
-                                                             triple_count=1, seed=7))
+    write_complex_arrangement(complex_path, 3, generate_complex_planted(n=4, k=1, ambient=3,
+                                                                        triple_count=1, seed=7))
     capsys.readouterr()
     out = tmp_path / "missing" / "x.out" if target == "missing-directory" else tmp_path
     argv = {"gen": ["--kind", "grid", "--l", 3], "triples": [real], "system": [real],
             "scale": [real, "--trials", 64], "certify": [real, "--trials", 64],
             "reduce": [complex_path]}[command]
-    for work in ("generate", "_special_and_dependent", "build_sg_system",
-                 "sample_admissible", "certify", "complex_to_real"):
+    for work in ("generate", "read_arrangement", "_special_and_dependent", "build_sg_system",
+                 "sample_admissible", "certify"):
         monkeypatch.setattr(sgcert.cli, work, lambda *args, **kwargs: pytest.fail("work ran"))
     assert run(command, *argv, "--out", out) == 2
     err = capsys.readouterr().err.splitlines()

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from instances import write_complex_arrangement
 
 from sgcert.arrangement import (
     Arrangement,
-    ComplexArrangement,
-    ComplexSubspace,
     InvariantViolation,
     Subspace,
     _read_lines,
+    complex_to_real,
     read_arrangement,
     write_arrangement,
 )
@@ -41,14 +41,17 @@ def rewritten_bytes(write, read, obj):
 @given(seed=st.integers(0, 2**32 - 1), ambient=st.integers(1, 5),
        dims=st.lists(st.integers(0, 5), max_size=5), complex_field=st.booleans())
 def test_arrangement_file_round_trip(seed, ambient, dims, complex_field):
-    # real and complex spaces of every dimension up to the ambient, zero included
+    # real spaces, and the realifications of complex ones, of every
+    # dimension up to the ambient, zero included
     rng = np.random.default_rng(seed)
     dims = [min(d, ambient) for d in dims]
     if complex_field:
-        arr = ComplexArrangement(ambient, [
-            ComplexSubspace(ambient, rng.standard_normal((d, ambient)),
-                            rng.standard_normal((d, ambient)))
-            for d in dims])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.arr"
+            write_complex_arrangement(path, ambient, [
+                rng.standard_normal((d, ambient)) + 1j * rng.standard_normal((d, ambient))
+                for d in dims])
+            arr = read_arrangement(path)
     else:
         arr = Arrangement(ambient, [
             Subspace.from_spanning(rng.standard_normal((d, ambient)), ambient)
@@ -183,7 +186,8 @@ def test_bulk_read_system_matches_per_line_reference(n, data):
 
 def read_arrangement_per_line(path, tol=DEFAULT_TOL):
     """(field, ambient, bases) of an arrangement file, parsed one line at a
-    time; a complex field's bases are (re, im) pairs."""
+    time; a complex field's bases are realified one space at a time, each
+    entry an ``re,im`` token of exactly two float parts."""
     raw = _read_lines(path)
     lines = [(no + 1, ln.strip()) for no, ln in enumerate(raw) if ln.strip()]
     pos = 0
@@ -222,31 +226,30 @@ def read_arrangement_per_line(path, tol=DEFAULT_TOL):
         if count(no, parts[1]) != idx:
             raise ParseError(f"expected space {idx}, got {parts[1]}", no)
         dim = count(no, parts[3])
-        re, im = [], []
+        rows = []
         for _ in range(dim):
             no, cells = take()
             if len(cells) != ambient:
                 raise ParseError(f"row has {len(cells)} entries, ambient is {ambient}", no)
             try:
                 if field == "complex":
-                    re.append([float(c.split(",")[0]) for c in cells])
-                    im.append([float(c.split(",")[1]) for c in cells])
+                    rows.append([complex(float(re), float(im))
+                                 for re, _, im in (c.partition(",") for c in cells)])
                 else:
-                    re.append([float(c) for c in cells])
-            except (ValueError, IndexError) as exc:
+                    rows.append([float(c) for c in cells])
+            except ValueError as exc:
                 raise ParseError(f"bad numeric row: {exc}", no) from None
+        basis = np.array(rows).reshape(dim, ambient)
         if field == "complex":
-            v = ComplexSubspace(ambient, np.array(re).reshape(dim, ambient),
-                                np.array(im).reshape(dim, ambient), tol)
-            bases.append((v.basis_re, v.basis_im))
+            bases.append(complex_to_real(ambient, [basis], tol).spaces[0].basis)
         else:
-            bases.append(Subspace(ambient, np.array(re).reshape(dim, ambient), tol).basis)
+            bases.append(Subspace(ambient, basis, tol).basis)
     if pos < len(lines):
         raise ParseError("content after the last declared space", lines[pos][0])
     return field, ambient, bases
 
 
-_ROW_TOKENS = (st.sampled_from(["inf", "nan", "-1", "0", "2", "1e400", "1_0", "1,2", "1,",
+_ROW_TOKENS = (st.sampled_from(["inf", "nan", "-1", "0", "2", "1e400", "1_0", "1,2", "1,2,3", "1,",
                                 "space", "dim", "\u0663"])
                | st.floats(-2, 2).map(repr)
                | st.text(string.ascii_letters + string.digits + string.punctuation,
@@ -309,12 +312,11 @@ def test_bulk_read_arrangement_matches_per_line_reference(seed, ambient, dims, c
             assert getattr(got.value, "line", None) == getattr(exc, "line", None)
         else:
             arr = read_arrangement(path)
-            assert isinstance(arr, ComplexArrangement if field == "complex" else Arrangement)
-            assert arr.ambient == ambient and arr.n == len(want)
-            for v, basis in zip(arr.spaces, want):
-                got = (v.basis_re, v.basis_im) if field == "complex" else (v.basis,)
-                for g, w in zip(got, basis if field == "complex" else (basis,)):
-                    assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+            assert isinstance(arr, Arrangement) and arr.field_tag == field
+            assert arr.ambient == (1 + (field == "complex")) * ambient and arr.n == len(want)
+            for v, w in zip(arr.spaces, want):
+                g = v.basis
+                assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("edits, kind, line", [
