@@ -208,6 +208,24 @@ def _basis_drift(rows: np.ndarray, dims: np.ndarray) -> np.ndarray:
     return drift
 
 
+def _subspaces(rows: np.ndarray, dims: np.ndarray, tol: Tolerance) -> list:
+    """The subspaces of the bases stacked in ``rows``, of ``dims`` rows each,
+    checked as :class:`Subspace` checks them, but by one stacked Gram per
+    dimension (:func:`_basis_drift`).  A row sum rounds within ambient eps of
+    its exact value, so a basis whose stacked Gram is within twice that of
+    the bound is left to Subspace itself, as is one failing it or with a
+    non-finite entry (whose drift is inf or NaN)."""
+    ambient = rows.shape[1]
+    margin = 2 * ambient * np.finfo(float).eps * (1 + tol.residual_tol)
+    with np.errstate(invalid="ignore", over="ignore"):
+        drift = _basis_drift(rows, dims)
+        fit = (dims <= ambient) & (drift <= tol.residual_tol - margin)
+    return [Subspace._checked(ambient, rows[e - d:e], dr) if ok
+            else Subspace(ambient, rows[e - d:e], tol)
+            for d, e, dr, ok in zip(dims.tolist(), np.cumsum(dims).tolist(),
+                                    drift.tolist(), fit.tolist())]
+
+
 def _full_rank_margin(tol: Tolerance, ambient: int, size, trace):
     """The lambda_min that proves a stack of ``size`` rows in R^ambient, whose
     Gram matrix has trace ``trace``, of full rank under the rule of
@@ -416,10 +434,16 @@ def complex_to_real(ambient: int, bases, tol: Tolerance = DEFAULT_TOL) -> Arrang
     becomes a real 2k-space, two spaces meet only at 0 over R exactly when
     they do over C, and a real dimension bound B gives dim_C <= floor(B/2).
     Rows dependent over C (realified rank below 2k) raise InvariantViolation.
+    Each row is first scaled by the power of two that brings its largest
+    modulus into [0.5, 1), exactly and without squares, so that rows of
+    independent directions but far apart in norm are not taken for
+    dependent by the relative rank rule; a row already there keeps its bits.
     """
     spaces = []
     for b in map(np.asarray, bases):
-        rows = orthonormalize(np.block([[b.real, b.imag], [-b.imag, b.real]]), tol)
+        shift = -np.frexp(np.abs(b).max(axis=1, initial=0.0))[1][:, None]
+        re, im = np.ldexp(b.real, shift), np.ldexp(b.imag, shift)
+        rows = orthonormalize(np.block([[re, im], [-im, re]]), tol)
         if len(rows) < 2 * len(b):
             raise InvariantViolation("complex basis rows are linearly dependent over C")
         spaces.append(Subspace(2 * ambient, rows, tol))
@@ -435,14 +459,66 @@ def _random_orthogonal(n: int, rng) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _draw_inside(frame: np.ndarray, k: int, rng, tol: Tolerance) -> Subspace:
-    ambient = frame.shape[1]
-    for _ in range(100):
-        rows = rng.standard_normal((k, frame.shape[0])) @ frame
-        q = orthonormalize(rows, tol)
-        if q.shape[0] == k:
-            return Subspace(ambient, q)
-    raise SgcertError("failed to draw a full-dimensional subspace")
+def _draw_spaces(frames: np.ndarray, ranks: np.ndarray, k: int, rng, tol: Tolerance,
+                 disjoint: bool = False) -> list:
+    """One generic k-space inside each frame, in order, as drawing them one
+    at a time gives them.
+
+    ``frames`` is an (m, r, l) array of orthonormal row frames, possibly a
+    broadcast view; frame u is its first ``ranks[u]`` rows.  A space is a
+    (k, ranks[u]) standard normal draw times its frame, orthonormalized.  A
+    draw of rank below k is refused, and so, with ``disjoint``, is one that
+    meets a space drawn before it beyond the origin; the frame then draws
+    again.  100 draws of rank below k in a row, or 100 refused by pairs for
+    one frame, raise SgcertError.
+
+    The remaining frames draw at once: one normal draw of all their entries
+    (the stream of one draw each), one stacked product per run of equal
+    ranks, one stacked SVD, and one :func:`_stacked_set_ranks` call for
+    every draw against the spaces and draws before it.  The draws are taken
+    up to the first refused one; its frame and those after it draw again,
+    from the normals after it.
+    """
+    ambient = frames.shape[2]
+    spaces, head, misses, fails = [], np.zeros(0), 0, 0
+    while len(spaces) < len(frames):
+        done, want = len(spaces), ranks[len(spaces):]
+        ends = np.cumsum(k * want)
+        raw = np.concatenate([head, rng.standard_normal(ends[-1] - head.size)])
+        drawn = np.empty((len(want), k, ambient))
+        cuts = [0, *(np.flatnonzero(np.diff(want)) + 1).tolist(), len(want)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            r = want[lo]
+            drawn[lo:hi] = (raw[ends[lo] - k * r:ends[hi - 1]].reshape(hi - lo, k, r)
+                            @ frames[done + lo:done + hi, :r])
+        _, s, vt = np.linalg.svd(drawn, full_matrices=False)
+        full = stacked_ranks(s, tol) == k
+        count = len(full) if full.all() else int(np.argmin(full))
+        cands = _subspaces(vt[:count].reshape(-1, ambient), np.full(count, k), DEFAULT_TOL)
+        fits = np.ones(count, dtype=bool)
+        if disjoint:
+            # each draw against every space and draw before it
+            cand, other = np.nonzero(np.arange(done, done + count)[:, None]
+                                     > np.arange(done + count))
+            pairs = np.column_stack([cand + done, other])
+            fits[cand[_stacked_set_ranks(Arrangement(ambient, spaces + cands), pairs, tol)
+                      != 2 * k]] = False
+        for u in range(len(want)):
+            if u < count and fits[u]:
+                spaces.append(cands[u])
+                misses = fails = 0
+                continue
+            if u == count:
+                misses += 1
+                if misses == 100:
+                    raise SgcertError("failed to draw a full-dimensional subspace")
+            else:
+                misses, fails = 0, fails + 1
+                if fails == 100:
+                    raise SgcertError("could not place a block member in generic position")
+            head = raw[ends[u]:]
+            break
+    return spaces
 
 
 def generate_grouped(k: int, delta: float, n: int, ambient=None,
@@ -452,8 +528,9 @@ def generate_grouped(k: int, delta: float, n: int, ambient=None,
     Block frames are mutually orthogonal 2k-row slices of a random
     orthogonal matrix, so the total dimension is exactly 2k * ceil(1/delta)
     whenever every block is populated.  Within a block, spaces are generic
-    k-subspaces with pairwise zero intersection (re-checked, not assumed).
-    ``delta`` must be finite.
+    k-subspaces with pairwise zero intersection (re-checked, not assumed),
+    each block drawn in one batch (:func:`_draw_spaces`).  ``delta`` must be
+    finite.
     """
     if k < 1 or n < 1 or not 0 < delta < np.inf:  # NaN fails this too
         raise PreconditionError("grouped generator needs k >= 1, n >= 1, delta > 0")
@@ -470,20 +547,8 @@ def generate_grouped(k: int, delta: float, n: int, ambient=None,
     spaces = []
     for g, size in enumerate(sizes):
         frame = basis[2 * k * g : 2 * k * (g + 1)]
-        block = []
-        for _ in range(size):
-            for _ in range(100):
-                cand = _draw_inside(frame, k, rng, tol)
-                # each pair (cand, member) of the block in one call
-                pairs = np.column_stack([np.full(len(block), len(block)),
-                                         np.arange(len(block))])
-                if (_stacked_set_ranks(Arrangement(ambient, block + [cand]), pairs, tol)
-                        == 2 * k).all():
-                    block.append(cand)
-                    break
-            else:
-                raise SgcertError("could not place a block member in generic position")
-        spaces.extend(block)
+        spaces.extend(_draw_spaces(np.broadcast_to(frame, (size, *frame.shape)),
+                                   np.full(size, 2 * k), k, rng, tol, disjoint=True))
     return Arrangement(ambient, spaces)
 
 
@@ -519,20 +584,25 @@ def generate_random_planted(n: int, k: int, ambient: int, triple_count: int,
 
     For each (a, b, c) from :func:`planted_triples`, space c is redrawn
     generically inside the sum of spaces a and b.  Pairwise zero
-    intersection is re-checked on the output, not assumed.
+    intersection is re-checked on the output, not assumed.  The first
+    spaces, and then the redrawn ones, are drawn in one batch each
+    (:func:`_draw_spaces`).
     """
     if 2 * k > ambient:
         raise PreconditionError(f"need ambient >= 2k = {2 * k} for zero pairwise intersections")
     plan = planted_triples(n, triple_count)
     rng = np.random.default_rng(seed)
-    eye = np.eye(ambient)
+    a, b, c = np.array(plan, dtype=int).reshape(-1, 3).T
+    eye = np.broadcast_to(np.eye(ambient), (n, ambient, ambient))
     for _ in range(100):
-        spaces = [_draw_inside(eye, k, rng, tol) for _ in range(n)]
-        for a, b, c in plan:
-            pair_frame = orthonormalize(
-                np.vstack([spaces[a].basis, spaces[b].basis]), tol
-            )
-            spaces[c] = _draw_inside(pair_frame, k, rng, tol)
+        spaces = _draw_spaces(eye, np.full(n, ambient), k, rng, tol)
+        if plan:
+            # the parents a, b are never redrawn: every pair frame comes first
+            bases = np.array([v.basis for v in spaces])
+            _, s, frames = np.linalg.svd(np.concatenate([bases[a], bases[b]], axis=1),
+                                         full_matrices=False)
+            for i, v in zip(c.tolist(), _draw_spaces(frames, stacked_ranks(s, tol), k, rng, tol)):
+                spaces[i] = v
         arr = Arrangement(ambient, spaces)
         if not pairwise_zero_intersection(arr, tol):
             return arr
@@ -706,20 +776,11 @@ def read_arrangement(path, tol: Tolerance = DEFAULT_TOL):
     stacked = np.array(values).reshape(len(rows), ambient)
     ends = np.array([e for e in ends if e <= len(rows)], dtype=int)
     dims = np.diff(ends, prepend=0)
-    bases = [stacked[e - d:e] for d, e in zip(dims.tolist(), ends.tolist())]
     if complex_field:
-        arr = complex_to_real(ambient, bases, tol)
+        arr = complex_to_real(ambient, [stacked[e - d:e] for d, e in
+                                        zip(dims.tolist(), ends.tolist())], tol)
     else:
-        # a row sum rounds within ambient eps of its exact value, so a space whose
-        # stacked Gram is within twice that of the bound is left to Subspace, as
-        # is one with a non-finite entry (whose drift is inf or NaN)
-        margin = 2 * ambient * np.finfo(float).eps * (1 + tol.residual_tol)
-        with np.errstate(invalid="ignore", over="ignore"):
-            drift = _basis_drift(stacked, dims)
-            fit = (dims <= ambient) & (drift <= tol.residual_tol - margin)
-        arr = Arrangement(ambient, [Subspace._checked(ambient, b, dr) if ok
-                                    else Subspace(ambient, b, tol)
-                                    for b, dr, ok in zip(bases, drift.tolist(), fit.tolist())])
+        arr = Arrangement(ambient, _subspaces(stacked, dims, tol))
     if error is not None:
         raise error
     return arr

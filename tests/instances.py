@@ -2,8 +2,17 @@
 
 import numpy as np
 
-from sgcert.arrangement import Arrangement, Subspace
+from sgcert.arrangement import (
+    Arrangement,
+    Subspace,
+    _random_orthogonal,
+    _stacked_set_ranks,
+    pairwise_zero_intersection,
+    planted_triples,
+)
 from sgcert.dependency import TripleSystem, build_triple_family
+from sgcert.errors import PreconditionError, SgcertError
+from sgcert.linalg import DEFAULT_TOL, orthonormalize
 
 
 def plane_line(ambient, axis_a, axis_b, angle):
@@ -151,3 +160,103 @@ def write_complex_arrangement(path, ambient, bases):
                      for row in np.asarray(basis, dtype=complex).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# sequential reference generators: one candidate drawn, orthonormalized and
+# pair-checked at a time; the batched generators of sgcert.arrangement must
+# write the same files
+
+
+def _draw_inside(frame, k, rng, tol):
+    ambient = frame.shape[1]
+    for _ in range(100):
+        rows = rng.standard_normal((k, frame.shape[0])) @ frame
+        q = orthonormalize(rows, tol)
+        if q.shape[0] == k:
+            return Subspace(ambient, q)
+    raise SgcertError("failed to draw a full-dimensional subspace")
+
+
+def sequential_grouped(k, delta, n, ambient=None, seed=0, tol=DEFAULT_TOL):
+    """The reference of :func:`sgcert.arrangement.generate_grouped`."""
+    if k < 1 or n < 1 or not 0 < delta < np.inf:
+        raise PreconditionError("grouped generator needs k >= 1, n >= 1, delta > 0")
+    groups = int(np.ceil(1.0 / delta - 1e-12))
+    if ambient is None:
+        ambient = 2 * k * groups
+    if ambient < 2 * k * groups:
+        raise PreconditionError(
+            f"ambient {ambient} cannot hold {groups} orthogonal blocks of dimension {2 * k}"
+        )
+    rng = np.random.default_rng(seed)
+    basis = _random_orthogonal(ambient, rng)
+    sizes = [n // groups + (1 if g < n % groups else 0) for g in range(groups)]
+    spaces = []
+    for g, size in enumerate(sizes):
+        frame = basis[2 * k * g : 2 * k * (g + 1)]
+        block = []
+        for _ in range(size):
+            for _ in range(100):
+                cand = _draw_inside(frame, k, rng, tol)
+                pairs = np.column_stack([np.full(len(block), len(block)),
+                                         np.arange(len(block))])
+                if (_stacked_set_ranks(Arrangement(ambient, block + [cand]), pairs, tol)
+                        == 2 * k).all():
+                    block.append(cand)
+                    break
+            else:
+                raise SgcertError("could not place a block member in generic position")
+        spaces.extend(block)
+    return Arrangement(ambient, spaces)
+
+
+def sequential_random_planted(n, k, ambient, triple_count, seed=0, tol=DEFAULT_TOL):
+    """The reference of :func:`sgcert.arrangement.generate_random_planted`."""
+    if 2 * k > ambient:
+        raise PreconditionError(f"need ambient >= 2k = {2 * k} for zero pairwise intersections")
+    plan = planted_triples(n, triple_count)
+    rng = np.random.default_rng(seed)
+    eye = np.eye(ambient)
+    for _ in range(100):
+        spaces = [_draw_inside(eye, k, rng, tol) for _ in range(n)]
+        for a, b, c in plan:
+            pair_frame = orthonormalize(np.vstack([spaces[a].basis, spaces[b].basis]), tol)
+            spaces[c] = _draw_inside(pair_frame, k, rng, tol)
+        arr = Arrangement(ambient, spaces)
+        if not pairwise_zero_intersection(arr, tol):
+            return arr
+    raise SgcertError("could not reach generic position for planted arrangement")
+
+
+class EditedNormals(np.random.Generator):
+    """``np.random.default_rng(seed)`` with an edited standard normal stream.
+
+    Each value drawn, in stream order, is passed to ``edit(position,
+    stream)``, which returns the value to put at that position, given the
+    values before it, or None to keep the drawn one.  The generators take
+    it as their ``seed``: ``np.random.default_rng`` returns a Generator as
+    it is.
+    """
+
+    def __init__(self, seed, edit):
+        super().__init__(np.random.PCG64(seed))
+        self.stream, self._edit = [], edit
+
+    def standard_normal(self, size=None):
+        drawn = super().standard_normal(size)
+        for x in np.ravel(drawn).tolist():
+            y = self._edit(len(self.stream), self.stream)
+            self.stream.append(x if y is None else y)
+        return np.reshape(self.stream[len(self.stream) - np.size(drawn):], np.shape(drawn))
+
+
+def zeroed(lo, hi):
+    """An ``edit`` of :class:`EditedNormals` setting stream positions [lo, hi) to 0."""
+    return lambda p, stream: 0.0 if lo <= p < hi else None
+
+
+def repeated(src, width, lo, hi):
+    """An ``edit`` of :class:`EditedNormals` filling stream positions [lo, hi)
+    with copies of the ``width`` values from position ``src``."""
+    return lambda p, stream: stream[src + (p - lo) % width] if lo <= p < hi else None

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from instances import write_complex_arrangement
+from instances import (
+    EditedNormals,
+    repeated,
+    sequential_grouped,
+    sequential_random_planted,
+    write_complex_arrangement,
+    zeroed,
+)
 
 from sgcert.arrangement import (
     Arrangement,
@@ -28,7 +35,7 @@ from sgcert.arrangement import (
 )
 import sgcert.linalg
 from sgcert.dependency import _special_and_dependent
-from sgcert.errors import ParseError, PreconditionError
+from sgcert.errors import ParseError, PreconditionError, SgcertError
 from sgcert.linalg import DEFAULT_TOL, Tolerance, orthonormalize, rank, stacked_ranks
 
 
@@ -328,6 +335,10 @@ def test_complex_to_real_rejects_rows_dependent_over_c():
     # more rows than the ambient dimension
     with pytest.raises(InvariantViolation, match="linearly dependent over C"):
         complex_to_real(1, [[[1.0], [1j]]])
+    # a zero row, also beside a huge one
+    for rows in ([[0, 0], [1, 1j]], [[1e300, 0], [0, 0]]):
+        with pytest.raises(InvariantViolation, match="linearly dependent over C"):
+            complex_to_real(2, [rows])
 
 
 def test_complex_dependent_triple_preserved():
@@ -352,6 +363,117 @@ def test_generate_grouped_dimensions():
 def test_generate_grouped_infeasible():
     with pytest.raises(PreconditionError):
         generate_grouped(k=2, delta=0.5, n=6, ambient=3)
+
+
+def _outcome(tmp_path, generate, edit=None, **kw):
+    """The file ``generate(**kw)`` writes, or its error message; with ``edit``,
+    the seed's normal stream is edited (:class:`EditedNormals`)."""
+    if edit is not None:
+        kw["seed"] = EditedNormals(kw["seed"], edit)
+    try:
+        arr = generate(**kw)
+    except SgcertError as exc:
+        return str(exc)
+    path = tmp_path / "gen.arr"
+    write_arrangement(path, arr)
+    return path.read_bytes()
+
+
+def _grouped_agree(tmp_path, **kw):
+    got = _outcome(tmp_path, generate_grouped, **kw)
+    assert got == _outcome(tmp_path, sequential_grouped, **kw)
+    return got
+
+
+def _planted_agree(tmp_path, **kw):
+    got = _outcome(tmp_path, generate_random_planted, **kw)
+    assert got == _outcome(tmp_path, sequential_random_planted, **kw)
+    return got
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_generators_write_the_sequential_files(tmp_path, k):
+    # 100 seeds of each kind, with block counts, sizes, ambients and triple
+    # counts that vary with the seed
+    for seed in range(100):
+        groups = 1 + seed % 4
+        _grouped_agree(tmp_path, k=k, delta=1 / groups, n=1 + seed % 17,
+                       ambient=2 * k * groups + seed % 3, seed=seed)
+        n = 2 + seed % 9
+        _planted_agree(tmp_path, n=n, k=k, ambient=2 * k + seed % 4,
+                       triple_count=seed % (n - 1), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_generators_at_benchmark_sizes(tmp_path, seed):
+    for n in (64, 128):
+        _grouped_agree(tmp_path, k=2, delta=0.25, n=n, ambient=16, seed=seed)
+    _planted_agree(tmp_path, n=60, k=2, ambient=12, triple_count=20, seed=seed)
+
+
+@pytest.mark.parametrize("edit", [
+    # k = 2, two blocks of five in R^8: the orthogonal matrix takes stream
+    # positions 0-63, and each draw of a block member 8 more from 64
+    zeroed(80, 88),  # draw 2 of rank 0
+    repeated(72, 8, 88, 96),  # draw 3 the plane of draw 1
+    repeated(64, 8, 72, 112),  # draws 1-5 the plane of draw 0, one batch and more
+    zeroed(72, 104),  # draws 1-4 of rank 0
+    # 60 draws of rank 0, one the plane of draw 0, and 60 more of rank 0: a
+    # draw of full rank, even one refused, starts the count of 100 again
+    lambda p, stream: (repeated(64, 8, 552, 560)(p, stream)
+                       if 552 <= p < 560 else zeroed(72, 1040)(p, stream)),
+])
+def test_batched_grouped_replays_refused_draws(tmp_path, edit):
+    got = _grouped_agree(tmp_path, k=2, delta=0.5, n=10, seed=5, edit=edit)
+    assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("edit", [
+    # k = 1, six lines of R^4 and triples (0, 1, 5), (2, 3, 4): the first lines
+    # take stream positions 0-23, and each planted line 2 more from 24
+    zeroed(8, 12),  # line 2 of rank 0
+    zeroed(24, 26),  # planted line 0 of rank 0: line 1 draws against frame 0
+    repeated(0, 4, 4, 8),  # line 1 = line 0: frame 0 of 1 row, frame 1 of 2
+])
+def test_batched_planted_replays_refused_draws(tmp_path, edit):
+    got = _planted_agree(tmp_path, n=6, k=1, ambient=4, triple_count=2, seed=3, edit=edit)
+    assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("refused", [99, 100])
+def test_grouped_draw_fails_after_100_rank_deficient_draws(tmp_path, refused):
+    # k = 1, one block in R^2: the orthogonal matrix takes stream positions
+    # 0-3, member 0 positions 4-5, and then ``refused`` draws are zero
+    got = _grouped_agree(tmp_path, k=1, delta=1.0, n=3, seed=1,
+                         edit=zeroed(6, 6 + 2 * refused))
+    if refused == 100:
+        assert got == "failed to draw a full-dimensional subspace"
+    else:
+        assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("refused", [99, 100])
+def test_grouped_place_fails_after_100_intersecting_draws(tmp_path, refused):
+    # as above, but ``refused`` draws repeat the line of member 0
+    got = _grouped_agree(tmp_path, k=1, delta=1.0, n=3, seed=1,
+                         edit=repeated(4, 2, 6, 6 + 2 * refused))
+    if refused == 100:
+        assert got == "could not place a block member in generic position"
+    else:
+        assert isinstance(got, bytes)
+
+
+@pytest.mark.parametrize("attempts", [99, 100])
+def test_planted_fails_after_100_intersecting_attempts(tmp_path, attempts):
+    # k = 1, four lines of R^3 and one planted triple: with every normal 1,
+    # each line is span(1, 1, 1), the pair frame has 1 row, and an attempt
+    # takes 4 * 3 + 1 stream positions
+    got = _planted_agree(tmp_path, n=4, k=1, ambient=3, triple_count=1, seed=2,
+                         edit=lambda p, stream: 1.0 if p < 13 * attempts else None)
+    if attempts == 100:
+        assert got == "could not reach generic position for planted arrangement"
+    else:
+        assert isinstance(got, bytes)
 
 
 def test_generate_grid():

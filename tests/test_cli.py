@@ -5,7 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from instances import hesse_configuration, plane_and_lines, write_complex_arrangement
+from instances import (
+    EditedNormals,
+    hesse_configuration,
+    plane_and_lines,
+    repeated,
+    write_complex_arrangement,
+    zeroed,
+)
 
 import sgcert
 from sgcert.arrangement import (
@@ -486,6 +493,46 @@ def test_gen_grouped_rejects_bad_delta_one_line(tmp_path, capsys, delta):
     assert captured.err.splitlines() == [
         "error: grouped generator needs k >= 1, n >= 1, delta > 0"]
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    # one block of lines in R^2: the orthogonal matrix takes stream positions
+    # 0-3, member 0 positions 4-5, and the next 100 draws are refused
+    (["--kind", "grouped", "--k", 1, "--delta", 1, "--n", 3], zeroed(6, 206),
+     "failed to draw a full-dimensional subspace"),
+    (["--kind", "grouped", "--k", 1, "--delta", 1, "--n", 3], repeated(4, 2, 6, 206),
+     "could not place a block member in generic position"),
+    # every normal 1 for 100 attempts of 13 stream positions: one line four times
+    (["--kind", "random-planted", "--k", 1, "--n", 4, "--l", 3, "--triples", 1],
+     lambda p, stream: 1.0 if p < 1300 else None,
+     "could not reach generic position for planted arrangement"),
+])
+def test_gen_draw_failures_one_line(tmp_path, capsys, monkeypatch, argv, edit, message):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: EditedNormals(seed, edit))
+    out_path = tmp_path / "g.arr"
+    assert run("gen", *argv, "--seed", 1, "--out", out_path) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("ambient, rows", [
+    (2, [[1e300, 0], [0, 1]]),
+    (2, [[3e4, 0], [0, 1e-6]]),
+    (3, [[3e4, 4e4j, 0], [0, 1e-6, 2e-6j]]),
+])
+def test_verify_complex_rows_far_apart_in_norm(tmp_path, capsys, ambient, rows):
+    # independent rows whose norms differ by more than 1 / rank_tol were read
+    # as dependent over C; the file spans what its normalised rows span
+    path = tmp_path / "c.arr"
+    write_complex_arrangement(path, ambient, [rows])
+    assert run("verify", path) == 0
+    assert capsys.readouterr().out == "verify: ok\n"
+    rows = np.array(rows, dtype=complex)
+    want = complex_to_real(ambient, [rows / np.abs(rows).max(axis=1, keepdims=True)]).spaces[0]
+    got = read_arrangement(path).spaces[0]
+    assert got.dim == want.dim == 4 and got.contains(want) and want.contains(got)
 
 
 @pytest.mark.parametrize("flags, message", [
